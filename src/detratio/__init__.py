@@ -11,16 +11,15 @@ from .errors import (ConfigError, ConstraintError, ConvergenceError,
                      DegenerateVariablesError, DetratioError, DomainError,
                      NumericalError, SingularMatrixError)
 from .oracle import (MONTE_CARLO, TENSOR_QUADRATURE, OracleConfig,
-                     OracleEstimate, deformed_integral, deformed_moment,
-                     oracle_deformed_op, oracle_expectation, oracle_partition,
-                     oracle_Z)
+                     OracleEstimate, deformed_integral, oracle_deformed_op,
+                     oracle_expectation, oracle_partition, oracle_Z)
 from .orthopoly import (MonicPoly, OrthoSystem, Poly, build_ortho_system,
                         bordered_coefficients, eval_poly, ortho_system,
                         orthogonality_residual_matrix, partition_function,
                         poly_derivative, system_from_json, system_to_json)
-from .ratios import (Diagnostics, EvalResult, RatioQuery, confluent_expectation,
-                     expectation_inverses, expectation_products,
-                     expectation_ratio, partial_fractions)
+from .ratios import (Diagnostics, EvalResult, RatioQuery, expectation_inverses,
+                     expectation_products, expectation_ratio,
+                     partial_fractions)
 from .weight import (DomainSpec, MomentMatrix, WeightSpec, custom_weight,
                      disk_domain, disk_flat_weight, eval_weight,
                      full_plane_domain, gaussian_weight, moment, moment_matrix,

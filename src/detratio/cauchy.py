@@ -52,9 +52,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConstraintError, NumericalError
+from .errors import ConstraintError, ConvergenceError, NumericalError
 from .orthopoly import MonicPoly, OrthoSystem, eval_poly
-from .quadrature import (adaptive_integral, cauchy_kernel_grid,
+from .quadrature import (ROUNDING_FLOOR, adaptive_integral, cauchy_kernel_grid,
                          disk_chord_lengths, star_grid)
 from .weight import DISK, WeightSpec, radial_mass
 
@@ -92,6 +92,12 @@ class CauchyEvaluator:
         if self.method == ROTINV_SERIES and not self.weight.rotation_invariant:
             raise ConstraintError(
                 "the series backend requires a rotation-invariant weight")
+        # the series values carry rounding error too, so both backends
+        # refuse what quadrature refinement could not certify
+        if not self.tolerance >= ROUNDING_FLOOR:
+            raise ConvergenceError(
+                f"cauchy tolerance {self.tolerance:g} is below the rounding "
+                f"floor {ROUNDING_FLOOR:.2e}")
 
 
 def cauchy_evaluator(system: OrthoSystem, method: Optional[str] = None,

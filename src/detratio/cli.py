@@ -71,14 +71,6 @@ def _emit_json(report: dict, path) -> None:
     _write_output(json.dumps(_round17(report), indent=2, sort_keys=True), path)
 
 
-def _check_depth(rc: RunConfig, query: RatioQuery) -> None:
-    need = max(query.N + query.L_total - 1, query.N - 1)
-    if need > rc.max_degree:
-        raise ConstraintError(
-            f"query requires system depth {need} "
-            f"(N + L - 1); system.max_degree is {rc.max_degree}")
-
-
 def cmd_ortho(rc: RunConfig, args) -> int:
     weight = build_weight(rc)
     system = ortho_system(weight, rc.max_degree)
@@ -109,7 +101,6 @@ def _eval_case(rc: RunConfig, query: RatioQuery, tolerance: float):
 
 def cmd_eval(rc: RunConfig, args) -> int:
     query = build_query(rc)
-    _check_depth(rc, query)
     tolerance = args.tolerance or rc.tolerance
     weight, system, cev = _eval_case(rc, query, tolerance)
     result = expectation_ratio(query, system, cev)
@@ -180,10 +171,6 @@ def cmd_verify(rc: RunConfig, args) -> int:
                 case = {"case": name, "N": n_ev, "L": big_l, "M": big_m}
                 query = RatioQuery(N=n_ev, mus=mus_pool[:big_l],
                                    epsbars=eps_pool[:big_m])
-                if n_ev + big_l - 1 > rc.max_degree:
-                    raise ConstraintError(
-                        f"verify case {name} requires system depth "
-                        f"{n_ev + big_l - 1}; system.max_degree is {rc.max_degree}")
                 method = TENSOR_QUADRATURE if n_ev <= 2 else MONTE_CARLO
                 cfg = build_oracle_config(rc, method=method, seed=args.seed)
                 try:
@@ -271,7 +258,6 @@ def cmd_scan(rc: RunConfig, args) -> int:
         row = {"axis_re": v.real, "axis_im": v.imag}
         try:
             query = RatioQuery(N=rc.n_eigenvalues, mus=mus, epsbars=epsbars)
-            _check_depth(rc, query)
             res = expectation_ratio(query, system, cev)
             row.update({"value_re": res.value.real, "value_im": res.value.imag,
                         "abs_error_estimate": res.abs_error_estimate,

@@ -3,16 +3,24 @@
 Multiplying the weight by prod_j (mu_j - z) and dividing by
 prod_k (ebar_k - zbar) produces a complex-valued measure whose monic
 bi-orthogonal polynomials admit bordered-determinant expressions in the
-undeformed pi's and their Cauchy transforms h:
+undeformed pi's and their Cauchy transforms h.
 
-* multiplication only (Christoffel): ratio of a determinant of pi values
-  bordered by the pi row at z over its top-left minor, divided by
-  prod_j (z - mu_j);
-* division only (Uvarov): determinant with h rows over the pi row at z,
-  normalized by the h minor;
-* both: the general bordered determinant mixing h rows and pi rows;
-* the Cauchy transform of the divided-measure polynomials reduces to an
-  all-h determinant with the prefactor (-1)^m / prod_k (ebar - ebar_k).
+One engine builds every such determinant, and the ratio determinant of
+``ratios`` as well: ``determinant_rows`` lays out, over columns of
+consecutive degrees d, first the h rows h_d^(t)(ebar_k)/t! for each
+ebar and each t below its multiplicity, then the pi rows
+pi_d^(t)(mu_j)/t! likewise.  A deformed quantity is the determinant of
+such rows bordered by one last row, divided by its top-left minor (the
+same rows without the last column):
+
+* multiplication only (Christoffel): pi rows at the mu's bordered by the
+  pi row at z, divided by prod_j (z - mu_j)^(m_j); repeated mu's give
+  derivative rows;
+* division only (Uvarov): h rows bordered by the pi row at z;
+* both: h rows, then pi rows, bordered by the pi row at z;
+* the Cauchy transform of the divided-measure polynomials: h rows
+  bordered by the h row at the evaluation point, with the prefactor
+  (-1)^m / prod_k (ebar - ebar_k).
 
 Deformation variables must be pairwise distinct; nearly coincident
 variables lose all significant digits in the determinant ratio long
@@ -22,11 +30,12 @@ and the caller is directed to derivative rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import CauchyEvaluator, cauchy_transform
+from .cauchy import CauchyEvaluator, cauchy_transform_full
 from .determinants import lu_det, require_nonsingular
 from .errors import ConstraintError, DegenerateVariablesError
 from .orthopoly import OrthoSystem, eval_poly, poly_derivative
@@ -75,12 +84,49 @@ class DeformedPolyResult:
     conditioning: float
 
 
-def _pi_row(sys: OrthoSystem, x: complex, degrees) -> list:
-    return [eval_poly(sys.poly(d), x) for d in degrees]
+def determinant_rows(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, eps_mults,
+                     mus, mu_mults, degrees) -> tuple[np.ndarray, tuple]:
+    """Rows of the ratio determinant over the columns d in ``degrees``.
+
+    One row h_d^(t)(ebar)/t! for each ebar and each t below its
+    multiplicity, then one row pi_d^(t)(mu)/t! for each mu and t.  Returns
+    the matrix and the transform warnings, each listed once; ``cev`` is
+    not used when there are no ebars.
+    """
+    degrees = tuple(degrees)
+    rows, warnings = [], []
+    for eps, mult in zip(epsbars, eps_mults):
+        for t in range(mult):
+            scale = 1.0 / math.factorial(t)
+            row = []
+            for d in degrees:
+                res = cauchy_transform_full(cev, d, eps, order=t)
+                row.append(res.value * scale)
+                for w in res.warnings:
+                    if w not in warnings:
+                        warnings.append(w)
+            rows.append(row)
+    for mu, mult in zip(mus, mu_mults):
+        for t in range(mult):
+            scale = 1.0 / math.factorial(t)
+            rows.append([eval_poly(poly_derivative(sys.poly(d), t), mu) * scale
+                         for d in degrees])
+    matrix = np.array(rows, dtype=complex).reshape(len(rows), len(degrees))
+    return matrix, tuple(warnings)
 
 
-def _h_row(cev: CauchyEvaluator, eps: complex, degrees) -> list:
-    return [cauchy_transform(cev, d, eps) for d in degrees]
+def _bordered_ratio(matrix: np.ndarray, what: str) -> tuple[complex, complex, float]:
+    """Numerator, denominator and conditioning of a bordered ratio.
+
+    The numerator is det(matrix); the denominator is its top-left minor,
+    without the border row and the last column, and must be nonsingular.
+    The conditioning is the worse of the two pivot ratios.  Callers divide
+    themselves, each with its own prefactor.
+    """
+    num, cond_num = lu_det(matrix)
+    den, cond_den = lu_det(matrix[:-1, :-1])
+    require_nonsingular(den, cond_den, what)
+    return num, den, max(cond_num, cond_den)
 
 
 def _require_depth(sys: OrthoSystem, degree: int, what: str) -> None:
@@ -90,45 +136,45 @@ def _require_depth(sys: OrthoSystem, degree: int, what: str) -> None:
             f"system depth is {sys.max_degree}")
 
 
+def _deformed_poly(sys: OrthoSystem, cev: CauchyEvaluator, mus, mu_mults,
+                   epsbars, n: int, z: complex, what: str) -> DeformedPolyResult:
+    """Monic degree-n polynomial for the measure
+    prod_j (mu_j - z)^(m_j) / prod_k (ebar_k - zbar) times the weight."""
+    check_nondegenerate(mus, "mus")
+    check_nondegenerate(epsbars, "epsbars")
+    ell, m = sum(mu_mults), len(epsbars)
+    if n < 0:
+        raise ConstraintError("polynomial degree must be non-negative")
+    if m > n:
+        raise ConstraintError("the number of inverse factors cannot exceed the degree")
+    _require_depth(sys, n + ell, what)
+    z = complex(z)
+    if any(z == mu for mu in mus):
+        raise ConstraintError(
+            "evaluation point coincides with a deformation mu; "
+            "use christoffel_q, which vanishes there")
+    matrix, _ = determinant_rows(sys, cev, epsbars, (1,) * m, mus + (z,),
+                                 mu_mults + (1,), range(n - m, n + ell + 1))
+    num, den, cond = _bordered_ratio(matrix, f"{what} minor")
+    factor = np.prod([(z - mu) ** k for mu, k in zip(mus, mu_mults)])
+    return DeformedPolyResult(num / (den * factor), num, den, cond)
+
+
 def christoffel_q(sys: OrthoSystem, mus, n: int, z: complex) -> complex:
     """Raw bordered determinant for the multiplied measure; vanishes at each mu."""
     mus = tuple(complex(v) for v in mus)
     ell = len(mus)
     _require_depth(sys, n + ell, "christoffel determinant")
-    degrees = range(n, n + ell + 1)
-    rows = [_pi_row(sys, mu, degrees) for mu in mus]
-    rows.append(_pi_row(sys, z, degrees))
-    det, _ = lu_det(np.array(rows, dtype=complex))
-    return det
+    matrix, _ = determinant_rows(sys, None, (), (), mus + (complex(z),),
+                                 (1,) * (ell + 1), range(n, n + ell + 1))
+    return lu_det(matrix)[0]
 
 
 def christoffel_poly(sys: OrthoSystem, mus, n: int, z: complex) -> DeformedPolyResult:
     """Monic degree-n polynomial orthogonal after multiplying the weight
     by prod_j (mu_j - z)."""
-    mus = tuple(complex(v) for v in mus)
-    check_nondegenerate(mus, "mus")
-    ell = len(mus)
-    if n < 0:
-        raise ConstraintError("polynomial degree must be non-negative")
-    _require_depth(sys, n + ell, "christoffel formula")
-    z = complex(z)
-    if ell == 0:
-        value = eval_poly(sys.poly(n), z)
-        return DeformedPolyResult(value, value, 1.0 + 0j, 1.0)
-    if any(z == mu for mu in mus):
-        raise ConstraintError(
-            "evaluation point coincides with a deformation mu; "
-            "use christoffel_q, which vanishes there")
-    degrees = range(n, n + ell + 1)
-    num_rows = [_pi_row(sys, mu, degrees) for mu in mus]
-    num_rows.append(_pi_row(sys, z, degrees))
-    den_rows = [_pi_row(sys, mu, range(n, n + ell)) for mu in mus]
-    num, cond_num = lu_det(np.array(num_rows, dtype=complex))
-    den, cond_den = lu_det(np.array(den_rows, dtype=complex))
-    require_nonsingular(den, cond_den, "christoffel denominator minor")
-    factor = np.prod([z - mu for mu in mus])
-    return DeformedPolyResult(num / (den * factor), num, den,
-                              max(cond_num, cond_den))
+    mus = tuple(mus)
+    return christoffel_poly_confluent(sys, mus, (1,) * len(mus), n, z)
 
 
 def christoffel_poly_confluent(sys: OrthoSystem, mus, multiplicities, n: int,
@@ -139,30 +185,7 @@ def christoffel_poly_confluent(sys: OrthoSystem, mus, multiplicities, n: int,
     mults = tuple(int(m) for m in multiplicities)
     if len(mus) != len(mults) or any(m < 1 for m in mults):
         raise ConstraintError("multiplicities must be positive, one per mu")
-    check_nondegenerate(mus, "mus")
-    ell = sum(mults)
-    _require_depth(sys, n + ell, "confluent christoffel formula")
-    z = complex(z)
-    if any(z == mu for mu in mus):
-        raise ConstraintError("evaluation point coincides with a deformation mu")
-
-    def rows_for(degrees):
-        rows = []
-        for mu, m in zip(mus, mults):
-            for t in range(m):
-                rows.append([eval_poly(poly_derivative(sys.poly(d), t), mu)
-                             for d in degrees])
-        return rows
-
-    num_rows = rows_for(range(n, n + ell + 1))
-    num_rows.append(_pi_row(sys, z, range(n, n + ell + 1)))
-    den_rows = rows_for(range(n, n + ell))
-    num, cond_num = lu_det(np.array(num_rows, dtype=complex))
-    den, cond_den = lu_det(np.array(den_rows, dtype=complex)) if ell else (1.0 + 0j, 1.0)
-    require_nonsingular(den, cond_den, "confluent christoffel minor")
-    factor = np.prod([(z - mu) ** m for mu, m in zip(mus, mults)])
-    return DeformedPolyResult(num / (den * factor), num, den,
-                              max(cond_num, cond_den))
+    return _deformed_poly(sys, None, mus, mults, (), n, z, "christoffel formula")
 
 
 def uvarov_q(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, n: int,
@@ -173,37 +196,17 @@ def uvarov_q(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, n: int,
     if m > n:
         raise ConstraintError("the number of inverse factors cannot exceed the degree")
     _require_depth(sys, n, "uvarov determinant")
-    degrees = range(n - m, n + 1)
-    rows = [_h_row(cev, eb, degrees) for eb in epsbars]
-    rows.append(_pi_row(sys, z, degrees))
-    det, _ = lu_det(np.array(rows, dtype=complex))
-    return det
+    matrix, _ = determinant_rows(sys, cev, epsbars, (1,) * m, (complex(z),), (1,),
+                                 range(n - m, n + 1))
+    return lu_det(matrix)[0]
 
 
 def uvarov_poly(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, n: int,
                 z: complex) -> DeformedPolyResult:
     """Monic degree-n polynomial orthogonal after dividing the weight by
     prod_k (ebar_k - zbar)."""
-    epsbars = tuple(complex(v) for v in epsbars)
-    check_nondegenerate(epsbars, "epsbars")
-    m = len(epsbars)
-    if n < 0:
-        raise ConstraintError("polynomial degree must be non-negative")
-    if m > n:
-        raise ConstraintError("the number of inverse factors cannot exceed the degree")
-    _require_depth(sys, n, "uvarov formula")
-    z = complex(z)
-    if m == 0:
-        value = eval_poly(sys.poly(n), z)
-        return DeformedPolyResult(value, value, 1.0 + 0j, 1.0)
-    degrees = range(n - m, n + 1)
-    num_rows = [_h_row(cev, eb, degrees) for eb in epsbars]
-    num_rows.append(_pi_row(sys, z, degrees))
-    den_rows = [_h_row(cev, eb, range(n - m, n)) for eb in epsbars]
-    num, cond_num = lu_det(np.array(num_rows, dtype=complex))
-    den, cond_den = lu_det(np.array(den_rows, dtype=complex))
-    require_nonsingular(den, cond_den, "uvarov h-minor")
-    return DeformedPolyResult(num / den, num, den, max(cond_num, cond_den))
+    return _deformed_poly(sys, cev, (), (), tuple(complex(v) for v in epsbars),
+                          n, z, "uvarov formula")
 
 
 def combined_poly(sys: OrthoSystem, cev: CauchyEvaluator, mus, epsbars, n: int,
@@ -211,35 +214,9 @@ def combined_poly(sys: OrthoSystem, cev: CauchyEvaluator, mus, epsbars, n: int,
     """Monic degree-n polynomial for the general deformed measure
     prod_j (mu_j - z) / prod_k (ebar_k - zbar) times the weight."""
     mus = tuple(complex(v) for v in mus)
-    epsbars = tuple(complex(v) for v in epsbars)
-    check_nondegenerate(mus, "mus")
-    check_nondegenerate(epsbars, "epsbars")
-    ell, m = len(mus), len(epsbars)
-    if n < 0:
-        raise ConstraintError("polynomial degree must be non-negative")
-    if m > n:
-        raise ConstraintError("the number of inverse factors cannot exceed the degree")
-    _require_depth(sys, n + ell, "combined deformation formula")
-    z = complex(z)
-    if any(z == mu for mu in mus):
-        raise ConstraintError("evaluation point coincides with a deformation mu")
-    if ell == 0:
-        return uvarov_poly(sys, cev, epsbars, n, z)
-    if m == 0:
-        return christoffel_poly(sys, mus, n, z)
-    degrees = range(n - m, n + ell + 1)
-    num_rows = [_h_row(cev, eb, degrees) for eb in epsbars]
-    num_rows += [_pi_row(sys, mu, degrees) for mu in mus]
-    num_rows.append(_pi_row(sys, z, degrees))
-    minor_degrees = range(n - m, n + ell)
-    den_rows = [_h_row(cev, eb, minor_degrees) for eb in epsbars]
-    den_rows += [_pi_row(sys, mu, minor_degrees) for mu in mus]
-    num, cond_num = lu_det(np.array(num_rows, dtype=complex))
-    den, cond_den = lu_det(np.array(den_rows, dtype=complex))
-    require_nonsingular(den, cond_den, "combined-deformation minor")
-    factor = np.prod([z - mu for mu in mus])
-    return DeformedPolyResult(num / (den * factor), num, den,
-                              max(cond_num, cond_den))
+    return _deformed_poly(sys, cev, mus, (1,) * len(mus),
+                          tuple(complex(v) for v in epsbars), n, z,
+                          "combined deformation formula")
 
 
 def deformed_cauchy(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, n: int,
@@ -256,16 +233,10 @@ def deformed_cauchy(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, n: int,
     if any(eps == eb for eb in epsbars):
         raise ConstraintError(
             "evaluation point coincides with a deformation ebar")
-    if m == 0:
-        return cauchy_transform(cev, n, eps)
     check_nondegenerate(epsbars + (eps,), "epsbars plus evaluation point")
-    degrees = range(n - m, n + 1)
-    num_rows = [_h_row(cev, eb, degrees) for eb in epsbars]
-    num_rows.append(_h_row(cev, eps, degrees))
-    den_rows = [_h_row(cev, eb, range(n - m, n)) for eb in epsbars]
-    num, cond_num = lu_det(np.array(num_rows, dtype=complex))
-    den, cond_den = lu_det(np.array(den_rows, dtype=complex))
-    require_nonsingular(den, cond_den, "deformed-transform h-minor")
+    matrix, _ = determinant_rows(sys, cev, epsbars + (eps,), (1,) * (m + 1), (), (),
+                                 range(n - m, n + 1))
+    num, den, _ = _bordered_ratio(matrix, "deformed-transform h-minor")
     prefactor = (-1) ** m / np.prod([eps - eb for eb in epsbars])
     return complex(prefactor * num / den)
 

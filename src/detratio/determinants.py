@@ -5,7 +5,9 @@ the conditioning indicator is the ratio of the largest to the smallest
 pivot magnitude.  For overflow-prone assemblies a row-scaled variant
 returns a mantissa determinant together with the logarithm of the
 factored-out row scales, so products of large determinants and
-factorials can be reassembled in log-polar form.
+factorials can be reassembled in log-polar form.  Vandermonde factors
+come only in that form, from ``confluent_vandermonde_logpolar``; the
+plain product is its case with every multiplicity 1.
 """
 
 from __future__ import annotations
@@ -62,30 +64,6 @@ def require_nonsingular(det: complex, cond: float, what: str) -> None:
     if det == 0 or not math.isfinite(cond):
         raise SingularMatrixError(
             f"{what} is numerically singular (conditioning {cond:.3e})")
-
-
-def vandermonde(values) -> complex:
-    """prod_{i>j} (x_i - x_j); empty and singleton lists give 1."""
-    xs = [complex(v) for v in values]
-    out = 1.0 + 0j
-    for i in range(len(xs)):
-        for j in range(i):
-            out *= xs[i] - xs[j]
-    return out
-
-
-def vandermonde_logpolar(values) -> tuple[float, float]:
-    """(log modulus, phase) of the Vandermonde product."""
-    log_mod, phase = 0.0, 0.0
-    xs = [complex(v) for v in values]
-    for i in range(len(xs)):
-        for j in range(i):
-            d = xs[i] - xs[j]
-            if d == 0:
-                return float("-inf"), 0.0
-            log_mod += math.log(abs(d))
-            phase += cmath.phase(d)
-    return log_mod, phase
 
 
 def confluent_vandermonde_logpolar(values, multiplicities) -> tuple[float, float]:

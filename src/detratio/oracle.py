@@ -276,13 +276,6 @@ def deformed_integral(spec: WeightSpec, deformation: Deformation, fn,
     return complex(np.sum(measure * fn(z)))
 
 
-def deformed_moment(spec: WeightSpec, deformation: Deformation, j: int, k: int,
-                    n_r: int = 96, n_t: int = 128) -> complex:
-    """Moment integral z^j zbar^k of the (complex) deformed measure."""
-    return deformed_integral(spec, deformation,
-                             lambda z: z ** j * np.conj(z) ** k, n_r, n_t)
-
-
 def oracle_deformed_op(spec: WeightSpec, deformation: Deformation, n: int,
                        cfg: OracleConfig) -> MonicPoly:
     """Monic degree-n polynomial solving the one-sided orthogonality

@@ -16,7 +16,9 @@ Christoffel-deformed polynomials; inverse powers only through deformed
 Cauchy transforms), and the confluent version for coinciding variables,
 where repeated rows become derivative rows scaled by 1/t! and the
 Vandermonde factors become products over distinct pairs raised to the
-product of multiplicities.
+product of multiplicities.  The rows come from
+``deformed.determinant_rows``, which builds every determinant of the
+package.
 
 The prefactor 2 pi/(i r_j) is evaluated as -2 pi i / r_j exactly, and
 determinants, norm products and Vandermonde factors are combined in
@@ -32,12 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .cauchy import ROTINV_SERIES, CauchyEvaluator, cauchy_transform_full
-from .deformed import check_nondegenerate, christoffel_poly, deformed_cauchy
-from .determinants import (confluent_vandermonde_logpolar, scaled_lu_det,
-                           vandermonde_logpolar)
+from .cauchy import ROTINV_SERIES, CauchyEvaluator
+from .deformed import (check_nondegenerate, christoffel_poly, deformed_cauchy,
+                       determinant_rows)
+from .determinants import confluent_vandermonde_logpolar, scaled_lu_det
 from .errors import ConstraintError, NumericalError
-from .orthopoly import OrthoSystem, Poly, eval_poly, poly_derivative
+from .orthopoly import OrthoSystem, Poly
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -123,54 +125,24 @@ def _require_depth(sys: OrthoSystem, q: RatioQuery) -> None:
     need = max(q.N + q.L_total - 1, q.N - 1)
     if need > sys.max_degree:
         raise ConstraintError(
-            f"query needs system depth {need}; available {sys.max_degree}")
+            f"query requires system depth {need} (N + L - 1); "
+            f"system.max_degree is {sys.max_degree}")
 
 
 def expectation_ratio(q: RatioQuery, sys: OrthoSystem,
                       cev: CauchyEvaluator) -> EvalResult:
-    """Evaluate the determinant expression for the given query."""
-    return _determinant_value(q, sys, cev)
-
-
-def confluent_expectation(q: RatioQuery, sys: OrthoSystem,
-                          cev: CauchyEvaluator) -> EvalResult:
-    """Same determinant expression; multiplicities produce derivative rows.
-
-    With all multiplicities equal to 1 this is identical to
-    expectation_ratio.
-    """
-    return _determinant_value(q, sys, cev)
-
-
-def _determinant_value(q: RatioQuery, sys: OrthoSystem,
-                       cev: CauchyEvaluator) -> EvalResult:
+    """Evaluate the determinant expression for the given query;
+    multiplicities produce derivative rows."""
+    _require_depth(sys, q)
     M, L = q.M_total, q.L_total
     if M == 0 and L == 0:
         return EvalResult(1.0 + 0j, 0.0,
                           Diagnostics(1.0, "empty-product", ()))
-    _require_depth(sys, q)
     n_ev = q.N
-    cols = range(n_ev - M, n_ev + L)
-    rows = []
-    warnings: list = []
-    for eps, mult in zip(q.epsbars, q.eps_multiplicities):
-        for t in range(mult):
-            scale = 1.0 / math.factorial(t)
-            row = []
-            for d in cols:
-                res = cauchy_transform_full(cev, d, eps, order=t)
-                row.append(res.value * scale)
-                for w in res.warnings:
-                    if w not in warnings:
-                        warnings.append(w)
-            rows.append(row)
-    for mu, mult in zip(q.mus, q.mu_multiplicities):
-        for t in range(mult):
-            scale = 1.0 / math.factorial(t)
-            rows.append([eval_poly(poly_derivative(sys.poly(d), t), mu) * scale
-                         for d in cols])
-
-    mant, log_scale, cond = scaled_lu_det(np.array(rows, dtype=complex))
+    matrix, warnings = determinant_rows(
+        sys, cev, q.epsbars, q.eps_multiplicities, q.mus, q.mu_multiplicities,
+        range(n_ev - M, n_ev + L))
+    mant, log_scale, cond = scaled_lu_det(matrix)
     log_mu, phase_mu = confluent_vandermonde_logpolar(q.mus, q.mu_multiplicities)
     log_eps, phase_eps = confluent_vandermonde_logpolar(q.epsbars,
                                                         q.eps_multiplicities)
@@ -184,7 +156,7 @@ def _determinant_value(q: RatioQuery, sys: OrthoSystem,
     rel_err = cond * (M + L) * 1e-15 + (M > 0) * M * h_rel
     backend = cev.method if M > 0 else "polynomial"
     return EvalResult(complex(value), abs(value) * rel_err,
-                      Diagnostics(cond, backend, tuple(warnings)))
+                      Diagnostics(cond, backend, warnings))
 
 
 def expectation_products(q: RatioQuery, sys: OrthoSystem) -> EvalResult:

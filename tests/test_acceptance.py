@@ -17,8 +17,8 @@ import numpy as np
 
 from detratio import (Deformation, OracleConfig, RatioQuery, cauchy_evaluator,
                       cauchy_transform, christoffel_poly, combined_poly,
-                      confluent_expectation, expectation_inverses,
-                      expectation_products, expectation_ratio, eval_poly,
+                      expectation_inverses, expectation_products,
+                      expectation_ratio, eval_poly,
                       gaussian_weight, oracle_deformed_op, oracle_expectation,
                       oracle_Z, ortho_system, partition_function, uvarov_poly)
 from detratio.deformed import poly_values_on_circle
@@ -272,7 +272,7 @@ def test_criterion_8c_block_reductions(disk_sys, disk_ev):
 
 def test_criterion_9_confluence(gauss_sys, gauss_ev):
     mu = 0.9 + 0.6j
-    conf = confluent_expectation(
+    conf = expectation_ratio(
         RatioQuery(N=2, mus=(mu,), mu_multiplicities=(2,)),
         gauss_sys, gauss_ev).value
 

@@ -53,6 +53,16 @@ def test_sub_floor_tolerance_refused_for_identical_levels():
         adaptive_integral(lambda n_r, n_t: 1j / 3, 1e-17)
 
 
+def test_series_backend_refuses_sub_floor_tolerance():
+    # the series values carry rounding error of their own, so the series
+    # backend refuses the tolerances the quadrature backend refuses
+    from detratio import ConvergenceError, cauchy_transform_full, ortho_system
+    with pytest.raises(ConvergenceError):
+        cauchy_transform_full(
+            cauchy_evaluator(ortho_system(gaussian_weight(), 4), tolerance=1e-17),
+            0, 2.0)
+
+
 def test_quadrature_error_estimate_is_never_zero(disk, disk_sys):
     res = cauchy_quadrature(disk, disk_sys.polys[0], 1.5, tolerance=1e-9)
     assert res.value == pytest.approx(1j / 3, rel=1e-12)

@@ -100,6 +100,15 @@ def test_eval_depth_constraint_exits_4(tmp_path):
     assert run(["eval", "--config", cfg]) == 4
 
 
+def test_eval_empty_query_depth_exits_4(tmp_path, capsys):
+    cfg = write_config(tmp_path, base_config(
+        system={"max_degree": 8},
+        query={"N": 10, "mus": [], "epsbars": []}))
+    assert run(["eval", "--config", cfg]) == 4
+    assert "requires system depth 9 (N + L - 1); system.max_degree is 8" \
+        in capsys.readouterr().err
+
+
 def test_verify_default_grid_passes(tmp_path):
     cfg = write_config(tmp_path, base_config(
         verify={"Ns": [1, 2], "Ls": [0, 1, 2], "tolerance": 1e-6,

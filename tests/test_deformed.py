@@ -197,6 +197,17 @@ def test_degenerate_limit_continuity(gauss_sys):
         assert abs(val - limit) / abs(limit) < 1e-6
 
 
+def test_multiplicity_three_limit(gauss_sys):
+    # a triple mu needs the second-derivative row, scaled by 1/2!; three
+    # mus 1e-3 apart stay on top of that limit
+    mu = 1.1 + 0.7j
+    z = 0.3 + 0.2j
+    for n in (1, 2, 3):
+        limit = christoffel_poly_confluent(gauss_sys, (mu,), (3,), n, z).value
+        val = christoffel_poly(gauss_sys, (mu, mu + 1e-3, mu + 2e-3), n, z).value
+        assert abs(val - limit) / abs(limit) < 1e-7
+
+
 def test_near_degenerate_rejected(gauss_sys, disk_sys, disk_ev):
     mu = 1.1 + 0.7j
     with pytest.raises(DegenerateVariablesError):

@@ -1,9 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from detratio.determinants import (confluent_vandermonde_logpolar, lu_det,
-                                   scaled_lu_det, vandermonde,
-                                   vandermonde_logpolar)
+                                   scaled_lu_det)
 
 
 def test_lu_det_matches_numpy():
@@ -35,19 +36,33 @@ def test_singular_row_gives_zero():
     assert cond == float("inf")
 
 
+def direct_vandermonde(xs):
+    """prod_{i>j} (x_i - x_j), written out term by term."""
+    out = 1.0 + 0j
+    for i in range(len(xs)):
+        for j in range(i):
+            out *= xs[i] - xs[j]
+    return out
+
+
 def test_vandermonde_conventions():
-    assert vandermonde([]) == 1
-    assert vandermonde([3.7]) == 1
-    assert vandermonde([1.0, 3.0]) == 2.0  # prod_{i>j}(x_i - x_j)
+    # empty and singleton products are 1
+    assert confluent_vandermonde_logpolar([], ()) == (0.0, 0.0)
+    assert confluent_vandermonde_logpolar([3.7], (1,)) == (0.0, 0.0)
+    # prod_{i>j}(x_i - x_j) = 3 - 1
+    assert confluent_vandermonde_logpolar([1.0, 3.0], (1, 1)) == (math.log(2.0), 0.0)
     xs = [0.5, 1.5 + 1j, -2.0]
-    log_mod, phase = vandermonde_logpolar(xs)
-    assert np.exp(log_mod + 1j * phase) == pytest.approx(vandermonde(xs), rel=1e-13)
+    log_mod, phase = confluent_vandermonde_logpolar(xs, (1, 1, 1))
+    assert np.exp(log_mod + 1j * phase) == pytest.approx(direct_vandermonde(xs),
+                                                        rel=1e-13)
 
 
 def test_confluent_vandermonde_reduces_to_plain():
     xs = [0.5, 1.5 + 1j, -2.0]
-    assert confluent_vandermonde_logpolar(xs, (1, 1, 1)) == \
-        vandermonde_logpolar(xs)
+    log_mod, phase = confluent_vandermonde_logpolar(xs, (1, 1, 1))
+    direct = direct_vandermonde(xs)
+    assert log_mod == pytest.approx(math.log(abs(direct)), rel=1e-13)
+    assert np.exp(1j * phase) == pytest.approx(direct / abs(direct), rel=1e-13)
     # multiplicity powers
     log_mod, _ = confluent_vandermonde_logpolar([0.0, 2.0], (2, 3))
     assert log_mod == pytest.approx(6 * np.log(2.0))

@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from detratio import (ConstraintError, DegenerateVariablesError, OracleConfig,
-                      RatioQuery, cauchy_evaluator, confluent_expectation,
-                      eval_poly, expectation_inverses, expectation_products,
+                      RatioQuery, cauchy_evaluator, eval_poly,
+                      expectation_inverses, expectation_products,
                       expectation_ratio, gaussian_weight, oracle_expectation,
                       ortho_system, partial_fractions)
 
@@ -95,15 +95,16 @@ def test_conjugation_covariance(disk_sys, disk_ev):
 def test_confluent_equals_plain_when_trivial(gauss_sys, gauss_ev):
     q = RatioQuery(N=2, mus=MUS_GAUSS[:2], epsbars=EPS_GAUSS[:1],
                    mu_multiplicities=(1, 1), eps_multiplicities=(1,))
-    a = expectation_ratio(q, gauss_sys, gauss_ev).value
-    b = confluent_expectation(q, gauss_sys, gauss_ev).value
+    plain = RatioQuery(N=2, mus=MUS_GAUSS[:2], epsbars=EPS_GAUSS[:1])
+    a = expectation_ratio(plain, gauss_sys, gauss_ev).value
+    b = expectation_ratio(q, gauss_sys, gauss_ev).value
     assert a == b
 
 
 def test_confluence_richardson(gauss_sys, gauss_ev):
     mu = 0.9 + 0.6j
-    conf = confluent_expectation(RatioQuery(N=2, mus=(mu,), mu_multiplicities=(2,)),
-                                 gauss_sys, gauss_ev).value
+    conf = expectation_ratio(RatioQuery(N=2, mus=(mu,), mu_multiplicities=(2,)),
+                             gauss_sys, gauss_ev).value
 
     def at(delta):
         return expectation_ratio(RatioQuery(N=2, mus=(mu, mu + delta)),
@@ -121,20 +122,51 @@ def test_confluence_richardson(gauss_sys, gauss_ev):
 def test_confluent_vs_oracle(gauss, gauss_sys, gauss_ev):
     mu = 0.9 + 0.6j
     q = RatioQuery(N=2, mus=(mu,), mu_multiplicities=(2,))
-    conf = confluent_expectation(q, gauss_sys, gauss_ev).value
+    conf = expectation_ratio(q, gauss_sys, gauss_ev).value
     est = oracle_expectation(q, gauss, OracleConfig(radial_nodes=64, angular_nodes=96))
     assert conf == pytest.approx(est.value, rel=1e-8)
 
 
 def test_confluent_epsbars_outside_support(gauss_sys, gauss_ev):
     eb = 5.0 + 1.0j
-    conf = confluent_expectation(
+    conf = expectation_ratio(
         RatioQuery(N=2, epsbars=(eb,), eps_multiplicities=(2,)),
         gauss_sys, gauss_ev).value
     for delta in (1e-2, 1e-3):
         v = expectation_ratio(RatioQuery(N=2, epsbars=(eb, eb + delta)),
                               gauss_sys, gauss_ev).value
         assert abs(v - conf) / abs(conf) < delta * 10
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_permutation_invariance_with_multiplicities(gauss_sys, gauss_ev, data):
+    # permuting (variable, multiplicity) pairs permutes row blocks of the
+    # determinant and factors of the Vandermonde products alike
+    mus = list(zip(MUS_GAUSS, data.draw(
+        st.lists(st.integers(1, 3), max_size=len(MUS_GAUSS)), "mu_mults")))
+    eps = list(zip(EPS_GAUSS, data.draw(
+        st.lists(st.integers(1, 3), max_size=len(EPS_GAUSS)), "eps_mults")))
+    big_l, big_m = sum(k for _, k in mus), sum(k for _, k in eps)
+    assume(max(big_m, 1) <= gauss_sys.max_degree + 1 - big_l)
+    n_ev = data.draw(st.integers(max(big_m, 1), gauss_sys.max_degree + 1 - big_l), "N")
+
+    def value(mus, eps):
+        q = RatioQuery(N=n_ev, mus=[v for v, _ in mus], epsbars=[v for v, _ in eps],
+                       mu_multiplicities=[k for _, k in mus],
+                       eps_multiplicities=[k for _, k in eps])
+        return expectation_ratio(q, gauss_sys, gauss_ev).value
+
+    base = value(mus, eps)
+    permuted = value(data.draw(st.permutations(mus), "mus"),
+                     data.draw(st.permutations(eps), "eps"))
+    assert abs(permuted - base) <= 1e-10 * abs(base)
+
+
+def test_depth_checked_for_the_empty_query():
+    shallow = ortho_system(gaussian_weight(), 4)
+    with pytest.raises(ConstraintError, match="requires system depth 19"):
+        expectation_ratio(RatioQuery(N=20), shallow, cauchy_evaluator(shallow))
 
 
 def test_constraint_errors(disk_sys, disk_ev):
