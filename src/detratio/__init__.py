@@ -2,8 +2,9 @@
 complex-eigenvalue ensembles, with brute-force verification oracles."""
 
 from .cauchy import (CauchyEvaluator, CauchyResult, cauchy_derivative,
-                     cauchy_evaluator, cauchy_quadrature, cauchy_transform,
-                     cauchy_transform_full, series_transform, write_table_csv)
+                     cauchy_evaluator, cauchy_quadrature, cauchy_row,
+                     cauchy_transform, cauchy_transform_full, series_transform,
+                     write_table_csv)
 from .deformed import (Deformation, DeformedPolyResult, christoffel_poly,
                        christoffel_poly_confluent, christoffel_q,
                        combined_poly, deformed_cauchy, uvarov_poly, uvarov_q)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import CauchyEvaluator, cauchy_transform_full
+from .cauchy import CauchyEvaluator, cauchy_row
 from .determinants import lu_det, require_nonsingular
 from .errors import ConstraintError, DegenerateVariablesError
 from .orthopoly import OrthoSystem, eval_poly, poly_derivative
@@ -89,23 +89,22 @@ def determinant_rows(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, eps_mults,
     """Rows of the ratio determinant over the columns d in ``degrees``.
 
     One row h_d^(t)(ebar)/t! for each ebar and each t below its
-    multiplicity, then one row pi_d^(t)(mu)/t! for each mu and t.  Returns
-    the matrix and the transform warnings, each listed once; ``cev`` is
-    not used when there are no ebars.
+    multiplicity, then one row pi_d^(t)(mu)/t! for each mu and t.  Each h
+    row is one ``cauchy_row`` request, so its missing transforms are
+    computed in one pass.  Returns the matrix and the transform warnings,
+    each listed once; ``cev`` is not used when there are no ebars.
     """
     degrees = tuple(degrees)
     rows, warnings = [], []
     for eps, mult in zip(epsbars, eps_mults):
         for t in range(mult):
             scale = 1.0 / math.factorial(t)
-            row = []
-            for d in degrees:
-                res = cauchy_transform_full(cev, d, eps, order=t)
-                row.append(res.value * scale)
+            results = cauchy_row(cev, degrees, eps, order=t)
+            rows.append([res.value * scale for res in results])
+            for res in results:
                 for w in res.warnings:
                     if w not in warnings:
                         warnings.append(w)
-            rows.append(row)
     for mu, mult in zip(mus, mu_mults):
         for t in range(mult):
             scale = 1.0 / math.factorial(t)

@@ -130,7 +130,9 @@ def adaptive_integral(evaluate, tol: float, *, start: tuple[int, int] = (64, 96)
     ConvergenceError before anything is evaluated: no doubling can certify
     it, whatever the sampled values.  Returns the finest value together
     with the last doubling difference as an error estimate, raised to at
-    least ROUNDING_FLOOR * ref, so it is never zero.
+    least ROUNDING_FLOOR * ref, so it is never zero.  The ConvergenceError
+    of a refinement that does not converge lists the change at every
+    level it tried.
     """
     if not tol >= ROUNDING_FLOOR:
         raise ConvergenceError(
@@ -138,6 +140,7 @@ def adaptive_integral(evaluate, tol: float, *, start: tuple[int, int] = (64, 96)
             f"{ROUNDING_FLOOR:.2e}; no quadrature refinement can certify it")
     n_r, n_t = start
     prev = np.asarray(evaluate(n_r, n_t), dtype=complex)
+    history = []
     for _ in range(max_doublings):
         n_r *= 2
         n_t *= 2
@@ -147,9 +150,10 @@ def adaptive_integral(evaluate, tol: float, *, start: tuple[int, int] = (64, 96)
         if err <= tol * ref:
             value = complex(cur) if cur.ndim == 0 else cur
             return value, max(err, ROUNDING_FLOOR * ref)
+        history.append(f"{n_r}x{n_t}: {err:.3e}")
         prev = cur
     raise ConvergenceError(
         f"{what}: quadrature did not reach tol={tol:g} after "
-        f"{max_doublings} doublings (last change {err:.3e}, "
-        f"value scale {ref:.3e})"
+        f"{max_doublings} doublings (change at each level: "
+        f"{', '.join(history)}; value scale {ref:.3e})"
     )

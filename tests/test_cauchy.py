@@ -4,11 +4,23 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from detratio import (ConstraintError, NumericalError, cauchy_derivative,
-                      cauchy_evaluator, cauchy_quadrature, cauchy_transform,
-                      gaussian_weight, series_transform, write_table_csv)
+import detratio.cauchy as cauchy_module
+from detratio import (ConstraintError, ConvergenceError, NumericalError, Poly,
+                      RatioQuery, cauchy_derivative, cauchy_evaluator,
+                      cauchy_quadrature, cauchy_row, cauchy_transform,
+                      cauchy_transform_full, custom_weight, expectation_ratio,
+                      full_plane_domain, gaussian_weight, series_transform,
+                      write_table_csv)
+from detratio.cauchy import cauchy_quadrature_row
+from detratio.quadrature import adaptive_integral
 
 EPS_GRID = (1.5, 2.0, 5.0, 20.0)
+
+# a weight with a cusp at z = 1; (z - 1)^d vanishes there to order d, so
+# the transforms of higher d converge in fewer refinement levels
+CUSP = custom_weight(lambda z: np.exp(-np.abs(z - 1.0)), full_plane_domain(40.0))
+CUSP_POLYS = tuple(Poly(tuple(math.comb(d, k) * (-1.0) ** (d - k)
+                              for k in range(d + 1))) for d in range(5))
 
 
 def lower_gamma(a, x):
@@ -186,7 +198,7 @@ def test_interior_derivative_quadrature_refused(gauss, gauss_sys):
         cauchy_quadrature(gauss, gauss_sys.polys[1], 2.0 + 0.5j, order=1)
 
 
-def test_csv_export(tmp_path, disk_ev):
+def test_csv_export(tmp_path, disk_ev, disk_sys):
     path = tmp_path / "table.csv"
     write_table_csv(path, disk_ev, [0, 1], [2.0, 3.0 + 1.0j])
     lines = path.read_text().strip().splitlines()
@@ -194,3 +206,132 @@ def test_csv_export(tmp_path, disk_ev):
     assert len(lines) == 5
     first = lines[1].split(",")
     assert float(first[4]) == pytest.approx(0.25)  # h_0(2) = i/4
+    # the rows are n-major and hold the single-entry transforms, on both
+    # backends; the table is computed as one row per eps
+    degrees, eps_values = [0, 1, 2], [2.0, 3.0 + 1.0j, 0.4j]
+    for method in ("rotinv-series", "quadrature"):
+        write_table_csv(path, cauchy_evaluator(disk_sys, method=method), degrees,
+                        eps_values)
+        single = cauchy_evaluator(disk_sys, method=method)
+        expect = ["n,eps_re,eps_im,h_re,h_im,err_estimate"]
+        for n in degrees:
+            for eps in eps_values:
+                res = cauchy_transform_full(single, n, eps)
+                expect.append(",".join([str(n), repr(complex(eps).real),
+                                        repr(complex(eps).imag),
+                                        repr(res.value.real), repr(res.value.imag),
+                                        repr(res.error)]))
+        assert path.read_bytes() == ("\r\n".join(expect) + "\r\n").encode()
+
+
+@pytest.mark.parametrize("method", ["rotinv-series", "quadrature"])
+def test_interior_derivative_pole_refused_by_both_backends(gauss_sys, method):
+    ev = cauchy_evaluator(gauss_sys, method=method)
+    with pytest.raises(NumericalError, match="inside the effective support"):
+        cauchy_derivative(ev, 1, 1.0, 1)
+    # a confluent inverse factor inside the support asks for such a row
+    with pytest.raises(NumericalError, match="inside the effective support"):
+        expectation_ratio(RatioQuery(N=2, epsbars=(1.0,), eps_multiplicities=(2,)),
+                          gauss_sys, ev)
+
+
+def _grid_counter(monkeypatch) -> list:
+    """Record every grid the quadrature backend builds."""
+    built = []
+    for name in ("star_grid", "cauchy_kernel_grid"):
+        def counted(*args, _build=getattr(cauchy_module, name), **kwargs):
+            grid = _build(*args, **kwargs)
+            built.append(grid.size)
+            return grid
+        monkeypatch.setattr(cauchy_module, name, counted)
+    return built
+
+
+@pytest.mark.parametrize("which, eps, order", [
+    ("disk", 0.3 + 0.2j, 0),      # chord grid centred on an interior pole
+    ("disk", 1j, 0),              # chord grid, pole on the boundary
+    ("disk", 2.0 + 0.5j, 0),      # far-pole grid
+    ("disk", 2.0 + 0.5j, 1),
+    ("disk", 20.0, 0),            # far; high degrees fall below the probe scale
+    ("gauss", 0.3 + 0.2j, 0),     # centred full-plane grid
+    ("gauss", 5.5 + 1.0j, 0),     # centred, pole outside the support
+    ("gauss", 5.5 + 1.0j, 1),
+    ("gauss", 12.0, 0),           # far-pole grid beyond the cutoff
+    ("gauss", 12.0, 1),
+])
+def test_row_entries_equal_single_entries(request, which, eps, order):
+    spec = request.getfixturevalue(which)
+    polys = request.getfixturevalue(which + "_sys").polys[:6]
+    row = cauchy_quadrature_row(spec, polys, eps, 1e-9, order)
+    assert len(row) == len(polys)
+    for poly, res in zip(polys, row):
+        single = cauchy_quadrature(spec, poly, eps, 1e-9, order)
+        assert (res.value, res.error, res.warnings) == \
+            (single.value, single.error, single.warnings)
+
+
+def test_row_entries_stop_at_their_own_levels(monkeypatch):
+    built = _grid_counter(monkeypatch)
+    eps, tol = 0.5 + 0.5j, 1e-5
+    # highest degree first, and a last entry a billion times smaller than
+    # the others: each entry must keep its own probe scale
+    polys = CUSP_POLYS[::-1] + (Poly((1e-9,)),)
+    singles, grids = [], []
+    for poly in polys:
+        before = len(built)
+        singles.append(cauchy_quadrature(CUSP, poly, eps, tol))
+        grids.append(len(built) - before)
+    assert len(set(grids)) == 3   # the entries stop at three different levels
+    before = len(built)
+    row = cauchy_quadrature_row(CUSP, polys, eps, tol)
+    assert len(built) - before == max(grids)
+    assert row == tuple(singles)
+
+
+def test_row_builds_the_grids_of_its_deepest_entry(monkeypatch, shifted):
+    from detratio import ortho_system
+    sys_ = ortho_system(shifted, 6)
+    built = _grid_counter(monkeypatch)
+    alone = []
+    for d in range(4):
+        before = len(built)
+        cauchy_quadrature(shifted, sys_.poly(d), 4.6 + 0.5j)
+        alone.append(len(built) - before)
+    ev = cauchy_evaluator(sys_, method="quadrature")
+    before = len(built)
+    cauchy_row(ev, range(4), 4.6 + 0.5j)
+    assert len(built) - before == max(alone) < sum(alone)
+    # a row already in the memo builds nothing
+    before = len(built)
+    cauchy_row(ev, range(4), 4.6 + 0.5j)
+    assert len(built) == before
+
+
+def test_row_fills_memo_with_single_entry_bits(gauss_sys):
+    degrees, eps = range(6), 4.6 + 0.5j
+    for order in (0, 1):
+        row_ev = cauchy_evaluator(gauss_sys, method="quadrature")
+        cauchy_transform_full(row_ev, 2, eps, order)   # one hit inside the row
+        row = cauchy_row(row_ev, degrees, eps, order)
+        for d in degrees:
+            fresh = cauchy_evaluator(gauss_sys, method="quadrature")
+            single = cauchy_transform_full(fresh, d, eps, order)
+            assert row[d] == single
+            assert cauchy_transform_full(row_ev, d, eps, order) == single
+
+
+def test_convergence_error_lists_refinement_history():
+    with pytest.raises(ConvergenceError) as info:
+        adaptive_integral(lambda n_r, n_t: complex(n_r), 1e-9, start=(4, 4),
+                          max_doublings=3)
+    assert "8x8: 4.000e+00, 16x16: 8.000e+00, 32x32: 1.600e+01" in str(info.value)
+
+
+def test_failing_row_entry_names_its_degree():
+    # at this tolerance (z - 1)^3 converges and (z - 1)^1 does not
+    polys = (CUSP_POLYS[3], CUSP_POLYS[1])
+    cauchy_quadrature(CUSP, polys[0], 0.5 + 0.5j, 1e-7)
+    with pytest.raises(ConvergenceError, match="degree 1 at") as info:
+        cauchy_quadrature_row(CUSP, polys, 0.5 + 0.5j, 1e-7)
+    for level in ("192x256", "384x512", "768x1024"):
+        assert level in str(info.value)
