@@ -13,7 +13,7 @@ from .errors import (ConfigError, ConstraintError, ConvergenceError,
                      NumericalError, SingularMatrixError)
 from .oracle import (MONTE_CARLO, TENSOR_QUADRATURE, OracleConfig,
                      OracleEstimate, deformed_integral, oracle_deformed_op,
-                     oracle_expectation, oracle_partition, oracle_Z)
+                     oracle_expectation, oracle_partition)
 from .orthopoly import (MonicPoly, OrthoSystem, Poly, build_ortho_system,
                         bordered_coefficients, eval_poly, ortho_system,
                         orthogonality_residual_matrix, partition_function,
@@ -23,7 +23,7 @@ from .ratios import (Diagnostics, EvalResult, RatioQuery, expectation_inverses,
                      partial_fractions)
 from .weight import (DomainSpec, MomentMatrix, WeightSpec, custom_weight,
                      disk_domain, disk_flat_weight, eval_weight,
-                     full_plane_domain, gaussian_weight, moment, moment_matrix,
+                     full_plane_domain, gaussian_weight, moment_matrix,
                      radial_mass, shifted_gaussian_weight)
 
 __version__ = "0.1.0"

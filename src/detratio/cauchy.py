@@ -38,8 +38,8 @@ effective support differently foliated iterated integrals disagree by
 an O(w at the pole) ambiguity, mirroring the fact that the coinciding-
 variable limit they feed diverges there.  Derivative transforms are
 therefore defined only for poles outside the effective support, where
-every convention coincides, and both backends refuse interior poles at
-k >= 1 with the same check.
+every convention coincides, and both backends refuse poles on or
+inside it at k >= 1 with the same check.
 
 The transform obtained by dividing by (z - eps) instead is intentionally
 not provided; it reduces to the lower-degree polynomials and h_0.
@@ -113,12 +113,14 @@ def cauchy_evaluator(system: OrthoSystem, method: Optional[str] = None,
 
 def _refuse_interior_derivative_pole(spec: WeightSpec, eps: complex,
                                     order: int) -> None:
-    """Refuse a derivative transform whose pole lies inside the effective
-    support; both backends call this before computing anything."""
-    if order >= 1 and abs(eps) < spec.effective_support_radius:
+    """Refuse a derivative transform whose pole does not lie strictly
+    outside the effective support; both backends call this before
+    computing anything.  On a disk boundary the chord grid has
+    zero-length rays, which the derivative kernel divides by."""
+    if order >= 1 and abs(eps) <= spec.effective_support_radius:
         raise NumericalError(
             f"derivative transform of order {order} at eps={complex(eps):.6g}: "
-            "the pole lies inside the effective support, where the "
+            "the pole lies on or inside the effective support, where the "
             "coinciding-variable limit is undefined")
 
 
@@ -157,9 +159,9 @@ def cauchy_quadrature_row(spec: WeightSpec, polys, eps: complex,
     value, error and warnings are those of a row holding it alone.
 
     Derivative kernels (order >= 1) are only conditionally integrable;
-    with the pole inside the effective support the value depends on the
-    integration foliation and the coinciding-variable limit they serve
-    does not exist, so that combination is refused.
+    with the pole on or inside the effective support the value depends
+    on the integration foliation and the coinciding-variable limit they
+    serve does not exist, so that combination is refused.
     """
     u = complex(eps)
     _refuse_interior_derivative_pole(spec, u, order)

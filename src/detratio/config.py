@@ -16,10 +16,7 @@ from typing import Optional
 from .errors import ConfigError
 from .oracle import MONTE_CARLO, TENSOR_QUADRATURE, OracleConfig
 from .ratios import RatioQuery
-from .weight import (WeightSpec, disk_flat_weight, gaussian_weight,
-                     shifted_gaussian_weight)
-
-WEIGHT_KINDS = ("gaussian", "disk-flat", "shifted-gaussian")
+from .weight import FAMILIES, WeightSpec
 
 
 def parse_complex(value, where: str) -> complex:
@@ -89,18 +86,14 @@ def parse_config(data: dict) -> RunConfig:
 
     wblock = _expect_block(data, "weight")
     kind = _get(wblock, "kind", "weight", required=True)
-    if kind not in WEIGHT_KINDS:
+    if kind not in FAMILIES:
         raise ConfigError(
-            f"weight.kind: unknown kind {kind!r}; expected one of {WEIGHT_KINDS}")
+            f"weight.kind: unknown kind {kind!r}; expected one of {tuple(FAMILIES)}")
     params: dict = {}
-    if kind == "gaussian":
-        params["scale"] = float(_get(wblock, "scale", "weight", 1.0))
-    elif kind == "disk-flat":
-        params["radius"] = float(_get(wblock, "radius", "weight", 1.0))
-    else:
-        center = _get(wblock, "center", "weight", required=True)
-        params["center"] = parse_complex(center, "weight.center")
-        params["scale"] = float(_get(wblock, "scale", "weight", 1.0))
+    for name, value_type, default in FAMILIES[kind].fields:
+        value = _get(wblock, name, "weight", default, required=default is None)
+        params[name] = parse_complex(value, f"weight.{name}") \
+            if value_type is complex else float(value)
     params["amplitude"] = float(_get(wblock, "amplitude", "weight", 1.0))
 
     sblock = _expect_block(data, "system")
@@ -225,15 +218,8 @@ def config_to_dict(rc: RunConfig) -> dict:
 
 
 def build_weight(rc: RunConfig) -> WeightSpec:
-    p = rc.weight_params
-    if rc.weight_kind == "gaussian":
-        return gaussian_weight(scale=p["scale"], amplitude=p["amplitude"],
-                               max_order=max(16, 2 * rc.max_degree))
-    if rc.weight_kind == "disk-flat":
-        return disk_flat_weight(radius=p["radius"], amplitude=p["amplitude"])
-    return shifted_gaussian_weight(center=p["center"], scale=p["scale"],
-                                   amplitude=p["amplitude"],
-                                   max_order=max(16, 2 * rc.max_degree))
+    return FAMILIES[rc.weight_kind].build(rc.weight_params,
+                                          max(16, 2 * rc.max_degree))
 
 
 def build_query(rc: RunConfig) -> RatioQuery:

@@ -34,7 +34,7 @@ from .errors import ConstraintError, NumericalError, SingularMatrixError
 from .orthopoly import MonicPoly
 from .quadrature import star_grid
 from .ratios import RatioQuery
-from .weight import DISK, WeightSpec, radial_mass
+from .weight import WeightSpec, closed_moment
 
 TENSOR_QUADRATURE = "tensor-quadrature"
 MONTE_CARLO = "monte-carlo"
@@ -132,17 +132,10 @@ def _quad_partition(spec: WeightSpec, n_ev: int, n_r: int, n_t: int) -> complex:
     return _pair_sum(z, w.astype(complex), w.astype(complex))
 
 
-def _support_distance(spec: WeightSpec, point: complex) -> float:
-    center = 0j
-    if spec.kind == "shifted-gaussian":
-        center = complex(spec.parameters[0], spec.parameters[1])
-    return abs(complex(point) - center) - spec.effective_support_radius
-
-
 def _check_mc_pole_policy(spec: WeightSpec, epsbars) -> None:
     floor = MC_MIN_SUPPORT_DISTANCE * spec.domain_scale
     for eb in epsbars:
-        if _support_distance(spec, eb) < floor:
+        if abs(complex(eb) - spec.centre) - spec.effective_support_radius < floor:
             raise ConstraintError(
                 f"Monte Carlo with an inverse factor requires "
                 f"dist(eps, effective support) >= {floor:g}; eps = {eb} is too "
@@ -155,18 +148,7 @@ def _sample_eigenvalues(spec: WeightSpec, rng: np.random.Generator,
     """i.i.d. draws from w/||w|| by polar inverse-CDF sampling."""
     u = rng.random(shape)
     v = rng.random(shape)
-    if spec.kind == "gaussian":
-        (scale,) = spec.parameters
-        r = np.sqrt(-np.log1p(-u) / scale)
-        return r * np.exp(2j * np.pi * v)
-    if spec.kind == "disk-flat":
-        (radius,) = spec.parameters
-        return radius * np.sqrt(u) * np.exp(2j * np.pi * v)
-    if spec.kind == "shifted-gaussian":
-        cre, cim, scale = spec.parameters
-        r = np.sqrt(-np.log1p(-u) / scale)
-        return (cre + 1j * cim) + r * np.exp(2j * np.pi * v)
-    raise ConstraintError(f"no Monte Carlo sampler for weight kind {spec.kind!r}")
+    return spec.sample(u, v)
 
 
 def _abs_delta_sq(z: np.ndarray) -> np.ndarray:
@@ -177,17 +159,6 @@ def _abs_delta_sq(z: np.ndarray) -> np.ndarray:
         for j in range(i):
             out *= np.abs(z[..., i] - z[..., j]) ** 2
     return out
-
-
-def _single_particle_norm(spec: WeightSpec) -> float:
-    if spec.rotation_invariant:
-        upper = spec.domain.radius if spec.domain.kind == DISK else math.inf
-        return 2.0 * math.pi * radial_mass(spec, 0, upper)
-    if spec.kind == "shifted-gaussian":
-        scale = spec.parameters[2]
-        return spec.amplitude * math.pi / scale
-    z, w = _weighted_grid(spec, 128, 128)
-    return float(np.sum(w))
 
 
 def _mc_batches(q: RatioQuery, spec: WeightSpec, cfg: OracleConfig):
@@ -256,16 +227,13 @@ def oracle_partition(spec: WeightSpec, n_ev: int, cfg: OracleConfig) -> OracleEs
                               TENSOR_QUADRATURE)
     q = RatioQuery(N=n_ev)
     num_means, den_means, neff, total = _mc_batches(q, spec, cfg)
-    norm = _single_particle_norm(spec) ** n_ev
+    # the sampler refused custom weights, so M_00 has a closed form
+    norm = closed_moment(spec, 0, 0).real ** n_ev
     value = complex(norm * np.mean(den_means))
     nb = len(den_means)
     stderr = float(norm * np.std(den_means, ddof=1) / math.sqrt(nb)) if nb > 1 \
         else float("inf")
     return OracleEstimate(value, stderr, neff, MONTE_CARLO)
-
-
-# name used by the CLI and the docs
-oracle_Z = oracle_partition
 
 
 def deformed_integral(spec: WeightSpec, deformation: Deformation, fn,

@@ -10,9 +10,15 @@ moments are
 
 a Hermitian positive definite Gram matrix for any admissible weight.
 
-Built-in families:
+This module is the only one that knows the weight families; no other
+module names one.  ``FAMILIES`` lists the built-in families with their
+configuration fields and factories, and the functions here define the
+rest: values, centre, effective support, quadrature radius, closed-form
+radial masses and moments, and the Monte Carlo sampler.  Adding or
+removing a family touches this module alone.
 
-* ``gaussian``          w = amplitude * exp(-scale |z|^2) on the plane
+* ``gaussian``          w = amplitude * exp(-scale |z|^2) on the plane;
+  everywhere but in its closed forms, the shifted gaussian centred at 0
 * ``disk-flat``         w = amplitude on |z| <= radius
 * ``shifted-gaussian``  w = amplitude * exp(-scale |z - center|^2); not
   rotation invariant, with closed-form moments, used to exercise the
@@ -20,20 +26,21 @@ Built-in families:
 
 Custom weights supply an evaluator callable plus an explicit domain
 (including a cutoff radius for full-plane weights); there is no
-automatic support detection.
+automatic support detection.  Their moments and radial masses come
+from quadrature, and they have no sampler.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.special import gammainc
 
 from .errors import ConstraintError, DomainError, NumericalError, SingularMatrixError
-from .quadrature import adaptive_integral, star_grid
+from .quadrature import adaptive_integral, star_grid, unit_radial_rule
 
 DEFAULT_MOMENT_TOL = 1e-10
 
@@ -105,8 +112,9 @@ def gaussian_cutoff(scale: float, max_order: int, tail: float = 1e-16) -> float:
 class WeightSpec:
     """A weight family instance together with its domain.
 
-    ``parameters`` carry the family parameters (gaussian scale, disk
-    radius, shift center as two reals).  ``amplitude`` is an overall
+    ``kind`` is a key of ``FAMILIES`` or ``CUSTOM``.  ``parameters``
+    carry the family parameters (gaussian scale, disk radius, shift
+    center as two reals then the scale).  ``amplitude`` is an overall
     positive factor; every moment, norm and Cauchy transform scales
     linearly in it, which the tests rely on.
     """
@@ -117,10 +125,11 @@ class WeightSpec:
     amplitude: float = 1.0
     rotation_invariant: bool = False
     evaluator: Optional[Callable] = field(default=None, repr=False)
-    radial_profile: Optional[Callable] = field(default=None, repr=False)
     max_order: int = 16
 
     def __post_init__(self):
+        if self.kind not in FAMILIES and self.kind != CUSTOM:
+            raise ConstraintError(f"unknown weight kind {self.kind!r}")
         if self.amplitude <= 0:
             raise ConstraintError("weight amplitude must be positive")
         _check_positivity(self)
@@ -128,21 +137,33 @@ class WeightSpec:
     def evaluate(self, z) -> np.ndarray:
         """Vectorized weight values; no domain membership check."""
         z = np.asarray(z, dtype=complex)
-        if self.kind == "gaussian":
-            (scale,) = self.parameters
-            vals = np.exp(-scale * np.abs(z) ** 2)
-        elif self.kind == "disk-flat":
+        if self.kind == "disk-flat":
             vals = np.ones_like(z, dtype=float)
-        elif self.kind == "shifted-gaussian":
-            cre, cim, scale = self.parameters
-            vals = np.exp(-scale * np.abs(z - (cre + 1j * cim)) ** 2)
-        elif self.kind == "custom":
+        elif self.kind == CUSTOM:
             vals = np.asarray(self.evaluator(z), dtype=float)
-        else:
-            raise ConstraintError(f"unknown weight kind {self.kind!r}")
+        else:  # a gaussian, shifted or centred at 0
+            vals = np.exp(-self.parameters[-1] * np.abs(z - self.centre) ** 2)
         if self.domain.kind == DISK:
             vals = np.where(np.abs(z) <= self.domain.radius * (1 + 1e-14), vals, 0.0)
         return self.amplitude * vals
+
+    @property
+    def centre(self) -> complex:
+        """Centre of the weight: 0 except for the shifted gaussian."""
+        if self.kind == "shifted-gaussian":
+            cre, cim, _ = self.parameters
+            return cre + 1j * cim
+        return 0j
+
+    def sample(self, u, v) -> np.ndarray:
+        """Draws from w/||w|| by polar inverse-CDF sampling of uniform
+        variates: ``u`` sets the radius and ``v`` the angle."""
+        if self.kind == "disk-flat":
+            return self.parameters[0] * np.sqrt(u) * np.exp(2j * np.pi * v)
+        if self.kind == CUSTOM:
+            raise ConstraintError(f"no Monte Carlo sampler for weight kind {self.kind!r}")
+        r = np.sqrt(-np.log1p(-u) / self.parameters[-1])
+        return self.centre + r * np.exp(2j * np.pi * v)
 
     @property
     def domain_scale(self) -> float:
@@ -152,15 +173,9 @@ class WeightSpec:
     @property
     def effective_support_radius(self) -> float:
         """Radius holding essentially all of the weight's mass."""
-        if self.domain.kind == DISK:
-            return self.domain.radius
-        if self.kind == "gaussian":
-            (scale,) = self.parameters
-            return 3.0 / math.sqrt(scale)
-        if self.kind == "shifted-gaussian":
-            cre, cim, scale = self.parameters
-            return 3.0 / math.sqrt(scale) + abs(cre + 1j * cim)
-        return self.domain.cutoff_radius
+        if self.domain.kind == DISK or self.kind == CUSTOM:
+            return self.domain.quad_radius
+        return 3.0 / math.sqrt(self.parameters[-1]) + abs(self.centre)
 
     def label(self) -> str:
         params = ",".join(f"{p:g}" for p in self.parameters)
@@ -209,15 +224,40 @@ def shifted_gaussian_weight(center: complex, scale: float = 1.0,
                       max_order=max_order)
 
 
+class Family(NamedTuple):
+    """A built-in family as configuration knows it: its fields as
+    (name, type, default), a default of None marking a required field,
+    and ``build(values, max_order)``, which makes the weight from their
+    values and the amplitude with a full-plane cutoff covering moments up
+    to ``max_order``."""
+
+    fields: tuple
+    build: Callable
+
+
+CUSTOM = "custom"
+# in the order configuration errors list them
+FAMILIES = {
+    "gaussian": Family(
+        (("scale", float, 1.0),),
+        lambda p, max_order: gaussian_weight(p["scale"], p["amplitude"], max_order)),
+    "disk-flat": Family(
+        (("radius", float, 1.0),),
+        lambda p, max_order: disk_flat_weight(p["radius"], p["amplitude"])),
+    "shifted-gaussian": Family(
+        (("center", complex, None), ("scale", float, 1.0)),
+        lambda p, max_order: shifted_gaussian_weight(
+            p["center"], p["scale"], p["amplitude"], max_order)),
+}
+
+
 def custom_weight(evaluator: Callable, domain: DomainSpec, *, amplitude: float = 1.0,
-                  rotation_invariant: bool = False,
-                  radial_profile: Optional[Callable] = None) -> WeightSpec:
+                  rotation_invariant: bool = False) -> WeightSpec:
     """Wrap a user-supplied evaluator.  The domain (with cutoff, for
     full-plane weights) must be declared explicitly."""
-    return WeightSpec(kind="custom", parameters=(), domain=domain,
+    return WeightSpec(kind=CUSTOM, parameters=(), domain=domain,
                       amplitude=float(amplitude),
-                      rotation_invariant=rotation_invariant,
-                      evaluator=evaluator, radial_profile=radial_profile)
+                      rotation_invariant=rotation_invariant, evaluator=evaluator)
 
 
 def eval_weight(spec: WeightSpec, z: complex) -> float:
@@ -245,12 +285,10 @@ def radial_mass(spec: WeightSpec, n: int, t: float) -> float:
         r = min(t, radius)
         return amp * r ** (2 * n + 2) / (2 * n + 2)
     # custom rotation-invariant weight: 1D Gauss-Legendre on [0, t]
-    from .quadrature import unit_radial_rule
     upper = min(t, spec.domain.quad_radius)
     x, w = unit_radial_rule(256)
     r = upper * x
-    prof = spec.radial_profile(r) if spec.radial_profile is not None \
-        else spec.evaluate(r + 0j) / amp
+    prof = spec.evaluate(r + 0j) / amp
     return amp * upper * float(np.sum(w * r ** (2 * n + 1) * prof))
 
 
@@ -268,8 +306,7 @@ def closed_moment(spec: WeightSpec, j: int, k: int):
             return 0j
         return complex(amp * math.pi * radius ** (2 * k + 2) / (k + 1))
     if spec.kind == "shifted-gaussian":
-        cre, cim, scale = spec.parameters
-        c = cre + 1j * cim
+        scale, c = spec.parameters[-1], spec.centre
         total = 0j
         for a in range(min(j, k) + 1):
             total += (math.comb(j, a) * math.comb(k, a) * math.gamma(a + 1)
@@ -281,46 +318,9 @@ def closed_moment(spec: WeightSpec, j: int, k: int):
 def _moment_grid_radius(spec: WeightSpec, order: int) -> float:
     if spec.domain.kind == DISK:
         return spec.domain.radius
-    if order <= spec.max_order:
+    if order <= spec.max_order or spec.kind == CUSTOM:
         return spec.domain.cutoff_radius
-    if spec.kind in ("gaussian", "shifted-gaussian"):
-        scale = spec.parameters[-1]
-        extra = abs(complex(spec.parameters[0], spec.parameters[1])) \
-            if spec.kind == "shifted-gaussian" else 0.0
-        return gaussian_cutoff(scale, order) + extra
-    return spec.domain.cutoff_radius
-
-
-def moment(spec: WeightSpec, j: int, k: int, *, method: str = "auto",
-           tol: float = DEFAULT_MOMENT_TOL) -> complex:
-    """Monomial moment M_jk; satisfies M_jk = conj(M_kj)."""
-    if j < 0 or k < 0:
-        raise ConstraintError("moment indices must be non-negative")
-    if method not in ("auto", "closed-form", "quadrature"):
-        raise ConstraintError(f"unknown moment method {method!r}")
-    if method != "quadrature":
-        closed = closed_moment(spec, j, k)
-        if closed is not None:
-            return closed
-        if method == "closed-form":
-            raise ConstraintError(f"no closed-form moments for weight {spec.kind!r}")
-
-    radius = _moment_grid_radius(spec, j + k)
-
-    def evaluate(n_r: int, n_t: int) -> complex:
-        grid = star_grid(0j, radius, n_r, n_t)
-        f = spec.evaluate(grid.nodes) * grid.nodes ** j * np.conj(grid.nodes) ** k
-        return grid.integrate(f)
-
-    # L1 size of the integrand fixes the absolute floor of the tolerance,
-    # so that exactly-vanishing moments converge immediately.
-    probe = star_grid(0j, radius, 48, 64)
-    l1 = float(np.sum(np.abs(spec.evaluate(probe.nodes))
-                      * np.abs(probe.nodes) ** (j + k) * probe.weights))
-    value, _ = adaptive_integral(evaluate, tol, start=(48, 64),
-                                 scale=1e-6 * max(l1, 1e-300),
-                                 what=f"moment({j},{k}) of {spec.label()}")
-    return value
+    return gaussian_cutoff(spec.parameters[-1], order) + abs(spec.centre)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,6 +2,7 @@ import pytest
 
 from detratio import (cauchy_evaluator, disk_flat_weight, gaussian_weight,
                       ortho_system, shifted_gaussian_weight)
+from detratio.weight import FAMILIES
 
 # test variables: disk poles sit outside the unit disk, gaussian poles far
 # enough out that the brute-force grids resolve them to ~1e-8
@@ -9,6 +10,16 @@ MUS_DISK = (1.7 + 0.4j, -1.2 + 1.5j, 0.5 - 2.2j)
 EPS_DISK = (2.0 + 0.3j, -1.8 + 1.1j)
 MUS_GAUSS = (1.3 + 0.8j, -0.7 + 1.1j, 0.5 - 2.2j)
 EPS_GAUSS = (4.6 + 0.5j, -4.2 + 1.9j)
+
+
+def family_weight(kind: str, amplitude: float = 1.0):
+    """The built-in family ``kind`` at its configuration defaults; a
+    required field is set off the origin (complex) or to 0.7 (real)."""
+    family = FAMILIES[kind]
+    values = {name: default if default is not None
+              else 0.4 + 0.3j if value_type is complex else 0.7
+              for name, value_type, default in family.fields}
+    return family.build({**values, "amplitude": amplitude}, 16)
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,8 @@ from detratio import (Deformation, OracleConfig, RatioQuery, cauchy_evaluator,
                       expectation_inverses, expectation_products,
                       expectation_ratio, eval_poly,
                       gaussian_weight, oracle_deformed_op, oracle_expectation,
-                      oracle_Z, ortho_system, partition_function, uvarov_poly)
+                      oracle_partition, ortho_system, partition_function,
+                      uvarov_poly)
 from detratio.deformed import poly_values_on_circle
 from detratio.oracle import deformed_integral
 
@@ -206,13 +207,13 @@ def test_criterion_7_structural_invariants(disk, disk_sys, disk_ev, gauss,
     worst_z = 0.0
     for spec, sys_ in ((gauss, gauss_sys), (disk, disk_sys)):
         for n_ev in (1, 2):
-            est = oracle_Z(spec, n_ev, QUAD_CFG)
+            est = oracle_partition(spec, n_ev, QUAD_CFG)
             exact = partition_function(sys_, n_ev)
             worst_z = max(worst_z, abs(est.value - exact) / exact)
     if worst_z >= 1e-6:
         ok = False
     cfg = OracleConfig(method="monte-carlo", samples=400_000, seed=5)
-    est = oracle_Z(gauss, 3, cfg)
+    est = oracle_partition(gauss, 3, cfg)
     exact = partition_function(gauss_sys, 3)
     if abs(est.value - exact) > 3 * est.stderr:
         ok = False

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,21 @@ def test_interior_derivative_pole_refused_by_both_backends(gauss_sys, method):
     with pytest.raises(NumericalError, match="inside the effective support"):
         expectation_ratio(RatioQuery(N=2, epsbars=(1.0,), eps_multiplicities=(2,)),
                           gauss_sys, ev)
+
+
+@pytest.mark.parametrize("method", ["rotinv-series", "quadrature"])
+def test_derivative_pole_on_disk_boundary_refused_by_both_backends(disk_sys, method):
+    # on the boundary the chord grid has zero-length rays; the refusal
+    # must come before any grid is built, so nothing warns
+    ev = cauchy_evaluator(disk_sys, method=method)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps in (1.0, 1j):
+            with pytest.raises(NumericalError, match="on or inside the effective"):
+                cauchy_derivative(ev, 1, eps, 1)
+        with pytest.raises(NumericalError, match="on or inside the effective"):
+            expectation_ratio(RatioQuery(N=2, epsbars=(1.0,), eps_multiplicities=(2,)),
+                              disk_sys, ev)
 
 
 def _grid_counter(monkeypatch) -> list:

@@ -5,7 +5,8 @@ import pytest
 
 from detratio import (ConstraintError, Deformation, OracleConfig,
                       RatioQuery, eval_poly, oracle_deformed_op,
-                      oracle_expectation, oracle_Z, partition_function)
+                      oracle_expectation, oracle_partition,
+                      partition_function)
 from detratio.oracle import _pair_sum, _pair_sum_direct, _weighted_grid
 
 from conftest import EPS_GAUSS, MUS_GAUSS
@@ -24,13 +25,13 @@ def test_pair_sum_factorization_is_exact(disk):
 
 
 def test_partition_examples(gauss, disk):
-    assert oracle_Z(gauss, 1, CFG).value == pytest.approx(PI, rel=1e-10)
-    assert oracle_Z(gauss, 2, CFG).value == pytest.approx(2 * PI ** 2, rel=1e-10)
-    assert oracle_Z(disk, 2, CFG).value == pytest.approx(PI ** 2, rel=1e-12)
+    assert oracle_partition(gauss, 1, CFG).value == pytest.approx(PI, rel=1e-10)
+    assert oracle_partition(gauss, 2, CFG).value == pytest.approx(2 * PI ** 2, rel=1e-10)
+    assert oracle_partition(disk, 2, CFG).value == pytest.approx(PI ** 2, rel=1e-12)
 
 
 def test_partition_error_estimate_is_honest(gauss):
-    est = oracle_Z(gauss, 2, CFG)
+    est = oracle_partition(gauss, 2, CFG)
     assert abs(est.value - 2 * PI ** 2) <= max(est.stderr, 1e-9)
 
 
@@ -142,6 +143,6 @@ def test_deformed_op_matches_combined(gauss, gauss_sys, gauss_ev):
 
 def test_mc_partition_n3(gauss, gauss_sys):
     cfg = OracleConfig(method="monte-carlo", samples=400_000, seed=3)
-    est = oracle_Z(gauss, 3, cfg)
+    est = oracle_partition(gauss, 3, cfg)
     exact = partition_function(gauss_sys, 3)
     assert abs(est.value - exact) <= 3 * est.stderr

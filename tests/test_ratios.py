@@ -11,8 +11,9 @@ from detratio import (ConstraintError, DegenerateVariablesError, OracleConfig,
                       expectation_inverses, expectation_products,
                       expectation_ratio, gaussian_weight, oracle_expectation,
                       ortho_system, partial_fractions)
+from detratio.weight import FAMILIES
 
-from conftest import EPS_DISK, EPS_GAUSS, MUS_DISK, MUS_GAUSS
+from conftest import EPS_DISK, EPS_GAUSS, MUS_DISK, MUS_GAUSS, family_weight
 
 
 def test_empty_query_is_exactly_one(disk_sys, disk_ev):
@@ -161,6 +162,32 @@ def test_permutation_invariance_with_multiplicities(gauss_sys, gauss_ev, data):
     permuted = value(data.draw(st.permutations(mus), "mus"),
                      data.draw(st.permutations(eps), "eps"))
     assert abs(permuted - base) <= 1e-10 * abs(base)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_amplitude_invariance_over_families(data):
+    # moments, norms and transforms all scale linearly in the amplitude,
+    # so the normalized expectation does not depend on it; the bound
+    # leaves room for a quadrature entry to stop one level apart
+    # (tolerance 1e-9), and a sweep of amplitudes saw at most 4.4e-15
+    kind = data.draw(st.sampled_from(list(FAMILIES)), "kind")
+    amplitude = data.draw(st.floats(1e-2, 1e2), "amplitude")
+    n_ev = data.draw(st.integers(1, 3), "N")
+    n_mu = data.draw(st.integers(0, 2), "L")
+    n_eps = data.draw(st.integers(0, min(n_ev, 2)), "M")
+
+    def value(amp):
+        spec = family_weight(kind, amp)
+        radius = spec.effective_support_radius
+        mus = [spec.centre + radius * m for m in (0.5 + 0.3j, -0.4 + 0.6j)]
+        epsbars = [radius * e for e in (1.6 + 0.4j, -1.5 + 0.9j)]  # outside
+        q = RatioQuery(N=n_ev, mus=mus[:n_mu], epsbars=epsbars[:n_eps])
+        system = ortho_system(spec, 4)
+        return expectation_ratio(q, system, cauchy_evaluator(system)).value
+
+    base = value(1.0)
+    assert abs(value(amplitude) - base) <= 1e-9 * abs(base)
 
 
 def test_depth_checked_for_the_empty_query():
