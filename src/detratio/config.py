@@ -3,8 +3,7 @@
 A run is described by one JSON file with nested blocks: weight, system,
 query, oracle, and optional verify / scan / output blocks.  Complex
 numbers may be written either as two-element arrays [re, im] or as
-strings like "1.5+2i"; serialization always emits the canonical [re, im]
-form, so a parsed configuration round-trips identically.
+strings like "1.5+2i".
 """
 
 from __future__ import annotations
@@ -177,44 +176,6 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     return parse_config(data)
-
-
-def config_to_dict(rc: RunConfig) -> dict:
-    """Canonical dictionary form; parsing it again reproduces ``rc``."""
-    weight: dict = {"kind": rc.weight_kind}
-    for key, val in rc.weight_params.items():
-        weight[key] = complex_out(val) if isinstance(val, complex) else val
-    query: dict = {
-        "N": rc.n_eigenvalues,
-        "mus": [complex_out(v) for v in rc.mus],
-        "epsbars": [complex_out(v) for v in rc.epsbars],
-    }
-    if rc.mu_multiplicities is not None:
-        query["mu_multiplicities"] = list(rc.mu_multiplicities)
-    if rc.eps_multiplicities is not None:
-        query["eps_multiplicities"] = list(rc.eps_multiplicities)
-    data = {
-        "weight": weight,
-        "system": {"max_degree": rc.max_degree},
-        "query": query,
-        "oracle": {"method": rc.oracle_method, "radial_nodes": rc.radial_nodes,
-                   "angular_nodes": rc.angular_nodes, "samples": rc.samples,
-                   "seed": rc.seed, "batches": rc.batches},
-        "output": {"format": rc.output_format, "path": rc.output_path},
-        "tolerance": rc.tolerance,
-    }
-    if rc.verify is not None:
-        verify = dict(rc.verify)
-        for key in ("mus_pool", "eps_pool"):
-            if key in verify:
-                verify[key] = [complex_out(v) for v in verify[key]]
-        data["verify"] = verify
-    if rc.scan is not None:
-        scan = dict(rc.scan)
-        if "values" in scan:
-            scan["values"] = [complex_out(v) for v in scan["values"]]
-        data["scan"] = scan
-    return data
 
 
 def build_weight(rc: RunConfig) -> WeightSpec:

@@ -17,10 +17,6 @@ class ConstraintError(DetratioError):
     """A precondition on the inputs is violated (e.g. M > N)."""
 
 
-class DomainError(ConstraintError):
-    """A point lies outside the integration domain."""
-
-
 class DegenerateVariablesError(ConstraintError):
     """Variables in a list are (nearly) coincident; use the confluent path."""
 

@@ -100,16 +100,6 @@ def _pair_sum(z: np.ndarray, u: np.ndarray, v: np.ndarray) -> complex:
                    - np.sum(u * np.conj(z)) * np.sum(v * z))
 
 
-def _pair_sum_direct(z: np.ndarray, u: np.ndarray, v: np.ndarray) -> complex:
-    """Literal chunked double sum; kept as the cross-check for _pair_sum."""
-    total = 0j
-    chunk = max(1, 2_000_000 // max(len(z), 1))
-    for s in range(0, len(z), chunk):
-        d2 = np.abs(z[s:s + chunk, None] - z[None, :]) ** 2
-        total += u[s:s + chunk] @ (d2 @ v)
-    return complex(total)
-
-
 def _weighted_grid(spec: WeightSpec, n_r: int, n_t: int):
     grid = star_grid(0j, spec.domain.quad_radius, n_r, n_t)
     return grid.nodes, spec.evaluate(grid.nodes) * grid.weights

@@ -19,7 +19,6 @@ Christoffel-Darboux identity is assumed anywhere.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -47,9 +46,6 @@ class Poly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __call__(self, z):
-        return eval_poly(self, z)
 
 
 @dataclass(frozen=True)
@@ -109,12 +105,6 @@ class OrthoSystem:
                 f"polynomial degree {k} exceeds system depth {self.max_degree}")
         return self.polys[k]
 
-    def norm(self, k: int) -> float:
-        if not 0 <= k <= self.max_degree:
-            raise ConstraintError(
-                f"norm index {k} exceeds system depth {self.max_degree}")
-        return self.norms[k]
-
 
 def build_ortho_system(m: MomentMatrix, weight: WeightSpec) -> OrthoSystem:
     """Orthogonalize the monomials against the given moment matrix."""
@@ -144,11 +134,9 @@ def build_ortho_system(m: MomentMatrix, weight: WeightSpec) -> OrthoSystem:
                        norms=norms, conditioning=cond)
 
 
-def ortho_system(weight: WeightSpec, max_degree: int, *, method: str = "auto",
-                 tol: float = 1e-10) -> OrthoSystem:
+def ortho_system(weight: WeightSpec, max_degree: int) -> OrthoSystem:
     """Convenience: moment matrix plus Cholesky construction in one call."""
-    return build_ortho_system(moment_matrix(weight, max_degree, method=method,
-                                            tol=tol), weight)
+    return build_ortho_system(moment_matrix(weight, max_degree), weight)
 
 
 def bordered_coefficients(m: MomentMatrix, k: int) -> np.ndarray:
@@ -198,30 +186,3 @@ def orthogonality_residual_matrix(sys: OrthoSystem, n_r: int = 192,
     expected = np.diag(np.asarray(sys.norms))
     scale = np.sqrt(np.outer(sys.norms, sys.norms))
     return np.abs(gram - expected) / scale
-
-
-def system_to_json(sys: OrthoSystem) -> str:
-    """Serialize coefficients as [re, im] pairs and norms as reals."""
-    payload = {
-        "weight": {"kind": sys.weight.kind,
-                   "parameters": list(sys.weight.parameters),
-                   "amplitude": sys.weight.amplitude},
-        "max_degree": sys.max_degree,
-        "polynomials": [[[c.real, c.imag] for c in p.coeffs] for p in sys.polys],
-        "norms": list(sys.norms),
-        "conditioning": sys.conditioning,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def system_from_json(text: str, weight: WeightSpec) -> OrthoSystem:
-    data = json.loads(text)
-    if data["weight"]["kind"] != weight.kind:
-        raise ConstraintError(
-            f"cached system was built for weight {data['weight']['kind']!r}, "
-            f"not {weight.kind!r}")
-    polys = tuple(MonicPoly(tuple(complex(re, im) for re, im in coeffs))
-                  for coeffs in data["polynomials"])
-    return OrthoSystem(weight=weight, max_degree=int(data["max_degree"]),
-                       polys=polys, norms=tuple(float(r) for r in data["norms"]),
-                       conditioning=float(data.get("conditioning", 1.0)))

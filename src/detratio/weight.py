@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 from scipy.special import gammainc
 
-from .errors import ConstraintError, DomainError, NumericalError, SingularMatrixError
+from .errors import ConstraintError, NumericalError, SingularMatrixError
 from .quadrature import adaptive_integral, star_grid, unit_radial_rule
 
 DEFAULT_MOMENT_TOL = 1e-10
@@ -66,11 +66,6 @@ class DomainSpec:
                     "full-plane domain requires a positive effective cutoff radius")
         else:
             raise ConstraintError(f"unknown domain kind {self.kind!r}")
-
-    def contains(self, z: complex) -> bool:
-        if self.kind == DISK:
-            return abs(z) <= self.radius
-        return True
 
     @property
     def quad_radius(self) -> float:
@@ -260,14 +255,6 @@ def custom_weight(evaluator: Callable, domain: DomainSpec, *, amplitude: float =
                       rotation_invariant=rotation_invariant, evaluator=evaluator)
 
 
-def eval_weight(spec: WeightSpec, z: complex) -> float:
-    """Weight value at a single point; errors if z is outside the domain."""
-    z = complex(z)
-    if not spec.domain.contains(z):
-        raise DomainError(f"point {z} lies outside the {spec.domain.kind} domain")
-    return float(spec.evaluate(z))
-
-
 def radial_mass(spec: WeightSpec, n: int, t: float) -> float:
     """integral_0^t r^(2n+1) w(r) dr for rotation-invariant weights
     (amplitude included).  ``t = inf`` gives the full radial moment."""
@@ -358,9 +345,14 @@ class MomentMatrix:
 
 def moment_matrix(spec: WeightSpec, n: int, *, method: str = "auto",
                   tol: float = DEFAULT_MOMENT_TOL) -> MomentMatrix:
-    """Moment matrix up to order n, Hermitized by mirroring the upper triangle."""
+    """Moment matrix up to order n, Hermitized by mirroring the upper triangle.
+
+    ``method`` is "closed-form", "quadrature", or "auto" for the closed
+    form where the family has one and quadrature otherwise."""
     if n < 0:
         raise ConstraintError("moment matrix order must be non-negative")
+    if method not in ("auto", "closed-form", "quadrature"):
+        raise ConstraintError(f"unknown moment method {method!r}")
     size = n + 1
     use_closed = method != "quadrature" and closed_moment(spec, 0, 0) is not None
     if use_closed:

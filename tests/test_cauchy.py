@@ -7,11 +7,10 @@ from scipy.special import gammainc
 
 import detratio.cauchy as cauchy_module
 from detratio import (ConstraintError, ConvergenceError, NumericalError, Poly,
-                      RatioQuery, cauchy_derivative, cauchy_evaluator,
-                      cauchy_quadrature, cauchy_row, cauchy_transform,
-                      cauchy_transform_full, custom_weight, expectation_ratio,
-                      full_plane_domain, gaussian_weight, series_transform,
-                      write_table_csv)
+                      RatioQuery, cauchy_evaluator, cauchy_quadrature,
+                      cauchy_row, cauchy_transform, cauchy_transform_full,
+                      custom_weight, expectation_ratio, full_plane_domain,
+                      gaussian_weight, series_transform)
 from detratio.cauchy import cauchy_quadrature_row
 from detratio.quadrature import adaptive_integral
 
@@ -101,6 +100,26 @@ def test_backends_agree_at_complex_eps(disk_ev, disk_ev_quad, gauss_ev,
             assert abs(a - b) <= 1e-8 * abs(a)
 
 
+def test_shifted_gaussian_rows_are_translated_gaussian_series(shifted, gauss):
+    # the shifted gaussian is the gaussian moved by c, so pi_n = (z - c)^n
+    # and h_n(ebar) = h_n^gauss(ebar - conj c) exactly: a reference for
+    # the dense-moment quadrature path, which no series backend covers
+    from numpy.polynomial import polynomial as npoly
+    from detratio import ortho_system
+    c = shifted.centre
+    sys_ = ortho_system(shifted, 8)
+    for n in range(9):
+        expect = npoly.polyfromroots([c] * n)
+        got = np.array(sys_.polys[n].coeffs)
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+    ev = cauchy_evaluator(sys_, method="quadrature")
+    for u in (0.6 + 0.2j, -1.5 + 1j, 2.5 - 2j, 5 + 1j, -7 - 3j):
+        row = cauchy_row(ev, range(9), u + np.conj(c))
+        for n, res in enumerate(row):
+            ref = series_transform(gauss, n, u)
+            assert abs(res.value - ref) <= 1e-10 * abs(ref)
+
+
 def test_eps_inside_disk_finite_and_flagged(disk, disk_sys, disk_ev_quad):
     res = cauchy_quadrature(disk, disk_sys.polys[0], 0.3, tolerance=1e-9)
     assert "singularity inside domain" in res.warnings
@@ -175,12 +194,12 @@ def test_depth_validation(disk_ev):
 
 def test_derivative_transforms_match_outside_support(gauss_ev, gauss_ev_quad,
                                                      disk_ev, disk_ev_quad):
-    # far from the support every derivative convention coincides
+    # far outside the support the conventions differ by O(w at the pole)
     for series_ev, quad_ev, u in ((gauss_ev, gauss_ev_quad, 5.5 + 1.0j),
                                   (disk_ev, disk_ev_quad, 2.0 + 0.5j)):
         for order in (1, 2):
-            a = cauchy_derivative(series_ev, 1, u, order)
-            b = cauchy_derivative(quad_ev, 1, u, order)
+            a = cauchy_transform_full(series_ev, 1, u, order=order).value
+            b = cauchy_transform_full(quad_ev, 1, u, order=order).value
             assert a == pytest.approx(b, rel=1e-7)
 
 
@@ -199,37 +218,11 @@ def test_interior_derivative_quadrature_refused(gauss, gauss_sys):
         cauchy_quadrature(gauss, gauss_sys.polys[1], 2.0 + 0.5j, order=1)
 
 
-def test_csv_export(tmp_path, disk_ev, disk_sys):
-    path = tmp_path / "table.csv"
-    write_table_csv(path, disk_ev, [0, 1], [2.0, 3.0 + 1.0j])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "n,eps_re,eps_im,h_re,h_im,err_estimate"
-    assert len(lines) == 5
-    first = lines[1].split(",")
-    assert float(first[4]) == pytest.approx(0.25)  # h_0(2) = i/4
-    # the rows are n-major and hold the single-entry transforms, on both
-    # backends; the table is computed as one row per eps
-    degrees, eps_values = [0, 1, 2], [2.0, 3.0 + 1.0j, 0.4j]
-    for method in ("rotinv-series", "quadrature"):
-        write_table_csv(path, cauchy_evaluator(disk_sys, method=method), degrees,
-                        eps_values)
-        single = cauchy_evaluator(disk_sys, method=method)
-        expect = ["n,eps_re,eps_im,h_re,h_im,err_estimate"]
-        for n in degrees:
-            for eps in eps_values:
-                res = cauchy_transform_full(single, n, eps)
-                expect.append(",".join([str(n), repr(complex(eps).real),
-                                        repr(complex(eps).imag),
-                                        repr(res.value.real), repr(res.value.imag),
-                                        repr(res.error)]))
-        assert path.read_bytes() == ("\r\n".join(expect) + "\r\n").encode()
-
-
 @pytest.mark.parametrize("method", ["rotinv-series", "quadrature"])
 def test_interior_derivative_pole_refused_by_both_backends(gauss_sys, method):
     ev = cauchy_evaluator(gauss_sys, method=method)
     with pytest.raises(NumericalError, match="inside the effective support"):
-        cauchy_derivative(ev, 1, 1.0, 1)
+        cauchy_transform_full(ev, 1, 1.0, order=1).value
     # a confluent inverse factor inside the support asks for such a row
     with pytest.raises(NumericalError, match="inside the effective support"):
         expectation_ratio(RatioQuery(N=2, epsbars=(1.0,), eps_multiplicities=(2,)),
@@ -245,7 +238,7 @@ def test_derivative_pole_on_disk_boundary_refused_by_both_backends(disk_sys, met
         warnings.simplefilter("error")
         for eps in (1.0, 1j):
             with pytest.raises(NumericalError, match="on or inside the effective"):
-                cauchy_derivative(ev, 1, eps, 1)
+                cauchy_transform_full(ev, 1, eps, order=1).value
         with pytest.raises(NumericalError, match="on or inside the effective"):
             expectation_ratio(RatioQuery(N=2, epsbars=(1.0,), eps_multiplicities=(2,)),
                               disk_sys, ev)
@@ -325,15 +318,16 @@ def test_row_builds_the_grids_of_its_deepest_entry(monkeypatch, shifted):
 
 def test_row_fills_memo_with_single_entry_bits(gauss_sys):
     degrees, eps = range(6), 4.6 + 0.5j
-    for order in (0, 1):
-        row_ev = cauchy_evaluator(gauss_sys, method="quadrature")
-        cauchy_transform_full(row_ev, 2, eps, order)   # one hit inside the row
-        row = cauchy_row(row_ev, degrees, eps, order)
-        for d in degrees:
-            fresh = cauchy_evaluator(gauss_sys, method="quadrature")
-            single = cauchy_transform_full(fresh, d, eps, order)
-            assert row[d] == single
-            assert cauchy_transform_full(row_ev, d, eps, order) == single
+    for method in ("rotinv-series", "quadrature"):
+        for order in (0, 1):
+            row_ev = cauchy_evaluator(gauss_sys, method=method)
+            cauchy_transform_full(row_ev, 2, eps, order)   # one hit inside the row
+            row = cauchy_row(row_ev, degrees, eps, order)
+            for d in degrees:
+                fresh = cauchy_evaluator(gauss_sys, method=method)
+                single = cauchy_transform_full(fresh, d, eps, order)
+                assert row[d] == single
+                assert cauchy_transform_full(row_ev, d, eps, order) == single
 
 
 def test_convergence_error_lists_refinement_history():

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from detratio.cli import main
-from detratio.config import config_to_dict, parse_complex, parse_config
+from detratio.config import parse_complex
 from detratio.errors import ConfigError
 
 PI = math.pi
@@ -218,15 +218,6 @@ def test_scan_rows_flagged_not_dropped(tmp_path):
     assert len(lines) == 3
     assert lines[1].endswith("ok")
     assert "error" in lines[2]
-
-
-def test_config_round_trip(tmp_path):
-    data = base_config(
-        verify={"Ns": [1], "mus_pool": ["1+2i"], "eps_pool": [[2.0, 0.3]]},
-        scan={"axis": "epsbars[0]", "values": ["1.5"]})
-    rc = parse_config(data)
-    again = parse_config(config_to_dict(rc))
-    assert rc == again
 
 
 def test_report_determinism(tmp_path):

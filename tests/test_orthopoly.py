@@ -8,7 +8,7 @@ from detratio import (ConstraintError, MomentMatrix, MonicPoly, NumericalError,
                       disk_flat_weight, eval_poly, gaussian_weight,
                       moment_matrix, ortho_system,
                       orthogonality_residual_matrix, partition_function,
-                      poly_derivative, system_from_json, system_to_json)
+                      poly_derivative)
 
 PI = math.pi
 
@@ -122,21 +122,6 @@ def test_degenerate_max_degree_zero(disk):
     sys_ = ortho_system(disk, 0)
     assert sys_.polys[0].coeffs == (1.0,)
     assert sys_.norms[0] == pytest.approx(PI)
-
-
-def test_json_round_trip(disk, disk_sys):
-    text = system_to_json(disk_sys)
-    back = system_from_json(text, disk)
-    assert back.max_degree == disk_sys.max_degree
-    assert back.norms == pytest.approx(disk_sys.norms)
-    for a, b in zip(back.polys, disk_sys.polys):
-        assert np.allclose(a.coeffs, b.coeffs)
-
-
-def test_json_weight_mismatch(gauss, disk_sys):
-    text = system_to_json(disk_sys)
-    with pytest.raises(ConstraintError):
-        system_from_json(text, gauss)
 
 
 def test_monic_validation():

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import detratio
-from detratio import (MONTE_CARLO, ConstraintError, DomainError, OracleConfig,
-                      WeightSpec, custom_weight, disk_domain, disk_flat_weight,
-                      eval_weight, full_plane_domain, gaussian_weight,
-                      moment_matrix, oracle_partition)
+from detratio import (MONTE_CARLO, ConstraintError, OracleConfig, WeightSpec,
+                      custom_weight, disk_domain, disk_flat_weight,
+                      full_plane_domain, gaussian_weight, moment_matrix,
+                      oracle_partition)
 from detratio.weight import CUSTOM, FAMILIES, closed_moment
 
 from conftest import family_weight
@@ -18,14 +18,13 @@ PI = math.pi
 
 
 def test_eval_weight_examples(gauss, disk):
-    assert eval_weight(gauss, 0.0) == pytest.approx(1.0)
-    assert eval_weight(disk, 0.5) == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        eval_weight(disk, 2.0)
+    assert gauss.evaluate(0.0) == pytest.approx(1.0)
+    assert disk.evaluate(0.5) == pytest.approx(1.0)
+    assert disk.evaluate(2.0) == 0
 
 
 def test_eval_weight_gaussian_profile(gauss):
-    assert eval_weight(gauss, 1 + 1j) == pytest.approx(math.exp(-2.0))
+    assert gauss.evaluate(1 + 1j) == pytest.approx(math.exp(-2.0))
 
 
 def test_gaussian_moment_22(gauss):
@@ -140,6 +139,12 @@ def test_domain_validation():
 def test_moment_index_validation(disk):
     with pytest.raises(ConstraintError):
         moment_matrix(disk, -2)
+
+
+def test_unknown_moment_method_is_refused(disk):
+    # a misspelt method must not fall back to the closed form
+    with pytest.raises(ConstraintError, match="quadratur"):
+        moment_matrix(disk, 1, method="quadratur")
 
 
 def test_shifted_gaussian_has_no_closed_form_error():
