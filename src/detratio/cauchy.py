@@ -29,8 +29,11 @@ Two backends:
   the integrand stays smooth; otherwise a plain origin-centered grid is
   used.  Both are refined adaptively.  A row of transforms at one pole
   and order, over several degrees, is integrated in one pass: each
-  refinement level builds its grid, weight values and kernel once for
-  the whole row, and each entry still converges on its own.
+  refinement level builds its nodes and one weighted-kernel vector g
+  (weight values times quadrature weights, times the kernel on the
+  plain grid) once for the whole row, so an entry's value at that level
+  is the dot product of pi_n at the nodes with g, over 2 pi i.  Each
+  entry still converges on its own.
 
 Derivative transforms deserve a caveat: for k >= 1 the kernel is only
 conditionally integrable in 2D, and with the pole inside the weight's
@@ -153,11 +156,14 @@ def cauchy_quadrature_row(spec: WeightSpec, polys, eps: complex,
 
     ``eps`` is the value subtracted in the kernel (the ebar of the
     transform), so the pole in z-space sits at z = conj(eps).  Each
-    refinement level, the probe level included, builds its grid, weight
-    values and (for a pole outside the domain) kernel once for the whole
-    row.  Each entry then runs its own ``adaptive_integral`` on those
-    tables, with its own probe scale, and stops at its own level, so its
-    value, error and warnings are those of a row holding it alone.
+    refinement level builds its grid once for the whole row and keeps
+    its nodes and one vector g = w * weights (times the kernel, for a
+    pole outside the domain), so an entry's value there is
+    dot(pi(nodes), g) / (2 pi i).  An entry's L1 scale is the dot
+    product of |pi(nodes)| with |g| on the probe level.  Each entry runs
+    its own ``adaptive_integral`` on those tables, with its own probe
+    scale, and stops at its own level, so its value, error and warnings
+    are those of a row holding it alone.
 
     Derivative kernels (order >= 1) are only conditionally integrable;
     with the pole on or inside the effective support the value depends
@@ -178,40 +184,35 @@ def cauchy_quadrature_row(spec: WeightSpec, polys, eps: complex,
 
         def level(n_r: int, n_t: int):
             grid = cauchy_kernel_grid(pole, rho_max, n_r, n_t, order=order)
-            return grid, spec.evaluate(grid.nodes), None
-
-        probe, probe_w, _ = level(48, 64)
-        probe_kern = None
+            return grid.nodes, spec.evaluate(grid.nodes) * grid.weights
     else:
         def level(n_r: int, n_t: int):
             grid = star_grid(0j, boundary, n_r, n_t)
-            kern = math.factorial(order) / (np.conj(grid.nodes) - u) ** (order + 1)
-            return grid, spec.evaluate(grid.nodes), kern
+            # g = w * weights * order!/(zbar - ebar)^(order+1), one division
+            g = spec.evaluate(grid.nodes) * grid.weights
+            shift = np.conj(grid.nodes)
+            shift -= u
+            if order:
+                g *= math.factorial(order)
+                shift **= order + 1
+            return grid.nodes, g / shift
 
-        probe = star_grid(0j, boundary, 48, 64)
-        probe_w = spec.evaluate(probe.nodes)
-        probe_kern = (math.factorial(order)
-                      / np.abs(np.conj(probe.nodes) - u) ** (order + 1))
-    probe_weights = np.abs(probe.weights)
+    probe_nodes, probe_g = level(48, 64)
+    probe_scale = np.abs(probe_g)
 
     tables = {}
 
     def integrate(poly, n_r: int, n_t: int) -> complex:
         if (n_r, n_t) not in tables:
             tables[n_r, n_t] = level(n_r, n_t)
-        grid, w, kern = tables[n_r, n_t]
-        f = w * eval_poly(poly, grid.nodes)
-        if kern is not None:
-            f = f * kern
-        return grid.integrate(f) / _TWO_PI_I
+        nodes, g = tables[n_r, n_t]
+        return complex(np.dot(eval_poly(poly, nodes), g)) / _TWO_PI_I
 
     warnings = _inside_warnings(spec, u)
     results = []
     for poly in polys:
-        magnitude = np.abs(probe_w * eval_poly(poly, probe.nodes))
-        if probe_kern is not None:
-            magnitude = magnitude * probe_kern
-        l1 = float(np.sum(magnitude * probe_weights)) / (2 * math.pi)
+        l1 = float(np.dot(np.abs(eval_poly(poly, probe_nodes)), probe_scale)) \
+            / (2 * math.pi)
         value, err = adaptive_integral(
             functools.partial(integrate, poly), tolerance, start=(96, 128),
             max_doublings=3, scale=1e-6 * max(l1, 1e-300),

@@ -59,12 +59,19 @@ class MonicPoly(Poly):
 
 
 def eval_poly(p: Poly | Sequence[complex], z):
-    """Horner evaluation, vectorized over z."""
+    """Horner evaluation, vectorized over z; ``z`` is never modified."""
     coeffs = p.coeffs if isinstance(p, Poly) else tuple(p)
     z = np.asarray(z, dtype=complex)
     out = np.full_like(z, coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        out = out * z + c
+    if out.size > 1:
+        # out = out * z + c without a new array per step, to the same bits
+        for c in reversed(coeffs[:-1]):
+            out *= z
+            out += c
+    else:
+        # numpy rounds a one-element product made in place differently
+        for c in reversed(coeffs[:-1]):
+            out = out * z + c
     if out.ndim == 0:
         return complex(out)
     return out

@@ -50,9 +50,6 @@ class PolarGrid:
     def size(self) -> int:
         return self.nodes.size
 
-    def integrate(self, values: np.ndarray) -> complex:
-        return complex(np.sum(values * self.weights))
-
 
 def _ray_lengths(rho_max, n_t: int) -> tuple[np.ndarray, np.ndarray, float]:
     phis, w_phi = angular_rule(n_t)
@@ -84,15 +81,17 @@ def cauchy_kernel_grid(center: complex, rho_max, n_r: int, n_t: int,
     F(z) * order!/(zbar - conj(center))^(order+1) over the star-shaped
     region: with z = center + rho e^{i phi} the kernel times the area
     element equals order! e^{i(order+1)phi} rho^(-order) drho dphi.
+
+    With rho = length * x on a ray, every factor depends on the ray or on
+    the radial node alone, so nodes and weights are each one outer
+    product of a ray vector and a radial vector.
     """
     phis, lengths, w_phi = _ray_lengths(rho_max, n_t)
     x, w_x = unit_radial_rule(n_r)
-    rho = lengths[:, None] * x[None, :]
-    nodes = center + rho * np.exp(1j * phis)[:, None]
-    weights = (lengths[:, None] * w_x[None, :]) * w_phi \
-        * np.exp(1j * (order + 1) * phis)[:, None] * math.factorial(order)
-    if order > 0:
-        weights = weights / rho ** order
+    ray_weights = lengths ** (1 - order) * (w_phi * math.factorial(order)) \
+        * np.exp(1j * (order + 1) * phis)
+    nodes = center + (lengths * np.exp(1j * phis))[:, None] * x[None, :]
+    weights = ray_weights[:, None] * (w_x / x ** order)[None, :]
     return PolarGrid(nodes=nodes.ravel(), weights=weights.ravel())
 
 

@@ -10,9 +10,11 @@ from detratio import (ConstraintError, ConvergenceError, NumericalError, Poly,
                       RatioQuery, cauchy_evaluator, cauchy_quadrature,
                       cauchy_row, cauchy_transform, cauchy_transform_full,
                       custom_weight, expectation_ratio, full_plane_domain,
-                      gaussian_weight, series_transform)
+                      gaussian_weight, ortho_system, series_transform)
 from detratio.cauchy import cauchy_quadrature_row
-from detratio.quadrature import adaptive_integral
+from detratio.quadrature import (adaptive_integral, angular_rule,
+                                 cauchy_kernel_grid, disk_chord_lengths,
+                                 unit_radial_rule)
 
 EPS_GRID = (1.5, 2.0, 5.0, 20.0)
 
@@ -118,6 +120,48 @@ def test_shifted_gaussian_rows_are_translated_gaussian_series(shifted, gauss):
         for n, res in enumerate(row):
             ref = series_transform(gauss, n, u)
             assert abs(res.value - ref) <= 1e-10 * abs(ref)
+
+
+def test_shifted_gaussian_far_and_derivative_rows_are_translated_series(shifted,
+                                                                        gauss):
+    # the translation identity of the test above, on the far-pole grid and
+    # for order-1 kernels; at |u| >= 7 the gaussian weight at the pole is
+    # below 1e-21, so the two derivative conventions agree far below 1e-10
+    c = shifted.centre
+    ev = cauchy_evaluator(ortho_system(shifted, 8), method="quadrature")
+    far = 10 + 1j
+    assert abs(far + np.conj(c)) > shifted.domain.quad_radius
+    cases = [(far, 0), (far, 1)]
+    for u in (7.0, -5 + 5.5j, 3 - 6.5j, -7 - 2j):
+        assert abs(u) >= 7 and abs(u + np.conj(c)) <= shifted.domain.quad_radius
+        cases.append((u, 1))
+    for u, order in cases:
+        row = cauchy_row(ev, range(9), u + np.conj(c), order)
+        for n, res in enumerate(row):
+            ref = series_transform(gauss, n, u, order)
+            assert abs(res.value - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_kernel_grid_matches_direct_formula(order):
+    # the kernel grid as order! e^{i(order+1)phi} rho^(-order) times the
+    # area element, written out node by node
+    n_r, n_t = 24, 32
+    for center, rho_max in ((0.3 - 0.2j, 2.5),
+                            (0.3 - 0.2j, disk_chord_lengths(0.3 - 0.2j, 1.0))):
+        phis, w_phi = angular_rule(n_t)
+        lengths = rho_max(phis) if callable(rho_max) else np.full(n_t, rho_max)
+        x, w_x = unit_radial_rule(n_r)
+        rho = lengths[:, None] * x[None, :]
+        nodes = center + rho * np.exp(1j * phis)[:, None]
+        weights = (lengths[:, None] * w_x[None, :]) * w_phi \
+            * np.exp(1j * (order + 1) * phis)[:, None] * math.factorial(order)
+        weights = weights / rho ** order
+        grid = cauchy_kernel_grid(center, rho_max, n_r, n_t, order=order)
+        for got, expect in ((grid.nodes, nodes.ravel()),
+                            (grid.weights, weights.ravel())):
+            assert got.shape == expect.shape
+            assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(expect))
 
 
 def test_eps_inside_disk_finite_and_flagged(disk, disk_sys, disk_ev_quad):

@@ -52,6 +52,41 @@ def test_eval_poly_vectorized():
     assert np.allclose(eval_poly(p, z), 1 + 2 * z)
 
 
+def test_eval_poly_matches_reference_horner_bit_for_bit():
+    def reference(coeffs, z):
+        z = np.asarray(z, dtype=complex)
+        out = np.full_like(z, coeffs[-1])
+        for c in reversed(coeffs[:-1]):
+            out = out * z + c
+        return out
+
+    rng = np.random.default_rng(7)
+    coeffs = tuple(rng.standard_normal(7) + 1j * rng.standard_normal(7))
+    p = Poly(coeffs)
+    z = 3 * (rng.standard_normal(500) + 1j * rng.standard_normal(500))
+    z_before = z.copy()
+    got = eval_poly(p, z)
+    assert np.array_equal(got, reference(coeffs, z))
+    assert np.array_equal(z, z_before)              # the caller's nodes are untouched
+    assert np.array_equal(eval_poly(coeffs, z), got)
+    # short, strided and broadcast arrays
+    for view in (z[:2], z[:3], z[:17], z[::3], z.reshape(20, 25).T,
+                 np.broadcast_to(z[0], (4,))):
+        assert np.array_equal(eval_poly(p, view), reference(coeffs, view))
+    assert np.array_equal(z, z_before)
+    # one-element inputs, where numpy's in-place products round differently
+    for zk in z[:100]:
+        scalar = complex(zk)
+        got = eval_poly(p, scalar)                  # Python scalar
+        assert type(got) is complex
+        assert got == reference(coeffs, scalar)[()]
+        z0 = np.array(zk)                           # 0-d array
+        assert eval_poly(p, z0) == got and z0 == zk
+        assert np.array_equal(eval_poly(p, np.array([zk])), [got])
+    assert type(eval_poly(p, 2.5)) is complex
+    assert type(eval_poly(MonicPoly((1,)), 2.0)) is complex
+
+
 def test_poly_derivative():
     sq = Poly((0, 0, 1))
     assert poly_derivative(sq).coeffs == (0, 2)

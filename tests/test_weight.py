@@ -98,7 +98,7 @@ def test_quadrature_moments_converge_under_doubling(disk):
     def entry(n_r, n_t):
         grid = star_grid(0j, 1.0, n_r, n_t)
         f = grid.nodes ** 2 * np.conj(grid.nodes) ** 2
-        return grid.integrate(f)
+        return complex(np.sum(f * grid.weights))
 
     coarse, fine = entry(48, 64), entry(96, 128)
     assert abs(fine - coarse) < 1e-10 * abs(fine)
