@@ -3,33 +3,45 @@
 A run is described by one JSON file with nested blocks: weight, system,
 query, oracle, and optional verify / scan / output blocks.  Complex
 numbers may be written either as two-element arrays [re, im] or as
-strings like "1.5+2i".
+strings like "1.5+2i".  ``parse_config`` is the only reader of that
+format: every value is converted and checked here, and a malformed one
+raises ``ConfigError`` naming its field.
 """
 
 from __future__ import annotations
 
+import cmath
+import dataclasses
 import json
+import math
+import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ConfigError
-from .oracle import MONTE_CARLO, TENSOR_QUADRATURE, OracleConfig
+from .errors import ConfigError, ConstraintError
+from .oracle import OracleConfig
 from .ratios import RatioQuery
 from .weight import FAMILIES, WeightSpec
+
+_REQUIRED = object()
+_AXIS_RE = re.compile(r"^(mus|epsbars)\[(\d+)\]$")
 
 
 def parse_complex(value, where: str) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
+        return complex(_real(value, where))
     if isinstance(value, (list, tuple)):
         if len(value) != 2:
             raise ConfigError(f"{where}: complex arrays must be [re, im]")
-        return complex(float(value[0]), float(value[1]))
+        return complex(_real(value[0], where), _real(value[1], where))
     if isinstance(value, str):
         try:
-            return complex(value.replace(" ", "").replace("i", "j"))
+            parsed = complex(value.replace(" ", "").replace("i", "j"))
         except ValueError:
-            raise ConfigError(f"{where}: cannot parse complex number {value!r}") from None
+            parsed = complex("nan")
+        if not cmath.isfinite(parsed):
+            raise ConfigError(f"{where}: cannot parse complex number {value!r}")
+        return parsed
     raise ConfigError(f"{where}: expected a complex number, got {value!r}")
 
 
@@ -37,23 +49,139 @@ def complex_out(c: complex) -> list:
     return [float(c.real), float(c.imag)]
 
 
-def _get(block: dict, key: str, where: str, default=None, required: bool = False):
-    if key not in block:
-        if required:
-            raise ConfigError(f"{where}.{key}: required field is missing")
+def _real(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _positive(value, where: str) -> float:
+    value = _real(value, where)
+    if value <= 0:
+        raise ConfigError(f"{where}: expected a positive number, got {value!r}")
+    return value
+
+
+def _integer(low: int):
+    def convert(value, where: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ConfigError(f"{where}: expected an integer >= {low}, got {value!r}")
+        return value
+    return convert
+
+
+def _text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
+def _choice(options):
+    def convert(value, where: str) -> str:
+        if _text(value, where) not in options:
+            raise ConfigError(
+                f"{where}: unknown value {value!r}; expected one of {tuple(options)}")
+        return value
+    return convert
+
+
+def _list(item):
+    def convert(value, where: str) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
+    return convert
+
+
+def _field(block: dict, key: str, where: str, convert, default=_REQUIRED):
+    """``block[key]`` converted; a JSON null counts as absent."""
+    name = f"{where}.{key}" if where else key
+    if block.get(key) is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"{name}: required field is missing")
         return default
-    return block[key]
+    return convert(block[key], name)
 
 
-def _expect_block(data: dict, key: str, required: bool = True) -> dict:
+def _block(data: dict, key: str, required: bool = False) -> Optional[dict]:
     block = data.get(key)
     if block is None:
         if required:
             raise ConfigError(f"{key}: required block is missing")
-        return {}
+        return None
     if not isinstance(block, dict):
         raise ConfigError(f"{key}: expected an object")
     return block
+
+
+@dataclass(frozen=True)
+class VerifySpec:
+    """The ``verify`` block: the (N, L, M) grid, its pools and pass test."""
+
+    mus_pool: tuple
+    eps_pool: tuple
+    Ns: tuple = (1, 2)
+    Ls: tuple = (0, 1, 2)
+    Ms: Optional[tuple] = None  # None: 0 .. min(N, 2)
+    tolerance: float = 1e-6
+    corrupt_factor: float = 1.0
+
+    def queries(self):
+        """One query per grid case that M <= N and the pools allow."""
+        for n_ev in self.Ns:
+            ms = self.Ms if self.Ms is not None else range(min(n_ev, 2) + 1)
+            for big_l in self.Ls:
+                for big_m in ms:
+                    if big_m <= min(n_ev, len(self.eps_pool)) \
+                            and big_l <= len(self.mus_pool):
+                        yield RatioQuery(N=n_ev, mus=self.mus_pool[:big_l],
+                                         epsbars=self.eps_pool[:big_m])
+
+
+_VERIFY_FIELDS = {
+    "mus_pool": _list(parse_complex), "eps_pool": _list(parse_complex),
+    "Ns": _list(_integer(1)), "Ls": _list(_integer(0)), "Ms": _list(_integer(0)),
+    "tolerance": _positive, "corrupt_factor": _real,
+}
+
+
+@dataclass(frozen=True)
+class ScanSpec:
+    """The ``scan`` block: the swept variable and the values it takes."""
+
+    axis: str
+    target: str  # "mus" or "epsbars"
+    index: int
+    values: tuple
+
+    def query_at(self, base: RatioQuery, value: complex) -> RatioQuery:
+        """``base`` with the swept variable set to ``value``."""
+        variables = list(getattr(base, self.target))
+        variables[self.index] = value
+        return dataclasses.replace(base, **{self.target: variables})
+
+
+def _scan(block: dict, mus: tuple, epsbars: tuple) -> ScanSpec:
+    axis = _field(block, "axis", "scan", _text)
+    match = _AXIS_RE.match(axis)
+    if not match:
+        raise ConfigError("scan.axis: expected 'mus[i]' or 'epsbars[i]'")
+    target, index = match.group(1), int(match.group(2))
+    configured = len(mus if target == "mus" else epsbars)
+    if index >= configured:
+        raise ConfigError(
+            f"scan.axis: {axis} names no configured variable; "
+            f"query.{target} has {configured}")
+    if block.get("values") is not None:
+        values = _field(block, "values", "scan", _list(parse_complex))
+    else:
+        start = _field(block, "start", "scan", _real)
+        stop = _field(block, "stop", "scan", _real)
+        count = _field(block, "count", "scan", _integer(0))
+        step = (stop - start) / (count - 1) if count > 1 else 0.0
+        values = tuple(complex(start + i * step) for i in range(count))
+    return ScanSpec(axis, target, index, values)
 
 
 @dataclass(frozen=True)
@@ -62,108 +190,68 @@ class RunConfig:
     weight_params: dict
     max_degree: int
     n_eigenvalues: int
-    mus: tuple = ()
-    epsbars: tuple = ()
-    mu_multiplicities: Optional[tuple] = None
-    eps_multiplicities: Optional[tuple] = None
-    oracle_method: str = TENSOR_QUADRATURE
-    radial_nodes: int = 48
-    angular_nodes: int = 64
-    samples: int = 200_000
-    seed: int = 0
-    batches: int = 32
-    verify: Optional[dict] = None
-    scan: Optional[dict] = None
-    output_format: str = "json"
-    output_path: Optional[str] = None
-    tolerance: float = 1e-9
+    mus: tuple
+    epsbars: tuple
+    mu_multiplicities: Optional[tuple]
+    eps_multiplicities: Optional[tuple]
+    oracle: OracleConfig
+    verify: VerifySpec
+    scan: Optional[ScanSpec]
+    output_format: str
+    output_path: Optional[str]
+    tolerance: float
 
 
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be an object")
 
-    wblock = _expect_block(data, "weight")
-    kind = _get(wblock, "kind", "weight", required=True)
-    if kind not in FAMILIES:
-        raise ConfigError(
-            f"weight.kind: unknown kind {kind!r}; expected one of {tuple(FAMILIES)}")
-    params: dict = {}
-    for name, value_type, default in FAMILIES[kind].fields:
-        value = _get(wblock, name, "weight", default, required=default is None)
-        params[name] = parse_complex(value, f"weight.{name}") \
-            if value_type is complex else float(value)
-    params["amplitude"] = float(_get(wblock, "amplitude", "weight", 1.0))
+    wblock = _block(data, "weight", required=True)
+    kind = _field(wblock, "kind", "weight", _choice(FAMILIES))
+    params = {name: _field(wblock, name, "weight",
+                           parse_complex if value_type is complex else _real,
+                           _REQUIRED if default is None else default)
+              for name, value_type, default in FAMILIES[kind].fields}
+    params["amplitude"] = _field(wblock, "amplitude", "weight", _real, 1.0)
 
-    sblock = _expect_block(data, "system")
-    max_degree = _get(sblock, "max_degree", "system", required=True)
-    if not isinstance(max_degree, int) or max_degree < 0:
-        raise ConfigError("system.max_degree: expected a non-negative integer")
+    sblock = _block(data, "system", required=True)
+    qblock = _block(data, "query", required=True)
+    mus = _field(qblock, "mus", "query", _list(parse_complex), ())
+    epsbars = _field(qblock, "epsbars", "query", _list(parse_complex), ())
 
-    qblock = _expect_block(data, "query")
-    n_ev = _get(qblock, "N", "query", required=True)
-    if not isinstance(n_ev, int) or n_ev < 1:
-        raise ConfigError("query.N: expected a positive integer")
-    mus = tuple(parse_complex(v, f"query.mus[{i}]")
-                for i, v in enumerate(_get(qblock, "mus", "query", [])))
-    epsbars = tuple(parse_complex(v, f"query.epsbars[{i}]")
-                    for i, v in enumerate(_get(qblock, "epsbars", "query", [])))
-    mu_mult = _get(qblock, "mu_multiplicities", "query")
-    eps_mult = _get(qblock, "eps_multiplicities", "query")
-    mu_mult = tuple(int(v) for v in mu_mult) if mu_mult is not None else None
-    eps_mult = tuple(int(v) for v in eps_mult) if eps_mult is not None else None
+    oblock = _block(data, "oracle") or {}
+    try:
+        oracle = OracleConfig(**{f.name: oblock[f.name]
+                                 for f in dataclasses.fields(OracleConfig)
+                                 if oblock.get(f.name) is not None})
+    except ConstraintError as exc:
+        raise ConfigError(str(exc)) from None
 
-    oblock = _expect_block(data, "oracle", required=False)
-    method = _get(oblock, "method", "oracle", TENSOR_QUADRATURE)
-    if method not in (TENSOR_QUADRATURE, MONTE_CARLO):
-        raise ConfigError(f"oracle.method: unknown method {method!r}")
-
-    vblock = data.get("verify")
-    if vblock is not None and not isinstance(vblock, dict):
-        raise ConfigError("verify: expected an object")
-    if vblock is not None:
-        vblock = dict(vblock)
-        for key in ("mus_pool", "eps_pool"):
-            if key in vblock:
-                vblock[key] = [parse_complex(v, f"verify.{key}[{i}]")
-                               for i, v in enumerate(vblock[key])]
-
-    scblock = data.get("scan")
-    if scblock is not None:
-        if not isinstance(scblock, dict):
-            raise ConfigError("scan: expected an object")
-        scblock = dict(scblock)
-        if "axis" not in scblock:
-            raise ConfigError("scan.axis: required field is missing")
-        if "values" in scblock:
-            scblock["values"] = [parse_complex(v, f"scan.values[{i}]")
-                                 for i, v in enumerate(scblock["values"])]
-
-    outblock = _expect_block(data, "output", required=False)
-    out_format = _get(outblock, "format", "output", "json")
-    if out_format not in ("json", "csv"):
-        raise ConfigError(f"output.format: expected 'json' or 'csv', got {out_format!r}")
+    vblock = _block(data, "verify") or {}
+    verify = VerifySpec(**{"mus_pool": mus, "eps_pool": epsbars, **{
+        key: _field(vblock, key, "verify", convert)
+        for key, convert in _VERIFY_FIELDS.items() if vblock.get(key) is not None}})
+    scblock = _block(data, "scan")
+    outblock = _block(data, "output") or {}
 
     return RunConfig(
         weight_kind=kind,
         weight_params=params,
-        max_degree=max_degree,
-        n_eigenvalues=n_ev,
+        max_degree=_field(sblock, "max_degree", "system", _integer(0)),
+        n_eigenvalues=_field(qblock, "N", "query", _integer(1)),
         mus=mus,
         epsbars=epsbars,
-        mu_multiplicities=mu_mult,
-        eps_multiplicities=eps_mult,
-        oracle_method=method,
-        radial_nodes=int(_get(oblock, "radial_nodes", "oracle", 48)),
-        angular_nodes=int(_get(oblock, "angular_nodes", "oracle", 64)),
-        samples=int(_get(oblock, "samples", "oracle", 200_000)),
-        seed=int(_get(oblock, "seed", "oracle", 0)),
-        batches=int(_get(oblock, "batches", "oracle", 32)),
-        verify=vblock,
-        scan=scblock,
-        output_format=out_format,
-        output_path=_get(outblock, "path", "output"),
-        tolerance=float(_get(data, "tolerance", "", 1e-9)),
+        mu_multiplicities=_field(qblock, "mu_multiplicities", "query",
+                                 _list(_integer(1)), None),
+        eps_multiplicities=_field(qblock, "eps_multiplicities", "query",
+                                  _list(_integer(1)), None),
+        oracle=oracle,
+        verify=verify,
+        scan=_scan(scblock, mus, epsbars) if scblock is not None else None,
+        output_format=_field(outblock, "format", "output", _choice(("json", "csv")),
+                             "json"),
+        output_path=_field(outblock, "path", "output", _text, None),
+        tolerance=_field(data, "tolerance", "", _positive, 1e-9),
     )
 
 
@@ -191,9 +279,6 @@ def build_query(rc: RunConfig) -> RatioQuery:
 
 def build_oracle_config(rc: RunConfig, method: Optional[str] = None,
                         seed: Optional[int] = None) -> OracleConfig:
-    return OracleConfig(method=method or rc.oracle_method,
-                        radial_nodes=rc.radial_nodes,
-                        angular_nodes=rc.angular_nodes,
-                        samples=rc.samples,
-                        seed=rc.seed if seed is None else seed,
-                        batches=rc.batches)
+    return dataclasses.replace(
+        rc.oracle, method=method or rc.oracle.method,
+        seed=rc.oracle.seed if seed is None else seed)

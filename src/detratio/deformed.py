@@ -239,14 +239,3 @@ def deformed_cauchy(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, n: int,
     prefactor = (-1) ** m / np.prod([eps - eb for eb in epsbars])
     return complex(prefactor * num / den)
 
-
-def poly_values_on_circle(fn, degree: int, radius: float = 2.0) -> np.ndarray:
-    """Recover polynomial coefficients by interpolation at degree+1 nodes.
-
-    Evaluates ``fn`` on scaled roots of unity and solves the Vandermonde
-    system; used to confirm monic normalization of deformed polynomials.
-    """
-    nodes = radius * np.exp(2j * np.pi * np.arange(degree + 1) / (degree + 1))
-    values = np.array([fn(z) for z in nodes], dtype=complex)
-    vand = np.vander(nodes, degree + 1, increasing=True)
-    return np.linalg.solve(vand, values)

@@ -25,6 +25,7 @@ belong to the quadrature oracle.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,10 +54,13 @@ class OracleConfig:
 
     def __post_init__(self):
         if self.method not in (TENSOR_QUADRATURE, MONTE_CARLO):
-            raise ConstraintError(f"unknown oracle method {self.method!r}")
-        if min(self.radial_nodes, self.angular_nodes, self.samples,
-               self.batches) < 1:
-            raise ConstraintError("oracle node/sample/batch counts must be positive")
+            raise ConstraintError(f"oracle.method: unknown method {self.method!r}")
+        for name in ("radial_nodes", "angular_nodes", "samples", "seed", "batches"):
+            value, low = getattr(self, name), 0 if name == "seed" else 1
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                    or value < low:
+                raise ConstraintError(
+                    f"oracle.{name}: expected an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -105,21 +109,25 @@ def _weighted_grid(spec: WeightSpec, n_r: int, n_t: int):
     return grid.nodes, spec.evaluate(grid.nodes) * grid.weights
 
 
-def _quad_expectation(q: RatioQuery, spec: WeightSpec, n_r: int, n_t: int) -> complex:
+def _tensor_sums(q: RatioQuery, spec: WeightSpec, n_r: int, n_t: int):
+    """The tensor-grid sums of f |Delta|^2 and |Delta|^2 (with N = 1,
+    of f and 1): their ratio is the expectation, the second is Z_N."""
     z, w = _weighted_grid(spec, n_r, n_t)
     f1 = _ratio_factor(z, q.expanded_mus(), q.expanded_epsbars())
     if q.N == 1:
-        return complex(np.sum(w * f1) / np.sum(w))
-    num = _pair_sum(z, w * f1, w * f1)
-    den = _pair_sum(z, w.astype(complex), w.astype(complex))
-    return num / den
+        return np.sum(w * f1), np.sum(w)
+    return (_pair_sum(z, w * f1, w * f1),
+            _pair_sum(z, w.astype(complex), w.astype(complex)))
 
 
-def _quad_partition(spec: WeightSpec, n_ev: int, n_r: int, n_t: int) -> complex:
-    z, w = _weighted_grid(spec, n_r, n_t)
-    if n_ev == 1:
-        return complex(np.sum(w))
-    return _pair_sum(z, w.astype(complex), w.astype(complex))
+def _tensor_estimate(q: RatioQuery, spec: WeightSpec, cfg: OracleConfig,
+                     value) -> OracleEstimate:
+    """``value(num, den)`` on the configured grid and on the grid with twice
+    the nodes each way; their difference is the error estimate."""
+    coarse, fine = (complex(value(*_tensor_sums(q, spec, k * cfg.radial_nodes,
+                                                 k * cfg.angular_nodes)))
+                    for k in (1, 2))
+    return OracleEstimate(fine, abs(fine - coarse), float("nan"), TENSOR_QUADRATURE)
 
 
 def _check_mc_pole_policy(spec: WeightSpec, epsbars) -> None:
@@ -189,11 +197,7 @@ def oracle_expectation(q: RatioQuery, spec: WeightSpec,
     """Direct estimate of the normalized ratio expectation."""
     _check_n_limit(cfg.method, q.N)
     if cfg.method == TENSOR_QUADRATURE:
-        coarse = _quad_expectation(q, spec, cfg.radial_nodes, cfg.angular_nodes)
-        fine = _quad_expectation(q, spec, 2 * cfg.radial_nodes,
-                                 2 * cfg.angular_nodes)
-        return OracleEstimate(fine, abs(fine - coarse), float("nan"),
-                              TENSOR_QUADRATURE)
+        return _tensor_estimate(q, spec, cfg, lambda num, den: num / den)
     if q.M_total > 0:
         _check_mc_pole_policy(spec, q.expanded_epsbars())
     num_means, den_means, neff, total = _mc_batches(q, spec, cfg)
@@ -209,13 +213,9 @@ def oracle_partition(spec: WeightSpec, n_ev: int, cfg: OracleConfig) -> OracleEs
     if n_ev < 1:
         raise ConstraintError("the eigenvalue count must be positive")
     _check_n_limit(cfg.method, n_ev)
-    if cfg.method == TENSOR_QUADRATURE:
-        coarse = _quad_partition(spec, n_ev, cfg.radial_nodes, cfg.angular_nodes)
-        fine = _quad_partition(spec, n_ev, 2 * cfg.radial_nodes,
-                               2 * cfg.angular_nodes)
-        return OracleEstimate(fine, abs(fine - coarse), float("nan"),
-                              TENSOR_QUADRATURE)
     q = RatioQuery(N=n_ev)
+    if cfg.method == TENSOR_QUADRATURE:
+        return _tensor_estimate(q, spec, cfg, lambda num, den: den)
     num_means, den_means, neff, total = _mc_batches(q, spec, cfg)
     # the sampler refused custom weights, so M_00 has a closed form
     norm = closed_moment(spec, 0, 0).real ** n_ev

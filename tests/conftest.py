@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from detratio import (cauchy_evaluator, disk_flat_weight, gaussian_weight,
@@ -20,6 +21,18 @@ def family_weight(kind: str, amplitude: float = 1.0):
               else 0.4 + 0.3j if value_type is complex else 0.7
               for name, value_type, default in family.fields}
     return family.build({**values, "amplitude": amplitude}, 16)
+
+
+def poly_values_on_circle(fn, degree: int, radius: float = 2.0) -> np.ndarray:
+    """Recover polynomial coefficients by interpolation at degree+1 nodes.
+
+    Evaluates ``fn`` on scaled roots of unity and solves the Vandermonde
+    system; used to confirm monic normalization of deformed polynomials.
+    """
+    nodes = radius * np.exp(2j * np.pi * np.arange(degree + 1) / (degree + 1))
+    values = np.array([fn(z) for z in nodes], dtype=complex)
+    vand = np.vander(nodes, degree + 1, increasing=True)
+    return np.linalg.solve(vand, values)
 
 
 @pytest.fixture(scope="session")

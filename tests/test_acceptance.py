@@ -22,10 +22,10 @@ from detratio import (Deformation, OracleConfig, RatioQuery, cauchy_evaluator,
                       gaussian_weight, oracle_deformed_op, oracle_expectation,
                       oracle_partition, ortho_system, partition_function,
                       uvarov_poly)
-from detratio.deformed import poly_values_on_circle
 from detratio.oracle import deformed_integral
 
-from conftest import EPS_DISK, EPS_GAUSS, MUS_DISK, MUS_GAUSS
+from conftest import (EPS_DISK, EPS_GAUSS, MUS_DISK, MUS_GAUSS,
+                      poly_values_on_circle)
 
 PI = math.pi
 

@@ -1,10 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from detratio.cli import main
-from detratio.config import parse_complex
+from detratio.config import parse_complex, parse_config
 from detratio.errors import ConfigError
 
 PI = math.pi
@@ -258,3 +259,87 @@ def test_shifted_gaussian_config(tmp_path):
     report = read_json(out)
     assert report["value"]["re"] == pytest.approx(0.6, rel=1e-9)
     assert report["value"]["im"] == pytest.approx(0.2, rel=1e-9)
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("verify", "Ns", 2),
+    ("verify", "Ns", [0]),
+    ("verify", "Ms", [-1]),
+    ("verify", "tolerance", "x"),
+    ("verify", "corrupt_factor", "x"),
+    ("scan", "count", "x"),
+    ("scan", "start", "a"),
+    ("oracle", "radial_nodes", "x"),
+    ("oracle", "samples", 0),
+    (None, "tolerance", "x"),
+    ("query", "mu_multiplicities", ["x"]),
+    ("query", "mus", 5),
+    ("query", "mus", ["nan"]),
+    ("query", "epsbars", [True]),
+])
+def test_malformed_value_exits_2_naming_the_field(tmp_path, capsys, block, key, value):
+    # a malformed verify or scan block fails every command when the
+    # config is loaded, eval included
+    data = base_config(
+        verify={"Ns": [1], "Ls": [0], "Ms": [0], "tolerance": 1e-6},
+        scan={"axis": "epsbars[0]", "start": 1.5, "stop": 5.0, "count": 2})
+    (data[block] if block else data)[key] = value
+    cfg = write_config(tmp_path, data)
+    assert run(["eval", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert (f"{block}.{key}" if block else f"error: {key}:") in err
+
+
+def test_scan_row_keeps_multiplicities(tmp_path):
+    query = {"N": 3, "mus": [[1.5, 0.0]], "epsbars": [],
+             "mu_multiplicities": [2]}
+    cfg = write_config(tmp_path, base_config(
+        weight={"kind": "gaussian", "scale": 1.0}, query=query,
+        scan={"axis": "mus[0]", "values": [[1.5, 0.0]]}))
+    eval_out, scan_out = tmp_path / "eval.json", tmp_path / "scan.json"
+    assert run(["eval", "--config", cfg, "--out", str(eval_out)]) == 0
+    assert run(["scan", "--config", cfg, "--out", str(scan_out)]) == 0
+    value = read_json(eval_out)["value"]
+    (row,) = read_json(scan_out)["rows"]
+    assert row["status"] == "ok"
+    assert (row["value_re"], row["value_im"]) == (value["re"], value["im"])
+    assert value["re"] == pytest.approx(1.5 ** 6, rel=1e-12)
+
+
+def test_scan_axis_naming_no_variable_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, base_config(
+        scan={"axis": "epsbars[1]", "values": [[2.5, 0.0]]}))
+    assert run(["scan", "--config", cfg]) == 2
+    assert "scan.axis: epsbars[1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ortho", "verify"])
+def test_json_only_command_refuses_csv_before_computing(tmp_path, capsys,
+                                                        monkeypatch, command):
+    def fail(*args, **kwargs):
+        raise AssertionError("computed before refusing the format")
+
+    monkeypatch.setattr("detratio.cli.ortho_system", fail)
+    cfg = write_config(tmp_path, base_config(verify={"Ns": [1]}))
+    assert run([command, "--config", cfg, "--format", "csv"]) == 2
+    assert capsys.readouterr().err == f"config error: {command} reports are JSON only\n"
+
+
+@pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf", "x"])
+def test_tolerance_flag_must_be_positive_and_finite(tmp_path, capsys, tolerance):
+    cfg = write_config(tmp_path, base_config())
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--config", cfg, "--tolerance", tolerance])
+    assert exc.value.code == 2
+    assert "--tolerance: expected a positive finite number" in capsys.readouterr().err
+
+
+def test_readme_example_config_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Run configuration", 1)[1]
+    example = section.split("```json", 1)[1].split("```", 1)[0]
+    rc = parse_config(json.loads(example))
+    assert rc.oracle.radial_nodes == 64
+    assert len(list(rc.verify.queries())) == 15
+    assert (rc.scan.target, rc.scan.index, len(rc.scan.values)) == ("epsbars", 0, 15)

@@ -9,9 +9,9 @@ from detratio import (ConstraintError, Deformation, DegenerateVariablesError,
                       christoffel_q, combined_poly, deformed_cauchy,
                       deformed_integral, eval_poly, oracle_deformed_op,
                       uvarov_poly, uvarov_q)
-from detratio.deformed import poly_values_on_circle
 
-from conftest import EPS_DISK, EPS_GAUSS, MUS_DISK, MUS_GAUSS
+from conftest import (EPS_DISK, EPS_GAUSS, MUS_DISK, MUS_GAUSS,
+                      poly_values_on_circle)
 
 CFG = OracleConfig(radial_nodes=64, angular_nodes=96)
 
