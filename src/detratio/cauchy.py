@@ -33,7 +33,15 @@ Two backends:
   (weight values times quadrature weights, times the kernel on the
   plain grid) once for the whole row, so an entry's value at that level
   is the dot product of pi_n at the nodes with g, over 2 pi i.  Each
-  entry still converges on its own.
+  entry still converges on its own.  An evaluator keeps the levels in a
+  table that its later rows read.  The plain grid (Gauss-Legendre in
+  the radius, the periodic trapezoid rule in the angle; Trefethen &
+  Weideman, SIAM Rev. 56 (2014)) does not depend on the pole, so its
+  nodes, w * weights and pi_n values serve every far row, and only the
+  kernel and the dot products are per row.  A centred grid's nodes, w
+  values and pi_n values serve the rows at the same pole, such as the
+  order-1 row of a confluent pole, until a row at another centred pole
+  replaces them.
 
 Derivative transforms deserve a caveat: for k >= 1 the kernel is only
 conditionally integrable in 2D, and with the pole inside the weight's
@@ -83,15 +91,61 @@ class CauchyResult:
     warnings: tuple = ()
 
 
+@dataclass(eq=False)
+class _Level:
+    """One refinement level: its nodes, a weight vector on them, and the
+    values of each polynomial on them, evaluated on first use."""
+
+    nodes: np.ndarray
+    weighted: np.ndarray
+    poly_values: dict = field(default_factory=dict)
+
+    def values(self, poly) -> np.ndarray:
+        vals = self.poly_values.get(poly)
+        if vals is None:
+            vals = self.poly_values[poly] = eval_poly(poly, self.nodes)
+        return vals
+
+
+@dataclass(eq=False)
+class _LevelTable:
+    """Quadrature levels shared by the rows of one weight.
+
+    ``far`` maps (n_r, n_t) to the origin-centred grid's level, whose
+    weight vector is w * weights; it holds for every far pole.
+    ``centred`` maps (n_r, n_t) to the level of the grid centred on
+    ``centred_pole``, whose weight vector is w; a row at another
+    centred pole replaces it.
+    """
+
+    far: dict = field(default_factory=dict)
+    centred_pole: Optional[complex] = None
+    centred: dict = field(default_factory=dict)
+
+
 @dataclass(frozen=True, eq=False)
 class CauchyEvaluator:
-    """Per-weight evaluator of h_n(ebar) for one orthogonal system."""
+    """Per-weight evaluator of h_n(ebar) for one orthogonal system.
+
+    ``_memo`` holds every transform computed, under (degree, eps, order).
+    On the quadrature backend ``_levels`` holds the refinement levels
+    its rows built: for the origin-centred grid of far poles, each
+    level's nodes, w * weights and pi_d at the nodes, kept for the
+    evaluator's life; for the grid centred on the most recent centred
+    pole, each level's nodes, w and pi_d values, replaced when a row
+    at another centred pole arrives.  A row visits at most five levels
+    (the probe and the four of ``adaptive_integral``), so with D degrees
+    requested the table never exceeds 2 x 5 x (2 + D) vectors, the
+    largest of 786,432 nodes, however many poles a scan visits.
+    """
 
     weight: WeightSpec
     system: OrthoSystem
     method: str
     tolerance: float = 1e-9
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
+    _levels: _LevelTable = field(default_factory=_LevelTable, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         if self.method not in (ROTINV_SERIES, QUADRATURE):
@@ -165,12 +219,31 @@ def cauchy_quadrature_row(spec: WeightSpec, polys, eps: complex,
     scale, and stops at its own level, so its value, error and warnings
     are those of a row holding it alone.
 
+    The levels, with the weight values and each pi(nodes) on them, live
+    in a table that this call builds and drops.  ``cauchy_row`` runs the
+    same code on its evaluator's table (see ``CauchyEvaluator``), where
+    far levels outlive the row and centred levels last until a row at
+    another centred pole; the values, errors and warnings are the same
+    bits either way.
+
     Derivative kernels (order >= 1) are only conditionally integrable;
     with the pole on or inside the effective support the value depends
     on the integration foliation and the coinciding-variable limit they
     serve does not exist, so that combination is refused.
     """
-    u = complex(eps)
+    return _quadrature_row(spec, polys, complex(eps), tolerance, order,
+                           _LevelTable())
+
+
+# refinement schedule of a quadrature row: one probe level, then
+# adaptive_integral from _START with at most _MAX_DOUBLINGS doublings
+_PROBE = (48, 64)
+_START = (96, 128)
+_MAX_DOUBLINGS = 3
+
+
+def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
+                    order: int, table: _LevelTable) -> tuple[CauchyResult, ...]:
     _refuse_interior_derivative_pole(spec, u, order)
     pole = np.conj(u)
     boundary = spec.domain.quad_radius
@@ -181,41 +254,54 @@ def cauchy_quadrature_row(spec: WeightSpec, polys, eps: complex,
             rho_max = disk_chord_lengths(pole, spec.domain.radius)
         else:
             rho_max = boundary + abs(u)
+        if table.centred_pole != u:
+            table.centred_pole, table.centred = u, {}
+        levels = table.centred
 
         def level(n_r: int, n_t: int):
+            # the weights depend on the order, the nodes do not
             grid = cauchy_kernel_grid(pole, rho_max, n_r, n_t, order=order)
-            return grid.nodes, spec.evaluate(grid.nodes) * grid.weights
+            lv = levels.get((n_r, n_t))
+            if lv is None:
+                lv = levels[n_r, n_t] = _Level(grid.nodes, spec.evaluate(grid.nodes))
+            return lv, lv.weighted * grid.weights
     else:
+        levels = table.far
+
         def level(n_r: int, n_t: int):
-            grid = star_grid(0j, boundary, n_r, n_t)
+            lv = levels.get((n_r, n_t))
+            if lv is None:
+                grid = star_grid(0j, boundary, n_r, n_t)
+                lv = levels[n_r, n_t] = _Level(
+                    grid.nodes, spec.evaluate(grid.nodes) * grid.weights)
             # g = w * weights * order!/(zbar - ebar)^(order+1), one division
-            g = spec.evaluate(grid.nodes) * grid.weights
-            shift = np.conj(grid.nodes)
+            g = lv.weighted
+            shift = np.conj(lv.nodes)
             shift -= u
             if order:
-                g *= math.factorial(order)
+                g = g * math.factorial(order)
                 shift **= order + 1
-            return grid.nodes, g / shift
+            return lv, g / shift
 
-    probe_nodes, probe_g = level(48, 64)
+    probe, probe_g = level(*_PROBE)
     probe_scale = np.abs(probe_g)
 
-    tables = {}
+    row_levels = {}
 
     def integrate(poly, n_r: int, n_t: int) -> complex:
-        if (n_r, n_t) not in tables:
-            tables[n_r, n_t] = level(n_r, n_t)
-        nodes, g = tables[n_r, n_t]
-        return complex(np.dot(eval_poly(poly, nodes), g)) / _TWO_PI_I
+        if (n_r, n_t) not in row_levels:
+            row_levels[n_r, n_t] = level(n_r, n_t)
+        lv, g = row_levels[n_r, n_t]
+        return complex(np.dot(lv.values(poly), g)) / _TWO_PI_I
 
     warnings = _inside_warnings(spec, u)
     results = []
     for poly in polys:
-        l1 = float(np.dot(np.abs(eval_poly(poly, probe_nodes)), probe_scale)) \
+        l1 = float(np.dot(np.abs(probe.values(poly)), probe_scale)) \
             / (2 * math.pi)
         value, err = adaptive_integral(
-            functools.partial(integrate, poly), tolerance, start=(96, 128),
-            max_doublings=3, scale=1e-6 * max(l1, 1e-300),
+            functools.partial(integrate, poly), tolerance, start=_START,
+            max_doublings=_MAX_DOUBLINGS, scale=1e-6 * max(l1, 1e-300),
             what=f"cauchy transform of degree {poly.degree} at eps={u:.6g} "
                  f"(order {order})")
         results.append(CauchyResult(value=value, error=err, warnings=warnings))
@@ -234,7 +320,8 @@ def cauchy_row(ev: CauchyEvaluator, degrees, eps: complex,
     evaluator under (d, eps, order).
 
     The degrees missing from the memo are computed together; on the
-    quadrature backend that is one ``cauchy_quadrature_row`` pass.
+    quadrature backend that is one ``cauchy_quadrature_row`` pass, run
+    on the evaluator's level table.
     """
     degrees = tuple(degrees)
     for n in degrees:
@@ -253,9 +340,9 @@ def cauchy_row(ev: CauchyEvaluator, degrees, eps: complex,
                 computed.append(CauchyResult(value=value, error=abs(value) * 1e-15,
                                              warnings=_inside_warnings(ev.weight, u)))
         else:
-            computed = cauchy_quadrature_row(
+            computed = _quadrature_row(
                 ev.weight, [ev.system.poly(n) for n in missing], u, ev.tolerance,
-                order)
+                order, ev._levels)
         for n, result in zip(missing, computed):
             ev._memo[n, u, order] = result
     return tuple(ev._memo[n, u, order] for n in degrees)

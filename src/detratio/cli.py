@@ -228,6 +228,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detratio",
@@ -238,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
                              ("verify", cmd_verify, False), ("scan", cmd_scan, True)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON run config")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="override the oracle seed")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default=None,

@@ -12,9 +12,10 @@ from detratio import (ConstraintError, ConvergenceError, NumericalError, Poly,
                       custom_weight, expectation_ratio, full_plane_domain,
                       gaussian_weight, ortho_system, series_transform)
 from detratio.cauchy import cauchy_quadrature_row
+from detratio.orthopoly import eval_poly
 from detratio.quadrature import (adaptive_integral, angular_rule,
                                  cauchy_kernel_grid, disk_chord_lengths,
-                                 unit_radial_rule)
+                                 star_grid, unit_radial_rule)
 
 EPS_GRID = (1.5, 2.0, 5.0, 20.0)
 
@@ -389,3 +390,102 @@ def test_failing_row_entry_names_its_degree():
         cauchy_quadrature_row(CUSP, polys, 0.5 + 0.5j, 1e-7)
     for level in ("192x256", "384x512", "768x1024"):
         assert level in str(info.value)
+
+
+# anisotropic, so its transforms take the quadrature backend
+ANISO = custom_weight(lambda z: np.exp(-(np.real(z) ** 2 + 2.0 * np.imag(z) ** 2)),
+                      full_plane_domain(7.0))
+
+# (degrees, eps, order) rows for one evaluator, interleaving far poles at
+# orders 0 and 1, two rows at one centred pole, a new centred pole, and a
+# return to earlier poles with other degrees; only the shifted gaussian
+# has centred poles outside its effective support, where order 1 is defined
+INTERLEAVED_ROWS = {
+    "shifted": [((0, 1, 2), 14.0 + 2.0j, 0), ((0, 1, 2), -13.0 + 5.0j, 1),
+                ((0, 1, 2, 3), 5.0 + 1.0j, 0), ((0, 1, 2, 3), 5.0 + 1.0j, 1),
+                ((1, 2), -0.6 + 0.8j, 0), ((2, 3, 4, 5), 14.0 + 2.0j, 0),
+                ((3, 4), -13.0 + 5.0j, 1), ((4, 5), 5.0 + 1.0j, 1)],
+    "aniso": [((0, 1, 2), 9.0 + 1.0j, 0), ((0, 1, 2), -8.0 + 4.0j, 1),
+              ((0, 1, 2, 3), 2.0 + 1.0j, 0), ((3, 4, 5), 2.0 + 1.0j, 0),
+              ((1, 2), -1.0 - 0.5j, 0), ((2, 3, 4, 5), 9.0 + 1.0j, 0),
+              ((4, 5), 2.0 + 1.0j, 0)],
+    "disk": [((0, 1, 2), 2.0 + 0.5j, 0), ((0, 1, 2), -1.5 + 1.5j, 1),
+             ((0, 1, 2), 0.3 + 0.2j, 0), ((2, 3, 4), 0.3 + 0.2j, 0),
+             ((1, 2), -0.5 + 0.1j, 0), ((2, 3, 4, 5), 2.0 + 0.5j, 0),
+             ((4, 5), 0.3 + 0.2j, 0)],
+}
+
+
+def _untabled_transform(spec, poly, eps, tol, order) -> tuple[complex, float]:
+    """Value and error of one quadrature transform, each level built
+    from scratch: the algorithm of ``cauchy_quadrature_row`` written out
+    with the same operation order, and nothing kept between levels."""
+    u = complex(eps)
+    pole, boundary = np.conj(u), spec.domain.quad_radius
+
+    def level(n_r, n_t):
+        if abs(u) <= boundary:
+            rho_max = (disk_chord_lengths(pole, spec.domain.radius)
+                       if spec.domain.kind == "disk" else boundary + abs(u))
+            grid = cauchy_kernel_grid(pole, rho_max, n_r, n_t, order=order)
+            return grid.nodes, spec.evaluate(grid.nodes) * grid.weights
+        grid = star_grid(0j, boundary, n_r, n_t)
+        g = spec.evaluate(grid.nodes) * grid.weights
+        shift = np.conj(grid.nodes)
+        shift -= u
+        if order:
+            g *= math.factorial(order)
+            shift **= order + 1
+        return grid.nodes, g / shift
+
+    def integrate(n_r, n_t):
+        nodes, g = level(n_r, n_t)
+        return complex(np.dot(eval_poly(poly, nodes), g)) / (2j * math.pi)
+
+    nodes, g = level(48, 64)
+    l1 = float(np.dot(np.abs(eval_poly(poly, nodes)), np.abs(g))) / (2 * math.pi)
+    return adaptive_integral(integrate, tol, start=(96, 128), max_doublings=3,
+                             scale=1e-6 * max(l1, 1e-300))
+
+
+@pytest.mark.parametrize("which", sorted(INTERLEAVED_ROWS))
+def test_evaluator_rows_equal_fresh_rows_whatever_came_before(request, which):
+    spec = ANISO if which == "aniso" else request.getfixturevalue(which)
+    sys_ = ortho_system(spec, 6)
+    ev = cauchy_evaluator(sys_, method="quadrature")
+    for degrees, eps, order in INTERLEAVED_ROWS[which]:
+        row = cauchy_row(ev, degrees, eps, order)
+        polys = [sys_.poly(d) for d in degrees]
+        fresh = cauchy_quadrature_row(spec, polys, eps, ev.tolerance, order)
+        assert repr(row) == repr(fresh), (degrees, eps, order)
+        for poly, res in zip(polys, row):
+            assert repr((res.value, res.error)) == repr(_untabled_transform(
+                spec, poly, eps, ev.tolerance, order)), (poly.degree, eps, order)
+
+
+def test_far_levels_are_built_once_per_evaluator(monkeypatch, shifted):
+    sys_ = ortho_system(shifted, 4)
+    ev = cauchy_evaluator(sys_, method="quadrature")
+    built = _grid_counter(monkeypatch)
+    cauchy_row(ev, range(3), 14.0 + 2.0j)
+    first = len(built)
+    cauchy_row(ev, range(3), -13.0 + 5.0j, 1)
+    cauchy_row(ev, range(3), 11.0 - 6.0j)
+    assert first == len(ev._levels.far) and len(built) == first
+
+
+def test_level_table_stays_bounded_over_long_scans(shifted):
+    ev = cauchy_evaluator(ortho_system(shifted, 4), method="quadrature")
+    boundary = shifted.domain.quad_radius
+    for k in range(60):
+        phase = np.exp(2j * np.pi * k / 60)
+        cauchy_row(ev, range(3), (boundary + 1.0 + k / 10) * phase)
+        cauchy_row(ev, range(3), (0.5 + k / 20) * phase)
+    table = ev._levels
+    # the probe level and every level adaptive_integral can visit
+    visitable = 2 + cauchy_module._MAX_DOUBLINGS
+    assert 0 < len(table.far) <= visitable
+    assert 0 < len(table.centred) <= visitable
+    assert table.centred_pole == (0.5 + 59 / 20) * np.exp(2j * np.pi * 59 / 60)
+    levels = [*table.far.values(), *table.centred.values()]
+    assert all(len(lv.poly_values) <= 3 for lv in levels)

@@ -335,6 +335,15 @@ def test_tolerance_flag_must_be_positive_and_finite(tmp_path, capsys, tolerance)
     assert "--tolerance: expected a positive finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_seed_flag_must_be_a_non_negative_integer(tmp_path, capsys, seed):
+    cfg = write_config(tmp_path, base_config())
+    with pytest.raises(SystemExit) as exc:
+        run(["eval", "--config", cfg, "--seed", seed])
+    assert exc.value.code == 2
+    assert "--seed: expected an integer >= 0" in capsys.readouterr().err
+
+
 def test_readme_example_config_parses():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("### Run configuration", 1)[1]
