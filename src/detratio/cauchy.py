@@ -33,15 +33,19 @@ Two backends:
   (weight values times quadrature weights, times the kernel on the
   plain grid) once for the whole row, so an entry's value at that level
   is the dot product of pi_n at the nodes with g, over 2 pi i.  Each
-  entry still converges on its own.  An evaluator keeps the levels in a
-  table that its later rows read.  The plain grid (Gauss-Legendre in
-  the radius, the periodic trapezoid rule in the angle; Trefethen &
-  Weideman, SIAM Rev. 56 (2014)) does not depend on the pole, so its
-  nodes, w * weights and pi_n values serve every far row, and only the
-  kernel and the dot products are per row.  A centred grid's nodes, w
-  values and pi_n values serve the rows at the same pole, such as the
-  order-1 row of a confluent pole, until a row at another centred pole
-  replaces them.
+  entry still converges on its own, over at most five levels of
+  ``adaptive_integral``, the probe first: the 48x64 probe sets the
+  entry's scale and is also its first value, so an entry whose 48x64
+  and 96x128 values agree stops at 96x128.  An evaluator keeps the
+  levels in a table that its later rows read.  The plain grid
+  (Gauss-Legendre in the radius, the periodic trapezoid rule in the
+  angle; Trefethen & Weideman, SIAM Rev. 56 (2014)) does not depend on
+  the pole, so its nodes, w * weights and pi_n values serve every far
+  row, and only the kernel and the dot products are per row.  A centred
+  grid's nodes, w values and pi_n values serve the rows at the same
+  pole, such as the order-1 row of a confluent pole, until a row at
+  another centred pole replaces them; only its kernel weights, which
+  depend on the order, are formed per row.
 
 Derivative transforms deserve a caveat: for k >= 1 the kernel is only
 conditionally integrable in 2D, and with the pole inside the weight's
@@ -73,7 +77,7 @@ import numpy as np
 from .errors import ConstraintError, ConvergenceError, NumericalError
 from .orthopoly import MonicPoly, OrthoSystem, eval_poly
 from .quadrature import (ROUNDING_FLOOR, adaptive_integral, cauchy_kernel_grid,
-                         disk_chord_lengths, star_grid)
+                         cauchy_kernel_weights, disk_chord_lengths, star_grid)
 from .weight import DISK, WeightSpec, radial_mass
 
 ROTINV_SERIES = "rotinv-series"
@@ -134,7 +138,7 @@ class CauchyEvaluator:
     evaluator's life; for the grid centred on the most recent centred
     pole, each level's nodes, w and pi_d values, replaced when a row
     at another centred pole arrives.  A row visits at most five levels
-    (the probe and the four of ``adaptive_integral``), so with D degrees
+    of ``adaptive_integral``, the probe first, so with D degrees
     requested the table never exceeds 2 x 5 x (2 + D) vectors, the
     largest of 786,432 nodes, however many poles a scan visits.
     """
@@ -214,10 +218,10 @@ def cauchy_quadrature_row(spec: WeightSpec, polys, eps: complex,
     its nodes and one vector g = w * weights (times the kernel, for a
     pole outside the domain), so an entry's value there is
     dot(pi(nodes), g) / (2 pi i).  An entry's L1 scale is the dot
-    product of |pi(nodes)| with |g| on the probe level.  Each entry runs
-    its own ``adaptive_integral`` on those tables, with its own probe
-    scale, and stops at its own level, so its value, error and warnings
-    are those of a row holding it alone.
+    product of |pi(nodes)| with |g| on the 48x64 probe level.  Each entry
+    runs its own ``adaptive_integral`` on those tables from the probe
+    level up, with its own probe scale, and stops at its own level, so
+    its value, error and warnings are those of a row holding it alone.
 
     The levels, with the weight values and each pi(nodes) on them, live
     in a table that this call builds and drops.  ``cauchy_row`` runs the
@@ -235,11 +239,11 @@ def cauchy_quadrature_row(spec: WeightSpec, polys, eps: complex,
                            _LevelTable())
 
 
-# refinement schedule of a quadrature row: one probe level, then
-# adaptive_integral from _START with at most _MAX_DOUBLINGS doublings
+# refinement schedule of a quadrature row: adaptive_integral from the
+# probe level, which also sets each entry's scale, with at most
+# _MAX_DOUBLINGS doublings
 _PROBE = (48, 64)
-_START = (96, 128)
-_MAX_DOUBLINGS = 3
+_MAX_DOUBLINGS = 4
 
 
 def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
@@ -259,12 +263,13 @@ def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
         levels = table.centred
 
         def level(n_r: int, n_t: int):
-            # the weights depend on the order, the nodes do not
-            grid = cauchy_kernel_grid(pole, rho_max, n_r, n_t, order=order)
             lv = levels.get((n_r, n_t))
             if lv is None:
+                grid = cauchy_kernel_grid(pole, rho_max, n_r, n_t, order=order)
                 lv = levels[n_r, n_t] = _Level(grid.nodes, spec.evaluate(grid.nodes))
-            return lv, lv.weighted * grid.weights
+                return lv, lv.weighted * grid.weights
+            # the weights depend on the order, the nodes do not
+            return lv, lv.weighted * cauchy_kernel_weights(rho_max, n_r, n_t, order)
     else:
         levels = table.far
 
@@ -286,7 +291,7 @@ def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
     probe, probe_g = level(*_PROBE)
     probe_scale = np.abs(probe_g)
 
-    row_levels = {}
+    row_levels = {_PROBE: (probe, probe_g)}
 
     def integrate(poly, n_r: int, n_t: int) -> complex:
         if (n_r, n_t) not in row_levels:
@@ -300,7 +305,7 @@ def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
         l1 = float(np.dot(np.abs(probe.values(poly)), probe_scale)) \
             / (2 * math.pi)
         value, err = adaptive_integral(
-            functools.partial(integrate, poly), tolerance, start=_START,
+            functools.partial(integrate, poly), tolerance, start=_PROBE,
             max_doublings=_MAX_DOUBLINGS, scale=1e-6 * max(l1, 1e-300),
             what=f"cauchy transform of degree {poly.degree} at eps={u:.6g} "
                  f"(order {order})")

@@ -86,13 +86,25 @@ def cauchy_kernel_grid(center: complex, rho_max, n_r: int, n_t: int,
     the radial node alone, so nodes and weights are each one outer
     product of a ray vector and a radial vector.
     """
+    phis, lengths, _ = _ray_lengths(rho_max, n_t)
+    x, _ = unit_radial_rule(n_r)
+    nodes = center + (lengths * np.exp(1j * phis))[:, None] * x[None, :]
+    return PolarGrid(nodes=nodes.ravel(),
+                     weights=cauchy_kernel_weights(rho_max, n_r, n_t, order))
+
+
+def cauchy_kernel_weights(rho_max, n_r: int, n_t: int,
+                          order: int = 0) -> np.ndarray:
+    """The weights of ``cauchy_kernel_grid`` alone, without its nodes.
+
+    They depend on the centre only through ``rho_max``, so grids of one
+    centre and size that differ in ``order`` share their nodes.
+    """
     phis, lengths, w_phi = _ray_lengths(rho_max, n_t)
     x, w_x = unit_radial_rule(n_r)
     ray_weights = lengths ** (1 - order) * (w_phi * math.factorial(order)) \
         * np.exp(1j * (order + 1) * phis)
-    nodes = center + (lengths * np.exp(1j * phis))[:, None] * x[None, :]
-    weights = ray_weights[:, None] * (w_x / x ** order)[None, :]
-    return PolarGrid(nodes=nodes.ravel(), weights=weights.ravel())
+    return (ray_weights[:, None] * (w_x / x ** order)[None, :]).ravel()
 
 
 def disk_chord_lengths(center: complex, radius: float):

@@ -135,7 +135,9 @@ class WeightSpec:
         if self.kind == "disk-flat":
             vals = np.ones_like(z, dtype=float)
         elif self.kind == CUSTOM:
-            vals = np.asarray(self.evaluator(z), dtype=float)
+            # real values may come in a complex array; an evaluator with a
+            # nonzero imaginary part is refused when the spec is built
+            vals = np.asarray(np.real(self.evaluator(z)), dtype=float)
         else:  # a gaussian, shifted or centred at 0
             vals = np.exp(-self.parameters[-1] * np.abs(z - self.centre) ** 2)
         if self.domain.kind == DISK:
@@ -182,6 +184,15 @@ def _check_positivity(spec: WeightSpec, samples: int = 64) -> None:
     r = spec.domain.quad_radius * np.sqrt(rng.random(samples))
     th = 2 * np.pi * rng.random(samples)
     z = r * np.exp(1j * th)
+    if spec.kind == CUSTOM:
+        # complex arithmetic leaves rounding in the imaginary part: about
+        # 1e-16 of the largest value for exp(-z * conj(z))
+        raw = np.asarray(spec.evaluator(z))
+        imag = np.max(np.abs(np.imag(raw)))
+        if imag > 1e-12 * np.max(np.abs(raw)):   # non-finite: refused below
+            raise ConstraintError(
+                f"weight {spec.kind} is not real-valued on its domain "
+                f"(imaginary parts up to {imag:.4g})")
     vals = spec.evaluate(z)
     if np.any(~np.isfinite(vals)) or np.any(vals <= 0):
         bad = z[np.argmin(vals)]
@@ -249,7 +260,9 @@ FAMILIES = {
 def custom_weight(evaluator: Callable, domain: DomainSpec, *, amplitude: float = 1.0,
                   rotation_invariant: bool = False) -> WeightSpec:
     """Wrap a user-supplied evaluator.  The domain (with cutoff, for
-    full-plane weights) must be declared explicitly."""
+    full-plane weights) must be declared explicitly.  The evaluator may
+    return a complex array, but its imaginary parts must be rounding
+    only; a complex-valued weight is refused with ConstraintError."""
     return WeightSpec(kind=CUSTOM, parameters=(), domain=domain,
                       amplitude=float(amplitude),
                       rotation_invariant=rotation_invariant, evaluator=evaluator)

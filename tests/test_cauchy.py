@@ -361,6 +361,32 @@ def test_row_builds_the_grids_of_its_deepest_entry(monkeypatch, shifted):
     assert len(built) == before
 
 
+def test_resolved_row_stops_after_one_doubling(monkeypatch, shifted):
+    # where every entry's 48x64 and 96x128 values agree, a row builds the
+    # probe level and one doubling, and nothing deeper
+    polys = ortho_system(shifted, 4).polys
+    boundary = shifted.domain.quad_radius
+    built = _grid_counter(monkeypatch)
+    for eps in (14.0 + 2.0j, 4.6 + 0.5j):   # far, then centred
+        assert (abs(eps) > boundary) == (eps == 14.0 + 2.0j)
+        before = len(built)
+        cauchy_quadrature_row(shifted, polys, eps)
+        assert built[before:] == [48 * 64, 96 * 128]
+
+
+def test_confluent_order_one_row_builds_no_nodes(monkeypatch, shifted):
+    # the order-1 row at a centred pole reads the nodes, weight values and
+    # pi_d values of the order-0 row before it; only its kernel weights,
+    # which depend on the order, are formed anew
+    ev = cauchy_evaluator(ortho_system(shifted, 4), method="quadrature")
+    eps = 5.5 + 0.5j
+    built = _grid_counter(monkeypatch)
+    cauchy_row(ev, range(4), eps, 0)
+    assert len(built) == len(ev._levels.centred) == 3
+    cauchy_row(ev, range(4), eps, 1)
+    assert len(built) == len(ev._levels.centred) == 3
+
+
 def test_row_fills_memo_with_single_entry_bits(gauss_sys):
     degrees, eps = range(6), 4.6 + 0.5j
     for method in ("rotinv-series", "quadrature"):
@@ -442,9 +468,10 @@ def _untabled_transform(spec, poly, eps, tol, order) -> tuple[complex, float]:
         nodes, g = level(n_r, n_t)
         return complex(np.dot(eval_poly(poly, nodes), g)) / (2j * math.pi)
 
-    nodes, g = level(48, 64)
+    nodes, g = level(*cauchy_module._PROBE)
     l1 = float(np.dot(np.abs(eval_poly(poly, nodes)), np.abs(g))) / (2 * math.pi)
-    return adaptive_integral(integrate, tol, start=(96, 128), max_doublings=3,
+    return adaptive_integral(integrate, tol, start=cauchy_module._PROBE,
+                             max_doublings=cauchy_module._MAX_DOUBLINGS,
                              scale=1e-6 * max(l1, 1e-300))
 
 
@@ -482,10 +509,63 @@ def test_level_table_stays_bounded_over_long_scans(shifted):
         cauchy_row(ev, range(3), (boundary + 1.0 + k / 10) * phase)
         cauchy_row(ev, range(3), (0.5 + k / 20) * phase)
     table = ev._levels
-    # the probe level and every level adaptive_integral can visit
-    visitable = 2 + cauchy_module._MAX_DOUBLINGS
+    # every level adaptive_integral can visit, the probe first
+    visitable = 1 + cauchy_module._MAX_DOUBLINGS
+    assert visitable == 5
     assert 0 < len(table.far) <= visitable
     assert 0 < len(table.centred) <= visitable
     assert table.centred_pole == (0.5 + 59 / 20) * np.exp(2j * np.pi * 59 / 60)
     levels = [*table.far.values(), *table.centred.values()]
     assert all(len(lv.poly_values) <= 3 for lv in levels)
+
+
+def _pole_classes(spec) -> dict:
+    """Pole radii inside the effective support, between it and the
+    truncation radius (pole-centred grid), and beyond that radius
+    (origin-centred grid); a disk has no middle class."""
+    support, boundary = spec.effective_support_radius, spec.domain.quad_radius
+    return {"inner": (0.1 * support, 0.5 * support, 0.95 * support),
+            "mid": (1.05 * support, (support + boundary) / 2, 0.98 * boundary)
+            if boundary > support else (),
+            "far": (1.02 * boundary, 1.5 * boundary, 4 * boundary)}
+
+
+@pytest.mark.parametrize("which", ["gauss", "disk", "shifted"])
+def test_quadrature_rows_match_exact_series_over_pole_classes(request, gauss,
+                                                              which):
+    # exact references: the series on the rotation-invariant weights, the
+    # translated gaussian series on the shifted gaussian.  Order 1 is
+    # defined outside the effective support and compared beyond the
+    # truncation radius: on a full-plane weight the conventions differ
+    # in between by about the weight at the pole (see the module
+    # docstring of detratio.cauchy), and a disk has no such poles.
+    spec = request.getfixturevalue(which)
+    polys = ortho_system(spec, 8).polys
+    reference = gauss if which == "shifted" else spec
+    shift = np.conj(spec.centre)
+    tol = 1e-9
+    failed = []
+    for cls, radii in _pole_classes(spec).items():
+        orders = (0, 1) if cls == "far" else (0,)
+        for r in radii:
+            for angle in (0.3, 2.0, 4.0):
+                eps = r * np.exp(1j * angle)
+                for order in orders:
+                    try:
+                        row = cauchy_quadrature_row(spec, polys, eps, tol, order)
+                    except ConvergenceError:
+                        failed.append((cls, r, order))
+                        continue
+                    for n, res in enumerate(row):
+                        exact = series_transform(reference, n, eps - shift, order)
+                        # worst error / (tol |exact|) over this sweep: 0.35
+                        # up to degree 5; 569 at degrees 6-8, whose values
+                        # fall up to nine orders below their L1 scale, so
+                        # the 1e-6 L1 floor decides where they stop
+                        bound = 1.0 if n <= 5 else 2e3
+                        assert abs(res.value - exact) <= bound * tol * abs(exact), \
+                            (cls, eps, order, n)
+    # the origin-centred grid does not resolve a pole 2% outside the unit
+    # disk at this tolerance, and says so
+    near_disk = [("far", 1.02, order) for order in (0, 1) for _ in range(3)]
+    assert sorted(failed) == (sorted(near_disk) if which == "disk" else [])

@@ -127,6 +127,22 @@ def test_positivity_is_checked():
         custom_weight(lambda z: np.real(z), dom)
 
 
+def test_complex_valued_custom_weight_is_refused():
+    with pytest.raises(ConstraintError, match="not real-valued"):
+        custom_weight(lambda z: np.exp(-np.abs(z) ** 2) * (1 + 1j),
+                      full_plane_domain(6.0))
+
+
+def test_real_custom_weight_in_complex_dtype_is_accepted(gauss):
+    # z * conj(z) carries imaginary parts of rounding size only; the suite
+    # turns a ComplexWarning into an error, so none may be raised either
+    spec = custom_weight(lambda z: np.exp(-z * np.conj(z)), full_plane_domain(9.0))
+    z = np.array([0.3 + 0.4j, 1.5 - 0.2j])
+    assert spec.evaluate(z) == pytest.approx(gauss.evaluate(z), rel=1e-15)
+    assert moment_matrix(spec, 1, method="quadrature").entries[1, 1] == \
+        pytest.approx(PI, rel=1e-9)
+
+
 def test_domain_validation():
     with pytest.raises(ConstraintError):
         disk_flat_weight(radius=-1.0)
