@@ -76,7 +76,7 @@ import numpy as np
 
 from .errors import ConstraintError, ConvergenceError, NumericalError
 from .orthopoly import MonicPoly, OrthoSystem, eval_poly
-from .quadrature import (ROUNDING_FLOOR, adaptive_integral, cauchy_kernel_grid,
+from .quadrature import (PROBE, ROUNDING_FLOOR, adaptive_integral, cauchy_kernel_grid,
                          cauchy_kernel_weights, disk_chord_lengths, star_grid)
 from .weight import DISK, WeightSpec, radial_mass
 
@@ -198,12 +198,10 @@ def series_transform(spec: WeightSpec, n: int, eps: complex, order: int = 0) -> 
 
 
 def _inside_warnings(spec: WeightSpec, eps: complex) -> tuple:
-    if spec.domain.kind == DISK:
-        if abs(eps) <= spec.domain.radius:
-            return ("singularity inside domain",)
-        return ()
-    if abs(eps) < spec.effective_support_radius:
-        return ("singularity inside effective support",)
+    """Flag a pole on or inside the effective support (on a disk, the disk)."""
+    if abs(eps) <= spec.effective_support_radius:
+        return ("singularity inside domain" if spec.domain.kind == DISK
+                else "singularity inside effective support",)
     return ()
 
 
@@ -239,13 +237,6 @@ def cauchy_quadrature_row(spec: WeightSpec, polys, eps: complex,
                            _LevelTable())
 
 
-# refinement schedule of a quadrature row: adaptive_integral from the
-# probe level, which also sets each entry's scale, with at most
-# _MAX_DOUBLINGS doublings
-_PROBE = (48, 64)
-_MAX_DOUBLINGS = 4
-
-
 def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
                     order: int, table: _LevelTable) -> tuple[CauchyResult, ...]:
     _refuse_interior_derivative_pole(spec, u, order)
@@ -255,7 +246,7 @@ def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
     if abs(u) <= boundary:
         # centred on the pole: the kernel is folded into the grid weights
         if spec.domain.kind == DISK:
-            rho_max = disk_chord_lengths(pole, spec.domain.radius)
+            rho_max = disk_chord_lengths(pole, boundary)
         else:
             rho_max = boundary + abs(u)
         if table.centred_pole != u:
@@ -288,10 +279,10 @@ def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
                 shift **= order + 1
             return lv, g / shift
 
-    probe, probe_g = level(*_PROBE)
+    probe, probe_g = level(*PROBE)
     probe_scale = np.abs(probe_g)
 
-    row_levels = {_PROBE: (probe, probe_g)}
+    row_levels = {PROBE: (probe, probe_g)}
 
     def integrate(poly, n_r: int, n_t: int) -> complex:
         if (n_r, n_t) not in row_levels:
@@ -305,8 +296,7 @@ def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
         l1 = float(np.dot(np.abs(probe.values(poly)), probe_scale)) \
             / (2 * math.pi)
         value, err = adaptive_integral(
-            functools.partial(integrate, poly), tolerance, start=_PROBE,
-            max_doublings=_MAX_DOUBLINGS, scale=1e-6 * max(l1, 1e-300),
+            functools.partial(integrate, poly), tolerance, scale=1e-6 * max(l1, 1e-300),
             what=f"cauchy transform of degree {poly.degree} at eps={u:.6g} "
                  f"(order {order})")
         results.append(CauchyResult(value=value, error=err, warnings=warnings))

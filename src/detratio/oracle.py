@@ -18,8 +18,8 @@ deterministically derived per-batch RNG streams; the reduction order is
 fixed, so estimates are bit-reproducible for a given (seed, config).
 The second moment of an inverse factor 1/|eps - z|^2 is log-divergent
 in 2D, so Monte Carlo runs with M > 0 require every eps to stay at
-least half a domain scale away from the effective support; closer poles
-belong to the quadrature oracle.
+least half the effective-support radius away from the effective support;
+closer poles belong to the quadrature oracle.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .weight import WeightSpec, closed_moment
 TENSOR_QUADRATURE = "tensor-quadrature"
 MONTE_CARLO = "monte-carlo"
 
-MC_MIN_SUPPORT_DISTANCE = 0.5  # in units of the domain scale
+MC_MIN_SUPPORT_DISTANCE = 0.5  # in units of the effective-support radius
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def _tensor_estimate(q: RatioQuery, spec: WeightSpec, cfg: OracleConfig,
 
 
 def _check_mc_pole_policy(spec: WeightSpec, epsbars) -> None:
-    floor = MC_MIN_SUPPORT_DISTANCE * spec.domain_scale
+    floor = MC_MIN_SUPPORT_DISTANCE * spec.effective_support_radius
     for eb in epsbars:
         if abs(complex(eb) - spec.centre) - spec.effective_support_radius < floor:
             raise ConstraintError(

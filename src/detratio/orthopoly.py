@@ -181,12 +181,11 @@ def partition_function(sys: OrthoSystem, n_eigenvalues: int) -> float:
     return value
 
 
-def orthogonality_residual_matrix(sys: OrthoSystem, n_r: int = 192,
-                                  n_t: int = 256) -> np.ndarray:
+def orthogonality_residual_matrix(sys: OrthoSystem) -> np.ndarray:
     """Normalized Gram residuals |<pi_j, pi_k> - delta r_k| / sqrt(r_j r_k)
-    measured by quadrature."""
+    measured by quadrature on the 192x256 grid."""
     spec = sys.weight
-    grid = star_grid(0j, spec.domain.quad_radius, n_r, n_t)
+    grid = star_grid(0j, spec.domain.quad_radius, 192, 256)
     wvals = spec.evaluate(grid.nodes) * grid.weights
     values = np.vstack([eval_poly(p, grid.nodes) for p in sys.polys])
     gram = (values * wvals) @ values.conj().T

@@ -127,10 +127,15 @@ def disk_chord_lengths(center: complex, radius: float):
 ROUNDING_FLOOR = 32 * float(np.finfo(float).eps)
 
 
-def adaptive_integral(evaluate, tol: float, *, start: tuple[int, int] = (64, 96),
-                      max_doublings: int = 4, scale: float = 0.0,
+# the one refinement schedule, of moments and Cauchy rows alike: the probe
+# level, then at most four doublings of both node counts, up to 768x1024
+PROBE = (48, 64)
+MAX_DOUBLINGS = 4
+
+
+def adaptive_integral(evaluate, tol: float, *, scale: float = 0.0,
                       what: str = "integral") -> tuple[complex | np.ndarray, float]:
-    """Refine ``evaluate(n_r, n_t)`` by doubling both node counts.
+    """Refine ``evaluate(n_r, n_t)`` from ``PROBE`` by doubling both node counts.
 
     ``evaluate`` returns a complex number or an array of them; for an
     array, changes and magnitudes are maxima over its entries.  Stops when
@@ -149,10 +154,10 @@ def adaptive_integral(evaluate, tol: float, *, start: tuple[int, int] = (64, 96)
         raise ConvergenceError(
             f"{what}: tol={tol:g} is below the rounding floor "
             f"{ROUNDING_FLOOR:.2e}; no quadrature refinement can certify it")
-    n_r, n_t = start
+    n_r, n_t = PROBE
     prev = np.asarray(evaluate(n_r, n_t), dtype=complex)
     history = []
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         n_r *= 2
         n_t *= 2
         cur = np.asarray(evaluate(n_r, n_t), dtype=complex)
@@ -165,6 +170,6 @@ def adaptive_integral(evaluate, tol: float, *, start: tuple[int, int] = (64, 96)
         prev = cur
     raise ConvergenceError(
         f"{what}: quadrature did not reach tol={tol:g} after "
-        f"{max_doublings} doublings (change at each level: "
+        f"{MAX_DOUBLINGS} doublings (change at each level: "
         f"{', '.join(history)}; value scale {ref:.3e})"
     )

@@ -26,8 +26,8 @@ removing a family touches this module alone.
 
 Custom weights supply an evaluator callable plus an explicit domain
 (including a cutoff radius for full-plane weights); there is no
-automatic support detection.  Their moments and radial masses come
-from quadrature, and they have no sampler.
+automatic support detection.  Their moments come from quadrature, their
+Cauchy transforms from the quadrature backend, and they have no sampler.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ import numpy as np
 from scipy.special import gammainc
 
 from .errors import ConstraintError, NumericalError, SingularMatrixError
-from .quadrature import adaptive_integral, star_grid, unit_radial_rule
+from .quadrature import adaptive_integral, star_grid
 
-DEFAULT_MOMENT_TOL = 1e-10
+MOMENT_TOL = 1e-10
 
 FULL_PLANE = "full-plane"
 DISK = "disk"
@@ -50,42 +50,36 @@ DISK = "disk"
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Integration domain: a disk, or the plane truncated for quadrature."""
+    """A disk, or the plane truncated for quadrature, of radius ``quad_radius``."""
 
     kind: str
-    radius: Optional[float] = None
-    cutoff_radius: Optional[float] = None
+    quad_radius: float
 
     def __post_init__(self):
-        if self.kind == DISK:
-            if self.radius is None or self.radius <= 0:
-                raise ConstraintError("disk domain requires a positive radius")
-        elif self.kind == FULL_PLANE:
-            if self.cutoff_radius is None or self.cutoff_radius <= 0:
-                raise ConstraintError(
-                    "full-plane domain requires a positive effective cutoff radius")
-        else:
+        if self.kind not in (DISK, FULL_PLANE):
             raise ConstraintError(f"unknown domain kind {self.kind!r}")
+        if self.quad_radius <= 0:
+            raise ConstraintError(f"{self.kind} domain requires a positive radius")
 
     @property
-    def quad_radius(self) -> float:
-        """Radius actually used by quadrature grids."""
-        return self.radius if self.kind == DISK else self.cutoff_radius
+    def radius(self) -> float:
+        """Alias of ``quad_radius``, read by bench/make_pools.py."""
+        return self.quad_radius
 
 
 def disk_domain(radius: float) -> DomainSpec:
-    return DomainSpec(kind=DISK, radius=float(radius))
+    return DomainSpec(kind=DISK, quad_radius=float(radius))
 
 
 def full_plane_domain(cutoff_radius: float) -> DomainSpec:
-    return DomainSpec(kind=FULL_PLANE, cutoff_radius=float(cutoff_radius))
+    return DomainSpec(kind=FULL_PLANE, quad_radius=float(cutoff_radius))
 
 
-def gaussian_cutoff(scale: float, max_order: int, tail: float = 1e-16) -> float:
-    """Truncation radius R with exp(-scale R^2) R^(2n+1) below ``tail`` of the
+def gaussian_cutoff(scale: float, max_order: int) -> float:
+    """Truncation radius R with exp(-scale R^2) R^(2n+1) below 1e-16 of the
     full radial integral for every moment order up to ``max_order``."""
     n = max_order
-    target = math.log(tail) + math.lgamma(n + 1) - math.log(2.0) \
+    target = math.log(1e-16) + math.lgamma(n + 1) - math.log(2.0) \
         - (n + 1) * math.log(scale)
 
     def excess(r: float) -> float:
@@ -118,7 +112,6 @@ class WeightSpec:
     parameters: tuple
     domain: DomainSpec
     amplitude: float = 1.0
-    rotation_invariant: bool = False
     evaluator: Optional[Callable] = field(default=None, repr=False)
     max_order: int = 16
 
@@ -141,7 +134,8 @@ class WeightSpec:
         else:  # a gaussian, shifted or centred at 0
             vals = np.exp(-self.parameters[-1] * np.abs(z - self.centre) ** 2)
         if self.domain.kind == DISK:
-            vals = np.where(np.abs(z) <= self.domain.radius * (1 + 1e-14), vals, 0.0)
+            vals = np.where(np.abs(z) <= self.domain.quad_radius * (1 + 1e-14),
+                            vals, 0.0)
         return self.amplitude * vals
 
     @property
@@ -163,9 +157,14 @@ class WeightSpec:
         return self.centre + r * np.exp(2j * np.pi * v)
 
     @property
+    def rotation_invariant(self) -> bool:
+        """Whether w depends on |z| alone: the centred gaussian and the disk."""
+        return self.kind in ("gaussian", "disk-flat")
+
+    @property
     def domain_scale(self) -> float:
-        return self.domain.radius if self.domain.kind == DISK \
-            else self.effective_support_radius
+        """Alias of ``effective_support_radius``, read by bench/make_pools.py."""
+        return self.effective_support_radius
 
     @property
     def effective_support_radius(self) -> float:
@@ -179,10 +178,10 @@ class WeightSpec:
         return f"{self.kind}({params})x{self.amplitude:g}"
 
 
-def _check_positivity(spec: WeightSpec, samples: int = 64) -> None:
+def _check_positivity(spec: WeightSpec) -> None:
     rng = np.random.default_rng(1234)
-    r = spec.domain.quad_radius * np.sqrt(rng.random(samples))
-    th = 2 * np.pi * rng.random(samples)
+    r = spec.domain.quad_radius * np.sqrt(rng.random(64))
+    th = 2 * np.pi * rng.random(64)
     z = r * np.exp(1j * th)
     if spec.kind == CUSTOM:
         # complex arithmetic leaves rounding in the imaginary part: about
@@ -207,14 +206,12 @@ def gaussian_weight(scale: float = 1.0, amplitude: float = 1.0,
         raise ConstraintError("gaussian scale must be positive")
     dom = full_plane_domain(gaussian_cutoff(scale, max_order))
     return WeightSpec(kind="gaussian", parameters=(float(scale),), domain=dom,
-                      amplitude=float(amplitude), rotation_invariant=True,
-                      max_order=max_order)
+                      amplitude=float(amplitude), max_order=max_order)
 
 
 def disk_flat_weight(radius: float = 1.0, amplitude: float = 1.0) -> WeightSpec:
     return WeightSpec(kind="disk-flat", parameters=(float(radius),),
-                      domain=disk_domain(radius), amplitude=float(amplitude),
-                      rotation_invariant=True)
+                      domain=disk_domain(radius), amplitude=float(amplitude))
 
 
 def shifted_gaussian_weight(center: complex, scale: float = 1.0,
@@ -226,8 +223,7 @@ def shifted_gaussian_weight(center: complex, scale: float = 1.0,
     return WeightSpec(kind="shifted-gaussian",
                       parameters=(c.real, c.imag, float(scale)),
                       domain=full_plane_domain(cutoff),
-                      amplitude=float(amplitude), rotation_invariant=False,
-                      max_order=max_order)
+                      amplitude=float(amplitude), max_order=max_order)
 
 
 class Family(NamedTuple):
@@ -257,39 +253,29 @@ FAMILIES = {
 }
 
 
-def custom_weight(evaluator: Callable, domain: DomainSpec, *, amplitude: float = 1.0,
-                  rotation_invariant: bool = False) -> WeightSpec:
+def custom_weight(evaluator: Callable, domain: DomainSpec, *,
+                  amplitude: float = 1.0) -> WeightSpec:
     """Wrap a user-supplied evaluator.  The domain (with cutoff, for
     full-plane weights) must be declared explicitly.  The evaluator may
     return a complex array, but its imaginary parts must be rounding
-    only; a complex-valued weight is refused with ConstraintError."""
+    only; a complex-valued weight is refused with ConstraintError.  Its
+    moments and Cauchy transforms always come from quadrature, even when
+    the evaluator depends on |z| alone."""
     return WeightSpec(kind=CUSTOM, parameters=(), domain=domain,
-                      amplitude=float(amplitude),
-                      rotation_invariant=rotation_invariant, evaluator=evaluator)
+                      amplitude=float(amplitude), evaluator=evaluator)
 
 
 def radial_mass(spec: WeightSpec, n: int, t: float) -> float:
     """integral_0^t r^(2n+1) w(r) dr for rotation-invariant weights
-    (amplitude included).  ``t = inf`` gives the full radial moment."""
+    (amplitude included)."""
     if not spec.rotation_invariant:
         raise ConstraintError("radial mass is defined for rotation-invariant weights")
     amp = spec.amplitude
     if spec.kind == "gaussian":
         (scale,) = spec.parameters
         full = math.gamma(n + 1) / (2.0 * scale ** (n + 1))
-        if math.isinf(t):
-            return amp * full
         return amp * full * float(gammainc(n + 1, scale * t * t))
-    if spec.kind == "disk-flat":
-        (radius,) = spec.parameters
-        r = min(t, radius)
-        return amp * r ** (2 * n + 2) / (2 * n + 2)
-    # custom rotation-invariant weight: 1D Gauss-Legendre on [0, t]
-    upper = min(t, spec.domain.quad_radius)
-    x, w = unit_radial_rule(256)
-    r = upper * x
-    prof = spec.evaluate(r + 0j) / amp
-    return amp * upper * float(np.sum(w * r ** (2 * n + 1) * prof))
+    return amp * min(t, spec.parameters[0]) ** (2 * n + 2) / (2 * n + 2)  # the disk
 
 
 def closed_moment(spec: WeightSpec, j: int, k: int):
@@ -316,10 +302,8 @@ def closed_moment(spec: WeightSpec, j: int, k: int):
 
 
 def _moment_grid_radius(spec: WeightSpec, order: int) -> float:
-    if spec.domain.kind == DISK:
-        return spec.domain.radius
-    if order <= spec.max_order or spec.kind == CUSTOM:
-        return spec.domain.cutoff_radius
+    if spec.domain.kind == DISK or order <= spec.max_order or spec.kind == CUSTOM:
+        return spec.domain.quad_radius
     return gaussian_cutoff(spec.parameters[-1], order) + abs(spec.centre)
 
 
@@ -356,24 +340,21 @@ class MomentMatrix:
             raise
 
 
-def moment_matrix(spec: WeightSpec, n: int, *, method: str = "auto",
-                  tol: float = DEFAULT_MOMENT_TOL) -> MomentMatrix:
+def moment_matrix(spec: WeightSpec, n: int, *, method: str = "auto") -> MomentMatrix:
     """Moment matrix up to order n, Hermitized by mirroring the upper triangle.
 
-    ``method`` is "closed-form", "quadrature", or "auto" for the closed
-    form where the family has one and quadrature otherwise."""
+    ``method`` is "quadrature", or "auto" for the closed form where the
+    family has one and quadrature otherwise.  Quadrature refines to a
+    relative tolerance of ``MOMENT_TOL``."""
     if n < 0:
         raise ConstraintError("moment matrix order must be non-negative")
-    if method not in ("auto", "closed-form", "quadrature"):
+    if method not in ("auto", "quadrature"):
         raise ConstraintError(f"unknown moment method {method!r}")
     size = n + 1
-    use_closed = method != "quadrature" and closed_moment(spec, 0, 0) is not None
-    if use_closed:
+    if method == "auto" and closed_moment(spec, 0, 0) is not None:
         entries = np.array([[closed_moment(spec, j, k) for k in range(size)]
                             for j in range(size)], dtype=complex)
     else:
-        if method == "closed-form":
-            raise ConstraintError(f"no closed-form moments for weight {spec.kind!r}")
         radius = _moment_grid_radius(spec, 2 * n)
 
         def matrix_on(n_r: int, n_t: int) -> np.ndarray:
@@ -383,7 +364,7 @@ def moment_matrix(spec: WeightSpec, n: int, *, method: str = "auto",
             return (powers * wvals) @ powers.conj().T
 
         entries, _ = adaptive_integral(
-            matrix_on, tol, start=(48, 64),
+            matrix_on, MOMENT_TOL,
             what=f"moment matrix of order {n} for {spec.label()}")
 
     # Hermiticity by construction: keep the upper triangle, mirror-conjugate it.

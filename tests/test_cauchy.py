@@ -13,9 +13,10 @@ from detratio import (ConstraintError, ConvergenceError, NumericalError, Poly,
                       gaussian_weight, ortho_system, series_transform)
 from detratio.cauchy import cauchy_quadrature_row
 from detratio.orthopoly import eval_poly
-from detratio.quadrature import (adaptive_integral, angular_rule,
-                                 cauchy_kernel_grid, disk_chord_lengths,
-                                 star_grid, unit_radial_rule)
+from detratio.quadrature import (MAX_DOUBLINGS, PROBE, adaptive_integral,
+                                 angular_rule, cauchy_kernel_grid,
+                                 disk_chord_lengths, star_grid,
+                                 unit_radial_rule)
 
 EPS_GRID = (1.5, 2.0, 5.0, 20.0)
 
@@ -185,6 +186,17 @@ def test_eps_on_disk_boundary_treated_as_inside(disk, disk_sys):
     res = cauchy_quadrature(disk, disk_sys.polys[0], 1.0, tolerance=1e-8)
     assert "singularity inside domain" in res.warnings
     assert res.value == pytest.approx(0.5j, rel=1e-10)
+
+
+@pytest.mark.parametrize("method", ["rotinv-series", "quadrature"])
+def test_eps_on_effective_support_radius_flagged_at_order_0(gauss, gauss_sys, method):
+    # the derivative refusal treats this pole as on or inside the support,
+    # so order 0 flags it too, on either backend
+    assert gauss.effective_support_radius == 3.0
+    res = cauchy_transform_full(cauchy_evaluator(gauss_sys, method=method), 0, 3.0)
+    assert res.warnings == ("singularity inside effective support",)
+    with pytest.raises(NumericalError, match="on or inside"):
+        series_transform(gauss, 0, 3.0, order=1)
 
 
 def test_large_eps_decay(disk_ev, gauss_ev, disk_sys, gauss_sys):
@@ -403,9 +415,9 @@ def test_row_fills_memo_with_single_entry_bits(gauss_sys):
 
 def test_convergence_error_lists_refinement_history():
     with pytest.raises(ConvergenceError) as info:
-        adaptive_integral(lambda n_r, n_t: complex(n_r), 1e-9, start=(4, 4),
-                          max_doublings=3)
-    assert "8x8: 4.000e+00, 16x16: 8.000e+00, 32x32: 1.600e+01" in str(info.value)
+        adaptive_integral(lambda n_r, n_t: complex(n_r), 1e-9)
+    assert "96x128: 4.800e+01, 192x256: 9.600e+01, 384x512: 1.920e+02, " \
+        "768x1024: 3.840e+02" in str(info.value)
 
 
 def test_failing_row_entry_names_its_degree():
@@ -451,7 +463,7 @@ def _untabled_transform(spec, poly, eps, tol, order) -> tuple[complex, float]:
 
     def level(n_r, n_t):
         if abs(u) <= boundary:
-            rho_max = (disk_chord_lengths(pole, spec.domain.radius)
+            rho_max = (disk_chord_lengths(pole, boundary)
                        if spec.domain.kind == "disk" else boundary + abs(u))
             grid = cauchy_kernel_grid(pole, rho_max, n_r, n_t, order=order)
             return grid.nodes, spec.evaluate(grid.nodes) * grid.weights
@@ -468,11 +480,9 @@ def _untabled_transform(spec, poly, eps, tol, order) -> tuple[complex, float]:
         nodes, g = level(n_r, n_t)
         return complex(np.dot(eval_poly(poly, nodes), g)) / (2j * math.pi)
 
-    nodes, g = level(*cauchy_module._PROBE)
+    nodes, g = level(*PROBE)
     l1 = float(np.dot(np.abs(eval_poly(poly, nodes)), np.abs(g))) / (2 * math.pi)
-    return adaptive_integral(integrate, tol, start=cauchy_module._PROBE,
-                             max_doublings=cauchy_module._MAX_DOUBLINGS,
-                             scale=1e-6 * max(l1, 1e-300))
+    return adaptive_integral(integrate, tol, scale=1e-6 * max(l1, 1e-300))
 
 
 @pytest.mark.parametrize("which", sorted(INTERLEAVED_ROWS))
@@ -510,7 +520,7 @@ def test_level_table_stays_bounded_over_long_scans(shifted):
         cauchy_row(ev, range(3), (0.5 + k / 20) * phase)
     table = ev._levels
     # every level adaptive_integral can visit, the probe first
-    visitable = 1 + cauchy_module._MAX_DOUBLINGS
+    visitable = 1 + MAX_DOUBLINGS
     assert visitable == 5
     assert 0 < len(table.far) <= visitable
     assert 0 < len(table.centred) <= visitable

@@ -7,9 +7,10 @@ import pytest
 
 import detratio
 from detratio import (MONTE_CARLO, ConstraintError, OracleConfig, WeightSpec,
-                      custom_weight, disk_domain, disk_flat_weight,
-                      full_plane_domain, gaussian_weight, moment_matrix,
-                      oracle_partition)
+                      cauchy_evaluator, custom_weight, disk_domain,
+                      disk_flat_weight, full_plane_domain, gaussian_weight,
+                      moment_matrix, oracle_partition, ortho_system,
+                      shifted_gaussian_weight)
 from detratio.weight import CUSTOM, FAMILIES, closed_moment
 
 from conftest import family_weight
@@ -55,9 +56,8 @@ def test_moment_matrix_examples(gauss, disk):
 
 
 def test_custom_weight_matches_gaussian(gauss):
-    dom = full_plane_domain(gauss.domain.cutoff_radius)
-    spec = custom_weight(lambda z: np.exp(-np.abs(z) ** 2), dom,
-                         rotation_invariant=True)
+    dom = full_plane_domain(gauss.domain.quad_radius)
+    spec = custom_weight(lambda z: np.exp(-np.abs(z) ** 2), dom)
     a = moment_matrix(spec, 3).entries
     b = moment_matrix(gauss, 3).entries
     assert np.max(np.abs(a - b)) < 1e-9 * np.max(np.abs(b))
@@ -103,14 +103,6 @@ def test_quadrature_moments_converge_under_doubling(disk):
     coarse, fine = entry(48, 64), entry(96, 128)
     assert abs(fine - coarse) < 1e-10 * abs(fine)
     assert fine == pytest.approx(PI / 3, rel=1e-12)
-
-
-def test_moment_matrix_sub_floor_tolerance_raises_convergence_error():
-    # refused whatever the two levels happen to round to
-    from detratio import ConvergenceError, shifted_gaussian_weight
-    with pytest.raises(ConvergenceError):
-        moment_matrix(shifted_gaussian_weight(0.4 + 0.3j), 3,
-                      method="quadrature", tol=1e-17)
 
 
 def test_shifted_gaussian_closed_moments(shifted):
@@ -163,11 +155,28 @@ def test_unknown_moment_method_is_refused(disk):
         moment_matrix(disk, 1, method="quadratur")
 
 
-def test_shifted_gaussian_has_no_closed_form_error():
-    dom = full_plane_domain(6.0)
-    spec = custom_weight(lambda z: np.exp(-np.abs(z) ** 2), dom)
-    with pytest.raises(ConstraintError):
-        moment_matrix(spec, 0, method="closed-form")
+@pytest.mark.parametrize("spec", [gaussian_weight(), gaussian_weight(scale=0.5),
+                                  shifted_gaussian_weight(0.4 + 0.3j)],
+                         ids=["gauss", "gauss05", "shifted"])
+@pytest.mark.parametrize("n", [10, 12])
+def test_quadrature_moments_beyond_max_order_match_closed_form(spec, n):
+    # 2n exceeds the weight's max_order of 16, so the grid radius is
+    # recomputed for order 2n instead of the domain's cutoff
+    assert 2 * n > spec.max_order
+    closed = moment_matrix(spec, n).entries
+    quad = moment_matrix(spec, n, method="quadrature").entries
+    diag = closed.diagonal().real
+    assert np.max(np.abs(quad - closed) / np.sqrt(np.outer(diag, diag))) < 1e-12
+
+
+def test_rotation_invariance_comes_from_the_family():
+    radial = custom_weight(lambda z: np.exp(-np.abs(z) ** 2), full_plane_domain(6.0))
+    assert gaussian_weight().rotation_invariant
+    assert disk_flat_weight(1.5).rotation_invariant
+    assert not shifted_gaussian_weight(0.0).rotation_invariant
+    # a custom weight takes the quadrature backend even when it is radial
+    assert not radial.rotation_invariant
+    assert cauchy_evaluator(ortho_system(radial, 2)).method == "quadrature"
 
 
 @pytest.mark.parametrize("kind", FAMILIES)
