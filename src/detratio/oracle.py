@@ -16,6 +16,11 @@ computed as a ratio of sample means.
 Monte Carlo error bars come from batch means over independently seeded,
 deterministically derived per-batch RNG streams; the reduction order is
 fixed, so estimates are bit-reproducible for a given (seed, config).
+Each batch is eigenvalue-major: its (samples, N) draws are transposed
+once into N contiguous rows.  |Delta|^2 multiplies re^2 + im^2 of the
+pair differences, and the ratio factor prod_i F(z_i) is
+prod_mu P(mu) / conj(prod_eb P(conj eb)) with P(x) = prod_i (x - z_i),
+one complex division per sample.
 The second moment of an inverse factor 1/|eps - z|^2 is log-divergent
 in 2D, so Monte Carlo runs with M > 0 require every eps to stay at
 least half the effective-support radius away from the effective support;
@@ -143,41 +148,62 @@ def _check_mc_pole_policy(spec: WeightSpec, epsbars) -> None:
 
 def _sample_eigenvalues(spec: WeightSpec, rng: np.random.Generator,
                         shape) -> np.ndarray:
-    """i.i.d. draws from w/||w|| by polar inverse-CDF sampling."""
+    """i.i.d. draws from w/||w|| by polar inverse-CDF sampling.
+
+    With shape (samples, N) the result holds one sample per row; the
+    ``_sample_eigenvalues`` hook of bench/tracer.py counts samples as
+    ``z.shape[0]``, so name and layout are part of its contract.
+    """
     u = rng.random(shape)
     v = rng.random(shape)
     return spec.sample(u, v)
 
 
-def _abs_delta_sq(z: np.ndarray) -> np.ndarray:
-    """|Vandermonde|^2 across the last axis (the eigenvalue index)."""
-    n_ev = z.shape[-1]
-    out = np.ones(z.shape[:-1], dtype=float)
-    for i in range(n_ev):
-        for j in range(i):
-            out *= np.abs(z[..., i] - z[..., j]) ** 2
+def _char_product(points, rows: np.ndarray) -> np.ndarray:
+    """prod over x in ``points`` of P(x) = prod_i (x - z_i), per sample,
+    for eigenvalue rows ``rows[i]``: 1 with no points."""
+    out = np.ones(rows.shape[1], dtype=complex)
+    for x in points:
+        for row in rows:
+            out *= x - row
     return out
 
 
 def _mc_batches(q: RatioQuery, spec: WeightSpec, cfg: OracleConfig):
-    """Per-batch means of f |Delta|^2 and |Delta|^2 plus weight tallies."""
+    """Per-batch means of f |Delta|^2 and |Delta|^2 plus weight tallies.
+
+    The empty query (no mus, no epsbars) has f = 1 and returns the float
+    means of |Delta|^2 on both sides, so that its ratio is exactly 1.
+    """
     per_batch = max(1, cfg.samples // cfg.batches)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.batches)
-    mus = q.expanded_mus()
-    epsbars = q.expanded_epsbars()
+    mus, epsbars = q.expanded_mus(), q.expanded_epsbars()
     num_means = np.empty(cfg.batches, dtype=complex)
     den_means = np.empty(cfg.batches, dtype=float)
     w_sum = 0.0
     w_sq_sum = 0.0
     for b, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
-        z = _sample_eigenvalues(spec, rng, (per_batch, q.N))
-        delta_sq = _abs_delta_sq(z)
-        f = np.prod(_ratio_factor(z, mus, epsbars), axis=-1)
-        num_means[b] = np.mean(f * delta_sq)
-        den_means[b] = np.mean(delta_sq)
-        w_sum += float(np.sum(delta_sq))
-        w_sq_sum += float(np.sum(delta_sq ** 2))
+        # eigenvalue-major: one contiguous row of per_batch draws per eigenvalue
+        rows = np.ascontiguousarray(
+            _sample_eigenvalues(spec, rng, (per_batch, q.N)).T)
+        delta_sq = np.ones(per_batch)
+        for i in range(q.N):
+            for j in range(i):
+                d = rows[i] - rows[j]
+                delta_sq *= d.real * d.real + d.imag * d.imag
+        w = float(np.sum(delta_sq))
+        den_means[b] = w / per_batch
+        w_sum += w
+        w_sq_sum += float(np.dot(delta_sq, delta_sq))
+        if mus or epsbars:
+            # prod_i F(z_i) = prod_mu P(mu) / conj(prod_eb P(conj eb))
+            f = _char_product(mus, rows)
+            if epsbars:
+                f /= np.conj(_char_product(np.conj(epsbars), rows))
+            num_means[b] = np.mean(f * delta_sq)
+    if not (mus or epsbars):
+        num_means = den_means
     neff = w_sum ** 2 / w_sq_sum if w_sq_sum > 0 else 0.0
     return num_means, den_means, neff, per_batch * cfg.batches
 

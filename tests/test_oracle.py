@@ -7,9 +7,12 @@ from detratio import (ConstraintError, Deformation, OracleConfig,
                       RatioQuery, eval_poly, oracle_deformed_op,
                       oracle_expectation, oracle_partition,
                       partition_function)
-from detratio.oracle import _pair_sum, _weighted_grid
+from detratio import oracle
+from detratio.oracle import (_batch_ratio_stats, _pair_sum, _ratio_factor,
+                             _sample_eigenvalues, _weighted_grid)
 
-from conftest import EPS_GAUSS, MUS_GAUSS
+from conftest import (EPS_DISK, EPS_GAUSS, MUS_DISK, MUS_GAUSS,
+                      family_weight)
 
 PI = math.pi
 CFG = OracleConfig(radial_nodes=48, angular_nodes=64)
@@ -32,6 +35,83 @@ def test_pair_sum_factorization_is_exact(disk):
     fast = _pair_sum(z, u, v)
     direct = _pair_sum_direct(z, u, v)
     assert fast == pytest.approx(direct, rel=1e-13)
+
+
+def _mc_batches_direct(q: RatioQuery, spec, cfg: OracleConfig):
+    """Sample-major batch means with M N divisions per sample, the
+    cross-check for the eigenvalue-major _mc_batches: same draws, same
+    batches, |Delta|^2 from np.abs and f as the product over eigenvalues
+    of the one-particle ratio factor.  Returns (num_means, den_means, neff)."""
+    per_batch = max(1, cfg.samples // cfg.batches)
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.batches)
+    num_means = np.empty(cfg.batches, dtype=complex)
+    den_means = np.empty(cfg.batches, dtype=float)
+    w_sum = w_sq_sum = 0.0
+    for b, stream in enumerate(streams):
+        z = _sample_eigenvalues(spec, np.random.default_rng(stream), (per_batch, q.N))
+        delta_sq = np.ones(per_batch)
+        for i in range(q.N):
+            for j in range(i):
+                delta_sq *= np.abs(z[:, i] - z[:, j]) ** 2
+        f = np.prod(_ratio_factor(z, q.expanded_mus(), q.expanded_epsbars()), axis=-1)
+        num_means[b] = np.mean(f * delta_sq)
+        den_means[b] = np.mean(delta_sq)
+        w_sum += float(np.sum(delta_sq))
+        w_sq_sum += float(np.sum(delta_sq ** 2))
+    return num_means, den_means, w_sum ** 2 / w_sq_sum
+
+
+# per family: two mus and two epsbars far enough out for the Monte Carlo
+# pole policy (1.5 effective-support radii from the centre)
+MC_POLES = {"gaussian": (MUS_GAUSS[:2], EPS_GAUSS),
+            "disk-flat": (MUS_DISK[:2], EPS_DISK),
+            "shifted-gaussian": (MUS_GAUSS[:2], (6.5 + 0.5j, -5.6 + 2.9j))}
+
+
+def _mc_queries(n_ev: int, mus, epsbars) -> list:
+    """Every L, M in 0..2 with distinct variables, and one mu and one eps
+    of multiplicity 2."""
+    out = [RatioQuery(N=n_ev, mus=mus[:n_l], epsbars=epsbars[:n_m])
+           for n_l in range(3) for n_m in range(min(2, n_ev) + 1)]
+    out.append(RatioQuery(N=n_ev, mus=mus[:1], mu_multiplicities=(2,)))
+    if n_ev >= 2:
+        out.append(RatioQuery(N=n_ev, epsbars=epsbars[:1], eps_multiplicities=(2,)))
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(MC_POLES))
+@pytest.mark.parametrize("n_ev", [1, 2, 3, 4])
+def test_mc_batches_match_sample_major_arithmetic(kind, n_ev):
+    spec = family_weight(kind)
+    for q in _mc_queries(n_ev, *MC_POLES[kind]):
+        for seed in (5, 6):
+            cfg = OracleConfig(method="monte-carlo", samples=4000, seed=seed, batches=8)
+            est = oracle_expectation(q, spec, cfg)
+            num, den, neff = _mc_batches_direct(q, spec, cfg)
+            value, stderr = _batch_ratio_stats(num, den)
+            assert est.value == pytest.approx(value, rel=1e-12)
+            assert est.neff == pytest.approx(neff, rel=1e-12)
+            if q.L_total or q.M_total:
+                assert est.stderr == pytest.approx(stderr, rel=1e-12)
+            else:  # f = 1: exact, while the complex reference means round
+                assert est.stderr == 0.0 and stderr < 1e-15
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "disk-flat"])
+@pytest.mark.parametrize("n_ev", [1, 2, 3, 4])
+def test_mc_empty_query_is_exact(kind, n_ev):
+    spec = family_weight(kind)
+    for seed in (1, 2, 3, 4):
+        cfg = OracleConfig(method="monte-carlo", samples=20_000, seed=seed)
+        est = oracle_expectation(RatioQuery(N=n_ev), spec, cfg)
+        assert est.value == 1.0 and est.stderr == 0.0
+
+
+def test_sample_eigenvalues_keeps_one_sample_per_row(gauss):
+    # bench/tracer.py's _hook_oracle__sample_eigenvalues counts the
+    # samples of a Monte Carlo pass as z.shape[0]
+    z = oracle._sample_eigenvalues(gauss, np.random.default_rng(0), (7, 3))
+    assert z.shape == (7, 3)
 
 
 def test_partition_examples(gauss, disk):

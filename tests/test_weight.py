@@ -11,7 +11,7 @@ from detratio import (MONTE_CARLO, ConstraintError, OracleConfig, WeightSpec,
                       disk_flat_weight, full_plane_domain, gaussian_weight,
                       moment_matrix, oracle_partition, ortho_system,
                       shifted_gaussian_weight)
-from detratio.weight import CUSTOM, FAMILIES, closed_moment
+from detratio.weight import CUSTOM, FAMILIES, _polar_point, closed_moment
 
 from conftest import family_weight
 
@@ -192,6 +192,41 @@ def test_family_centre_sampler_and_norm_agree(kind):
     # one eigenvalue has |Delta|^2 = 1, so the estimate is the norm itself
     cfg = OracleConfig(method=MONTE_CARLO, samples=1000, seed=1)
     assert oracle_partition(spec, 1, cfg).value == m00.real
+
+
+# angles at the ends of [0, 1) and at the quarter turns; at 0, 1/2 and
+# the ends the half angle's tangent is 0 or beyond 1e15 in magnitude
+EDGE_ANGLES = [0.0, 2.0 ** -53, 0.25, 0.5 - 2.0 ** -53, 0.5, 0.75, 1 - 2.0 ** -53]
+
+
+def test_half_angle_unit_vector_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    v = np.concatenate([np.random.default_rng(17).random(2000), EDGE_ANGLES])
+    got = _polar_point(1.0, v)
+    with mpmath.workprec(113):
+        err = max(float(abs(mpmath.expjpi(2 * mpmath.mpf(x)) - mpmath.mpc(g)))
+                  for x, g in zip(v, got))
+    assert err <= 1e-15
+
+
+# inverse CDF of each family's radial distribution
+SAMPLE_RADIUS = {
+    "gaussian": lambda p, u: np.sqrt(-np.log1p(-u) / p[0]),
+    "disk-flat": lambda p, u: p[0] * np.sqrt(u),
+    "shifted-gaussian": lambda p, u: np.sqrt(-np.log1p(-u) / p[2]),
+}
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_sampler_matches_complex_exponential(kind):
+    spec = family_weight(kind)
+    rng = np.random.default_rng(19)
+    u = rng.random(2000 + len(EDGE_ANGLES))
+    v = np.concatenate([rng.random(2000), EDGE_ANGLES])
+    r = SAMPLE_RADIUS[kind](spec.parameters, u)
+    c = spec.centre
+    expected = c + r * np.exp(2j * np.pi * v)
+    assert np.all(np.abs(spec.sample(u, v) - expected) <= 4e-15 * (abs(c) + r))
 
 
 def test_unknown_weight_kind_is_refused():
