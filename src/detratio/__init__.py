@@ -4,7 +4,7 @@ complex-eigenvalue ensembles, with brute-force verification oracles."""
 from .cauchy import (CauchyEvaluator, CauchyResult, cauchy_evaluator,
                      cauchy_quadrature, cauchy_row, cauchy_transform,
                      cauchy_transform_full, series_transform)
-from .deformed import (Deformation, DeformedPolyResult, christoffel_poly,
+from .deformed import (Deformation, christoffel_poly,
                        christoffel_poly_confluent, christoffel_q,
                        combined_poly, deformed_cauchy, uvarov_poly, uvarov_q)
 from .errors import (ConfigError, ConstraintError, ConvergenceError,
@@ -22,7 +22,7 @@ from .ratios import (Diagnostics, EvalResult, RatioQuery, expectation_inverses,
                      partial_fractions)
 from .weight import (DomainSpec, MomentMatrix, WeightSpec, custom_weight,
                      disk_domain, disk_flat_weight, full_plane_domain,
-                     gaussian_weight, moment_matrix, radial_mass,
+                     gaussian_weight, moment_matrix,
                      shifted_gaussian_weight)
 
 __version__ = "0.1.0"

@@ -23,21 +23,21 @@ Two backends:
 
       h_n^(k)(u) = i (-1)^k k! binom(n+k, k) I_n(|u|) / u^(n+k+1).
 
-* ``quadrature``: generic singularity-aware integration.  When the pole
-  lies inside the (truncated) domain the grid is re-centered on it, so
-  the 1/rho singularity cancels against the rho of the area element and
-  the integrand stays smooth; otherwise a plain origin-centered grid is
-  used.  Both are refined adaptively.  A row of transforms at one pole
-  and order, over several degrees, is integrated in one pass: each
-  refinement level builds its nodes and one weighted-kernel vector g
-  (weight values times quadrature weights, times the kernel on the
-  plain grid) once for the whole row, so an entry's value at that level
-  is the dot product of pi_n at the nodes with g, over 2 pi i.  Each
-  entry still converges on its own, over at most five levels of
-  ``adaptive_integral``, the probe first: the 48x64 probe sets the
-  entry's scale and is also its first value, so an entry whose 48x64
-  and 96x128 values agree stops at 96x128.  An evaluator keeps the
-  levels in a table that its later rows read.  The plain grid
+* ``quadrature``: singularity-aware integration over the disk
+  |z| <= quad_radius (a disk's domain or a full-plane truncation).  A
+  pole in it gets a grid centred on it, rays to the circle, so 1/rho
+  cancels against the rho of the area element; other poles use the
+  origin-centred ``weighted_grid``.  Both are refined adaptively.  A row
+  of transforms at one pole and order, over several degrees, is
+  integrated in one pass: each refinement level builds its nodes and one
+  weighted-kernel vector g (weight values times quadrature weights,
+  times the kernel on the plain grid) once for the whole row, so an
+  entry's value at that level is the dot product of pi_n at the nodes
+  with g, over 2 pi i.  Each entry still converges on its own, over at
+  most five levels of ``adaptive_integral``, the probe first: the 48x64
+  probe sets the entry's scale and is also its first value, so an entry
+  whose 48x64 and 96x128 values agree stops at 96x128.  An evaluator
+  keeps the levels in a table that its later rows read.  The plain grid
   (Gauss-Legendre in the radius, the periodic trapezoid rule in the
   angle; Trefethen & Weideman, SIAM Rev. 56 (2014)) does not depend on
   the pole, so its nodes, w * weights and pi_n values serve every far
@@ -77,8 +77,8 @@ import numpy as np
 from .errors import ConstraintError, ConvergenceError, NumericalError
 from .orthopoly import MonicPoly, OrthoSystem, eval_poly
 from .quadrature import (PROBE, ROUNDING_FLOOR, adaptive_integral, cauchy_kernel_grid,
-                         cauchy_kernel_weights, disk_chord_lengths, star_grid)
-from .weight import DISK, WeightSpec, radial_mass
+                         cauchy_kernel_weights, disk_chord_lengths)
+from .weight import DISK, WeightSpec, radial_mass, weighted_grid
 
 ROTINV_SERIES = "rotinv-series"
 QUADRATURE = "quadrature"
@@ -177,8 +177,7 @@ def _refuse_interior_derivative_pole(spec: WeightSpec, eps: complex,
                                     order: int) -> None:
     """Refuse a derivative transform whose pole does not lie strictly
     outside the effective support; both backends call this before
-    computing anything.  On a disk boundary the chord grid has
-    zero-length rays, which the derivative kernel divides by."""
+    computing anything, a pole on a disk's boundary included."""
     if order >= 1 and abs(eps) <= spec.effective_support_radius:
         raise NumericalError(
             f"derivative transform of order {order} at eps={complex(eps):.6g}: "
@@ -244,11 +243,8 @@ def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
     boundary = spec.domain.quad_radius
 
     if abs(u) <= boundary:
-        # centred on the pole: the kernel is folded into the grid weights
-        if spec.domain.kind == DISK:
-            rho_max = disk_chord_lengths(pole, boundary)
-        else:
-            rho_max = boundary + abs(u)
+        # centred on the pole, rays to |z| = boundary, kernel in the weights
+        rho_max = disk_chord_lengths(pole, boundary)
         if table.centred_pole != u:
             table.centred_pole, table.centred = u, {}
         levels = table.centred
@@ -267,9 +263,7 @@ def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
         def level(n_r: int, n_t: int):
             lv = levels.get((n_r, n_t))
             if lv is None:
-                grid = star_grid(0j, boundary, n_r, n_t)
-                lv = levels[n_r, n_t] = _Level(
-                    grid.nodes, spec.evaluate(grid.nodes) * grid.weights)
+                lv = levels[n_r, n_t] = _Level(*weighted_grid(spec, boundary, n_r, n_t))
             # g = w * weights * order!/(zbar - ebar)^(order+1), one division
             g = lv.weighted
             shift = np.conj(lv.nodes)

@@ -25,6 +25,9 @@ The second moment of an inverse factor 1/|eps - z|^2 is log-divergent
 in 2D, so Monte Carlo runs with M > 0 require every eps to stay at
 least half the effective-support radius away from the effective support;
 closer poles belong to the quadrature oracle.
+
+``oracle_deformed_op`` refines its moments on the tensor oracle's grid by
+``adaptive_integral`` and refuses moments that do not converge.
 """
 
 from __future__ import annotations
@@ -38,14 +41,15 @@ import numpy as np
 from .deformed import Deformation
 from .errors import ConstraintError, NumericalError, SingularMatrixError
 from .orthopoly import MonicPoly
-from .quadrature import star_grid
+from .quadrature import adaptive_integral
 from .ratios import RatioQuery
-from .weight import WeightSpec, closed_moment
+from .weight import WeightSpec, closed_moment, weighted_grid
 
 TENSOR_QUADRATURE = "tensor-quadrature"
 MONTE_CARLO = "monte-carlo"
 
 MC_MIN_SUPPORT_DISTANCE = 0.5  # in units of the effective-support radius
+DEFORMED_MOMENT_TOL = 1e-7  # relative to the largest deformed moment
 
 
 @dataclass(frozen=True)
@@ -109,15 +113,10 @@ def _pair_sum(z: np.ndarray, u: np.ndarray, v: np.ndarray) -> complex:
                    - np.sum(u * np.conj(z)) * np.sum(v * z))
 
 
-def _weighted_grid(spec: WeightSpec, n_r: int, n_t: int):
-    grid = star_grid(0j, spec.domain.quad_radius, n_r, n_t)
-    return grid.nodes, spec.evaluate(grid.nodes) * grid.weights
-
-
 def _tensor_sums(q: RatioQuery, spec: WeightSpec, n_r: int, n_t: int):
     """The tensor-grid sums of f |Delta|^2 and |Delta|^2 (with N = 1,
     of f and 1): their ratio is the expectation, the second is Z_N."""
-    z, w = _weighted_grid(spec, n_r, n_t)
+    z, w = weighted_grid(spec, spec.domain.quad_radius, n_r, n_t)
     f1 = _ratio_factor(z, q.expanded_mus(), q.expanded_epsbars())
     if q.N == 1:
         return np.sum(w * f1), np.sum(w)
@@ -252,43 +251,43 @@ def oracle_partition(spec: WeightSpec, n_ev: int, cfg: OracleConfig) -> OracleEs
     return OracleEstimate(value, stderr, neff, MONTE_CARLO)
 
 
-def deformed_integral(spec: WeightSpec, deformation: Deformation, fn,
-                      n_r: int = 96, n_t: int = 128) -> complex:
-    """integral fn(z) dw^(deformation) over the domain (complex measure)."""
-    z, w = _weighted_grid(spec, n_r, n_t)
+def deformed_integral(spec: WeightSpec, deformation: Deformation, fn) -> complex:
+    """integral fn(z) dw^(deformation) over the domain (complex measure)
+    on the 128x160 origin-centred grid."""
+    z, w = weighted_grid(spec, spec.domain.quad_radius, 128, 160)
     measure = w * _ratio_factor(z, deformation.mus, deformation.epsbars)
     return complex(np.sum(measure * fn(z)))
 
 
-def oracle_deformed_op(spec: WeightSpec, deformation: Deformation, n: int,
-                       cfg: OracleConfig) -> MonicPoly:
+def oracle_deformed_op(spec: WeightSpec, deformation: Deformation,
+                       n: int) -> MonicPoly:
     """Monic degree-n polynomial solving the one-sided orthogonality
     conditions against zbar^k, k < n, for the deformed measure.
 
     Works directly from quadrature moments of the deformed measure and is
-    therefore independent of every determinant formula.
+    therefore independent of every determinant formula.  Moments that do
+    not converge to ``DEFORMED_MOMENT_TOL``, as with an inverse factor
+    whose pole sits where the weight is large, raise ConvergenceError.
     """
     if n < 0:
         raise ConstraintError("polynomial degree must be non-negative")
     if n > 4:
         raise ConstraintError("the deformed-measure solver is desk-scale: n <= 4")
-
-    def moments_on(n_r: int, n_t: int) -> np.ndarray:
-        z, w = _weighted_grid(spec, n_r, n_t)
-        measure = w * _ratio_factor(z, deformation.mus, deformation.epsbars)
-        powers = np.vstack([z ** j for j in range(n + 1)])
-        conj_pow = np.vstack([np.conj(z) ** k for k in range(max(n, 1))])
-        return (powers * measure) @ conj_pow.T  # [j, k]
-
-    coarse = moments_on(cfg.radial_nodes, cfg.angular_nodes)
-    fine = moments_on(2 * cfg.radial_nodes, 2 * cfg.angular_nodes)
-    scale = float(np.max(np.abs(fine))) or 1.0
-    if float(np.max(np.abs(fine - coarse))) > 1e-7 * scale:
-        fine = moments_on(4 * cfg.radial_nodes, 4 * cfg.angular_nodes)
     if n == 0:
         return MonicPoly((1.0 + 0j,))
-    a = fine[:n, :n].T  # equations k, unknowns j
-    b = -fine[n, :n]
+
+    def moments_on(n_r: int, n_t: int) -> np.ndarray:
+        z, w = weighted_grid(spec, spec.domain.quad_radius, n_r, n_t)
+        measure = w * _ratio_factor(z, deformation.mus, deformation.epsbars)
+        powers = np.vstack([z ** j for j in range(n + 1)])
+        conj_pow = np.vstack([np.conj(z) ** k for k in range(n)])
+        return (powers * measure) @ conj_pow.T  # [j, k]
+
+    moments, _ = adaptive_integral(
+        moments_on, DEFORMED_MOMENT_TOL,
+        what=f"deformed-measure moments of degree {n} for {spec.label()}")
+    a = moments[:n, :n].T  # equations k, unknowns j
+    b = -moments[n, :n]
     try:
         lower = np.linalg.solve(a, b)
     except np.linalg.LinAlgError:

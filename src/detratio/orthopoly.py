@@ -27,8 +27,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import ConstraintError, NumericalError
-from .quadrature import star_grid
-from .weight import MomentMatrix, WeightSpec, moment_matrix
+from .weight import MomentMatrix, WeightSpec, moment_matrix, weighted_grid
 
 CONDITION_LIMIT = 1e12
 
@@ -184,10 +183,8 @@ def partition_function(sys: OrthoSystem, n_eigenvalues: int) -> float:
 def orthogonality_residual_matrix(sys: OrthoSystem) -> np.ndarray:
     """Normalized Gram residuals |<pi_j, pi_k> - delta r_k| / sqrt(r_j r_k)
     measured by quadrature on the 192x256 grid."""
-    spec = sys.weight
-    grid = star_grid(0j, spec.domain.quad_radius, 192, 256)
-    wvals = spec.evaluate(grid.nodes) * grid.weights
-    values = np.vstack([eval_poly(p, grid.nodes) for p in sys.polys])
+    nodes, wvals = weighted_grid(sys.weight, sys.weight.domain.quad_radius, 192, 256)
+    values = np.vstack([eval_poly(p, nodes) for p in sys.polys])
     gram = (values * wvals) @ values.conj().T
     expected = np.diag(np.asarray(sys.norms))
     scale = np.sqrt(np.outer(sys.norms, sys.norms))

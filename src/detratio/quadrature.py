@@ -102,8 +102,9 @@ def cauchy_kernel_weights(rho_max, n_r: int, n_t: int,
     """
     phis, lengths, w_phi = _ray_lengths(rho_max, n_t)
     x, w_x = unit_radial_rule(n_r)
-    ray_weights = lengths ** (1 - order) * (w_phi * math.factorial(order)) \
-        * np.exp(1j * (order + 1) * phis)
+    # a zero-length ray (a centre on the chord circle) covers no area
+    ray_weights = np.power(lengths, 1 - order, out=np.zeros(n_t), where=lengths > 0) \
+        * (w_phi * math.factorial(order)) * np.exp(1j * (order + 1) * phis)
     return (ray_weights[:, None] * (w_x / x ** order)[None, :]).ravel()
 
 

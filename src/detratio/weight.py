@@ -322,6 +322,13 @@ def closed_moment(spec: WeightSpec, j: int, k: int):
     return None
 
 
+def weighted_grid(spec: WeightSpec, radius: float, n_r: int,
+                  n_t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Origin-centred grid nodes on |z| <= ``radius`` and w times their weights."""
+    grid = star_grid(0j, radius, n_r, n_t)
+    return grid.nodes, spec.evaluate(grid.nodes) * grid.weights
+
+
 def _moment_grid_radius(spec: WeightSpec, order: int) -> float:
     if spec.domain.kind == DISK or order <= spec.max_order or spec.kind == CUSTOM:
         return spec.domain.quad_radius
@@ -379,9 +386,8 @@ def moment_matrix(spec: WeightSpec, n: int, *, method: str = "auto") -> MomentMa
         radius = _moment_grid_radius(spec, 2 * n)
 
         def matrix_on(n_r: int, n_t: int) -> np.ndarray:
-            grid = star_grid(0j, radius, n_r, n_t)
-            powers = np.vstack([grid.nodes ** j for j in range(size)])
-            wvals = spec.evaluate(grid.nodes) * grid.weights
+            nodes, wvals = weighted_grid(spec, radius, n_r, n_t)
+            powers = np.vstack([nodes ** j for j in range(size)])
             return (powers * wvals) @ powers.conj().T
 
         entries, _ = adaptive_integral(

@@ -232,12 +232,10 @@ def test_criterion_8a_bi_orthogonality(disk, disk_sys, disk_ev):
                                         defn.epsbars, n, z).value, n)
             for k in range(n):
                 val = deformed_integral(
-                    disk, defn, lambda z: eval_poly(coeffs, z) * np.conj(z) ** k,
-                    n_r=128, n_t=160)
+                    disk, defn, lambda z: eval_poly(coeffs, z) * np.conj(z) ** k)
                 scale = deformed_integral(
                     disk, defn,
-                    lambda z: np.abs(eval_poly(coeffs, z) * np.conj(z) ** k) + 0j,
-                    n_r=128, n_t=160)
+                    lambda z: np.abs(eval_poly(coeffs, z) * np.conj(z) ** k) + 0j)
                 worst = max(worst, abs(val) / abs(scale))
     ok = worst < 1e-6
     report("criterion 8a (bi-orthogonality residuals)", ok, f"worst {worst:.2e}")
@@ -251,7 +249,7 @@ def test_criterion_8b_uvarov_closed_form_as_specified(disk, disk_sys, disk_ev):
     z = 0.9 + 0.3j
     got = uvarov_poly(disk_sys, disk_ev, (2.0,), 1, z).value
     stated = z - 0.5
-    oracle = oracle_deformed_op(disk, Deformation(epsbars=(2.0,)), 1, QUAD_CFG)
+    oracle = oracle_deformed_op(disk, Deformation(epsbars=(2.0,)), 1)
     ok = abs(got - stated) <= 1e-9
     report("criterion 8b (single-inverse polynomial equals z - 1/2)", ok,
            f"formula gives z - {-uvarov_poly(disk_sys, disk_ev, (2.0,), 1, 0).value:.6g}, "

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import gammainc
 
 import detratio.cauchy as cauchy_module
+import detratio.weight as weight_module
 from detratio import (ConstraintError, ConvergenceError, NumericalError, Poly,
                       RatioQuery, cauchy_evaluator, cauchy_quadrature,
                       cauchy_row, cauchy_transform, cauchy_transform_full,
@@ -304,12 +305,14 @@ def test_derivative_pole_on_disk_boundary_refused_by_both_backends(disk_sys, met
 def _grid_counter(monkeypatch) -> list:
     """Record every grid the quadrature backend builds."""
     built = []
-    for name in ("star_grid", "cauchy_kernel_grid"):
-        def counted(*args, _build=getattr(cauchy_module, name), **kwargs):
+    # far grids come from weight.weighted_grid, centred ones from cauchy
+    for module, name in ((weight_module, "star_grid"),
+                         (cauchy_module, "cauchy_kernel_grid")):
+        def counted(*args, _build=getattr(module, name), **kwargs):
             grid = _build(*args, **kwargs)
             built.append(grid.size)
             return grid
-        monkeypatch.setattr(cauchy_module, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return built
 
 
@@ -399,6 +402,42 @@ def test_confluent_order_one_row_builds_no_nodes(monkeypatch, shifted):
     assert len(built) == len(ev._levels.centred) == 3
 
 
+
+@pytest.mark.parametrize("which", ["gauss", "shifted"])
+def test_centred_rows_stay_inside_the_truncation_disk(monkeypatch, request, which):
+    # a full-plane weight is integrated over |z| <= quad_radius alone:
+    # moments, far rows and centred rows share that one disk, so a
+    # centred grid's rays end on its circle, as a disk weight's do
+    spec = request.getfixturevalue(which)
+    boundary = spec.domain.quad_radius
+    reach = []
+
+    def recorded(*args, _build=cauchy_module.cauchy_kernel_grid, **kwargs):
+        grid = _build(*args, **kwargs)
+        reach.append(float(np.max(np.abs(grid.nodes))))
+        return grid
+
+    monkeypatch.setattr(cauchy_module, "cauchy_kernel_grid", recorded)
+    polys = ortho_system(spec, 4).polys
+    for eps, order in ((0.3 + 0.2j, 0), (5.5 + 1.0j, 0), (5.5 + 1.0j, 1),
+                       (0.98 * boundary * np.exp(0.4j), 0)):
+        cauchy_quadrature_row(spec, polys, eps, 1e-9, order)
+    assert reach and max(reach) <= boundary * (1 + 1e-12)
+
+
+def test_pole_on_the_truncation_circle_at_order_two(gauss, gauss_sys):
+    # half the rays of the centred chord grid have zero length there;
+    # they cover no area and must not divide by zero
+    boundary = gauss.domain.quad_radius
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps in (boundary, 1j * boundary):
+            row = cauchy_quadrature_row(gauss, gauss_sys.polys[:3], eps, 1e-9, 2)
+            for n, res in enumerate(row):
+                exact = series_transform(gauss, n, eps, 2)
+                assert abs(res.value - exact) <= 1e-12 * abs(exact)
+
+
 def test_row_fills_memo_with_single_entry_bits(gauss_sys):
     degrees, eps = range(6), 4.6 + 0.5j
     for method in ("rotinv-series", "quadrature"):
@@ -463,9 +502,8 @@ def _untabled_transform(spec, poly, eps, tol, order) -> tuple[complex, float]:
 
     def level(n_r, n_t):
         if abs(u) <= boundary:
-            rho_max = (disk_chord_lengths(pole, boundary)
-                       if spec.domain.kind == "disk" else boundary + abs(u))
-            grid = cauchy_kernel_grid(pole, rho_max, n_r, n_t, order=order)
+            grid = cauchy_kernel_grid(pole, disk_chord_lengths(pole, boundary),
+                                      n_r, n_t, order=order)
             return grid.nodes, spec.evaluate(grid.nodes) * grid.weights
         grid = star_grid(0j, boundary, n_r, n_t)
         g = spec.evaluate(grid.nodes) * grid.weights

@@ -5,15 +5,13 @@ import numpy as np
 import pytest
 
 from detratio import (ConstraintError, Deformation, DegenerateVariablesError,
-                      OracleConfig, christoffel_poly, christoffel_poly_confluent,
+                      christoffel_poly, christoffel_poly_confluent,
                       christoffel_q, combined_poly, deformed_cauchy,
                       deformed_integral, eval_poly, oracle_deformed_op,
                       uvarov_poly, uvarov_q)
 
 from conftest import (EPS_DISK, EPS_GAUSS, MUS_DISK, MUS_GAUSS,
                       poly_values_on_circle)
-
-CFG = OracleConfig(radial_nodes=64, angular_nodes=96)
 
 
 def test_christoffel_empty_deformation_is_base_poly(gauss_sys):
@@ -25,7 +23,7 @@ def test_christoffel_empty_deformation_is_base_poly(gauss_sys):
 def test_christoffel_gaussian_single_mu(gauss_sys, gauss):
     # deformed measure (1 - z) exp(-|z|^2): the degree-1 polynomial is z,
     # confirmed by the independent bi-orthogonality solve
-    oracle = oracle_deformed_op(gauss, Deformation(mus=(1.0,)), 1, CFG)
+    oracle = oracle_deformed_op(gauss, Deformation(mus=(1.0,)), 1)
     assert abs(oracle.coeffs[0]) < 1e-10
     for z in (0.7 + 0.2j, -1.1 + 0.9j):
         res = christoffel_poly(gauss_sys, (1.0,), 1, z)
@@ -54,7 +52,7 @@ def test_uvarov_empty_deformation(disk_sys, disk_ev):
 def test_uvarov_disk_closed_form(disk_sys, disk_ev, disk):
     # h_0(2) = i/4, h_1(2) = i/16 give pi_1^{[0,1]} = z - 1/4; the
     # bi-orthogonality solve against the deformed measure confirms it
-    oracle = oracle_deformed_op(disk, Deformation(epsbars=(2.0,)), 1, CFG)
+    oracle = oracle_deformed_op(disk, Deformation(epsbars=(2.0,)), 1)
     assert oracle.coeffs[0] == pytest.approx(-0.25, abs=1e-9)
     for z in (0.0, 0.5 + 0.2j):
         res = uvarov_poly(disk_sys, disk_ev, (2.0,), 1, z)
@@ -95,7 +93,7 @@ def test_combined_reduces_to_uvarov_and_christoffel(disk_sys, disk_ev):
 
 def test_combined_matches_oracle_solve(gauss, gauss_sys, gauss_ev):
     mus, epsbars = (1.0,), (4.6,)
-    oracle = oracle_deformed_op(gauss, Deformation(mus=mus, epsbars=epsbars), 1, CFG)
+    oracle = oracle_deformed_op(gauss, Deformation(mus=mus, epsbars=epsbars), 1)
     rng = np.random.default_rng(3)
     for _ in range(10):
         z = rng.standard_normal() + 1j * rng.standard_normal()
@@ -126,7 +124,7 @@ def test_deformed_cauchy_swap_vs_direct_definition(disk, disk_sys, disk_ev):
     for (eb_def, eb_eval) in ((2.0, 3.0), (3.0, 2.0)):
         got = deformed_cauchy(disk_sys, disk_ev, (eb_def,), 1, eb_eval)
         defn = Deformation(epsbars=(eb_def,))
-        pol = oracle_deformed_op(disk, defn, 1, CFG)
+        pol = oracle_deformed_op(disk, defn, 1)
         direct = deformed_integral(
             disk, defn,
             lambda z: eval_poly(pol, z) / (np.conj(z) - eb_eval)) / (2j * math.pi)
@@ -158,12 +156,10 @@ def test_bi_orthogonality_residuals(which, request):
                 lambda z: combined_poly(sys_, cev, defn.mus, defn.epsbars, n, z).value, n)
             for k in range(n):
                 val = deformed_integral(
-                    spec, defn, lambda z: eval_poly(coeffs, z) * np.conj(z) ** k,
-                    n_r=128, n_t=160)
+                    spec, defn, lambda z: eval_poly(coeffs, z) * np.conj(z) ** k)
                 scale = deformed_integral(
                     spec, defn,
-                    lambda z: np.abs(eval_poly(coeffs, z) * np.conj(z) ** k) + 0j,
-                    n_r=128, n_t=160)
+                    lambda z: np.abs(eval_poly(coeffs, z) * np.conj(z) ** k) + 0j)
                 worst = max(worst, abs(val) / abs(scale))
     assert worst < 1e-6
 

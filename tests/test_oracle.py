@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from detratio import (ConstraintError, Deformation, OracleConfig,
-                      RatioQuery, eval_poly, oracle_deformed_op,
+from detratio import (ConstraintError, ConvergenceError, Deformation,
+                      OracleConfig, RatioQuery, eval_poly, oracle_deformed_op,
                       oracle_expectation, oracle_partition,
                       partition_function)
 from detratio import oracle
 from detratio.oracle import (_batch_ratio_stats, _pair_sum, _ratio_factor,
-                             _sample_eigenvalues, _weighted_grid)
+                             _sample_eigenvalues)
+from detratio.weight import weighted_grid
 
 from conftest import (EPS_DISK, EPS_GAUSS, MUS_DISK, MUS_GAUSS,
                       family_weight)
@@ -29,7 +30,7 @@ def _pair_sum_direct(z: np.ndarray, u: np.ndarray, v: np.ndarray) -> complex:
 
 
 def test_pair_sum_factorization_is_exact(disk):
-    z, w = _weighted_grid(disk, 12, 16)
+    z, w = weighted_grid(disk, disk.domain.quad_radius, 12, 16)
     u = w * (z + 0.3)
     v = w * np.conj(z) ** 2
     fast = _pair_sum(z, u, v)
@@ -211,24 +212,33 @@ def test_mc_pole_distance_policy(gauss):
 
 
 def test_deformed_op_reduces_to_base(disk, disk_sys):
-    pol = oracle_deformed_op(disk, Deformation(), 2, CFG)
+    pol = oracle_deformed_op(disk, Deformation(), 2)
     assert np.allclose(pol.coeffs, disk_sys.polys[2].coeffs, atol=1e-10)
 
 
 def test_deformed_op_disk_inverse_factor(disk):
-    pol = oracle_deformed_op(disk, Deformation(epsbars=(2.0,)), 1, CFG)
+    pol = oracle_deformed_op(disk, Deformation(epsbars=(2.0,)), 1)
     assert pol.coeffs[0] == pytest.approx(-0.25, abs=1e-9)
 
 
 def test_deformed_op_matches_combined(gauss, gauss_sys, gauss_ev):
     from detratio import combined_poly
     defn = Deformation(mus=(1.2 + 0.4j,), epsbars=(4.6 + 0.5j,))
-    pol = oracle_deformed_op(gauss, defn, 2, CFG)
+    pol = oracle_deformed_op(gauss, defn, 2)
     rng = np.random.default_rng(8)
     for _ in range(10):
         z = rng.standard_normal() + 1j * rng.standard_normal()
         ref = combined_poly(gauss_sys, gauss_ev, defn.mus, defn.epsbars, 2, z).value
         assert eval_poly(pol, z) == pytest.approx(ref, rel=1e-6, abs=1e-7)
+
+
+
+def test_deformed_op_refuses_unconverged_moments(gauss):
+    # the pole of 1/(1 - zbar) sits where the gaussian is large: the
+    # moments change by order one at every doubling, so the solve is
+    # refused (ConvergenceError is a NumericalError: CLI exit 3)
+    with pytest.raises(ConvergenceError, match="deformed-measure moments"):
+        oracle_deformed_op(gauss, Deformation(epsbars=(1.0,)), 2)
 
 
 def test_mc_partition_n3(gauss, gauss_sys):

@@ -247,3 +247,19 @@ def test_no_other_module_names_a_weight_kind():
                     and node.value in kinds:
                 found.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert not found
+
+
+def test_origin_grids_are_built_in_one_place():
+    # every origin-centred planar integral takes its nodes and weighted
+    # values from weight.weighted_grid; a star_grid call anywhere else is
+    # a second copy of that builder
+    callers = []
+    for path in sorted(Path(detratio.__file__).parent.glob("*.py")):
+        if path.name == "quadrature.py":
+            continue
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "star_grid" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    callers.append((path.name, getattr(top, "name", None), node.lineno))
+    assert [caller[:2] for caller in callers] == [("weight.py", "weighted_grid")], callers
