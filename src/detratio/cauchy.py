@@ -193,7 +193,11 @@ def series_transform(spec: WeightSpec, n: int, eps: complex, order: int = 0) -> 
         return 0j
     mass = radial_mass(spec, n, abs(u))
     coeff = 1j * (-1) ** order * math.factorial(order) * math.comb(n + order, order)
-    return coeff * mass / u ** (n + order + 1)
+    k = n + order + 1
+    try:
+        return coeff * mass / u ** k
+    except OverflowError:  # a far pole: the power overflows, its inverse need not
+        return coeff * mass * (1 / u) ** k
 
 
 def _inside_warnings(spec: WeightSpec, eps: complex) -> tuple:

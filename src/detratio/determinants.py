@@ -1,8 +1,12 @@
 """Dense complex determinants with conditioning diagnostics.
 
-Determinants are evaluated by LU factorization with partial pivoting;
-the conditioning indicator is the ratio of the largest to the smallest
-pivot magnitude.  For overflow-prone assemblies a row-scaled variant
+Determinants are evaluated by LU factorization with partial pivoting,
+written as plain Python elimination over complex scalars (numpy and the
+standard library only).  The pivot of each column maximises |re| + |im|,
+LAPACK's getf2 rule, so the pivot sequence is LAPACK's; the conditioning
+indicator is the ratio of the largest to the smallest pivot magnitude,
+and an exactly singular matrix gives det 0 and conditioning inf.  For
+overflow-prone assemblies a row-scaled variant
 returns a mantissa determinant together with the logarithm of the
 factored-out row scales, so products of large determinants and
 factorials can be reassembled in log-polar form.  Vandermonde factors
@@ -14,34 +18,53 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor
 
 from .errors import SingularMatrixError
 
 
 def lu_det(matrix) -> tuple[complex, float]:
-    """Determinant and pivot-ratio conditioning; a 0x0 matrix has det 1."""
+    """Determinant and pivot-ratio conditioning; a 0x0 matrix has det 1.
+
+    The assembled matrices are a few rows across, where elimination over
+    Python complex scalars is cheaper than a vectorised or LAPACK call.
+    A vanishing determinant is a legitimate value here (the bordered
+    q-determinants vanish at the deformation points by design).
+    """
     a = np.asarray(matrix, dtype=complex)
     if a.size == 0:
         return 1.0 + 0j, 1.0
     if a.shape[0] != a.shape[1]:
         raise ValueError("determinant of a non-square matrix")
     if a.shape[0] == 1:
-        v = complex(a[0, 0])
-        return v, 1.0
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        # a vanishing determinant is a legitimate value here (the bordered
-        # q-determinants are zero at the deformation points by design)
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(a, check_finite=False)
-    diag = np.abs(lu.diagonal())
-    sign = 1 - 2 * (np.count_nonzero(piv != np.arange(len(piv))) % 2)
-    det = sign * np.prod(lu.diagonal())
-    cond = float("inf") if diag.min() == 0.0 else float(diag.max() / diag.min())
-    return complex(det), cond
+        return complex(a[0, 0]), 1.0
+    rows = a.tolist()
+    n = len(rows)
+    det = 1.0 + 0j
+    sizes = []
+    for k in range(n):
+        p, best = k, -1.0
+        for i in range(k, n):
+            x = rows[i][k]
+            size = abs(x.real) + abs(x.imag)
+            if size > best:
+                p, best = i, size
+        if best == 0.0:
+            return 0j, math.inf
+        pivot_row = rows[p]
+        if p != k:
+            rows[p], rows[k] = rows[k], pivot_row
+            det = -det
+        pivot = pivot_row[k]
+        det *= pivot
+        sizes.append(abs(pivot))
+        for i in range(k + 1, n):
+            row = rows[i]
+            f = row[k] / pivot
+            for j in range(k + 1, n):
+                row[j] -= f * pivot_row[j]
+    return det, max(sizes) / min(sizes)
 
 
 def scaled_lu_det(matrix) -> tuple[complex, float, float]:

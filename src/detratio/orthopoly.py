@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ConstraintError, NumericalError
 from .weight import MomentMatrix, WeightSpec, moment_matrix, weighted_grid
@@ -112,6 +111,15 @@ class OrthoSystem:
         return self.polys[k]
 
 
+def lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by row-wise forward substitution."""
+    eye = np.eye(lower.shape[0], dtype=lower.dtype)
+    inv = np.zeros_like(eye)
+    for i in range(len(eye)):
+        inv[i] = (eye[i] - lower[i, :i] @ inv[:i]) / lower[i, i]
+    return inv
+
+
 def build_ortho_system(m: MomentMatrix, weight: WeightSpec) -> OrthoSystem:
     """Orthogonalize the monomials against the given moment matrix."""
     # Conditioning is judged after Jacobi equilibration: a plain condition
@@ -128,7 +136,7 @@ def build_ortho_system(m: MomentMatrix, weight: WeightSpec) -> OrthoSystem:
                 "reduce max_degree")
     lower = m.cholesky()
     pivots = lower.diagonal().real
-    inv = solve_triangular(lower, np.eye(m.order + 1), lower=True)
+    inv = lower_inverse(lower)
     coeff_rows = pivots[:, None] * inv
     polys = []
     for k in range(m.order + 1):

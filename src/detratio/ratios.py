@@ -118,7 +118,8 @@ class EvalResult:
         v = self.value
         if not (math.isfinite(v.real) and math.isfinite(v.imag)
                 and math.isfinite(self.abs_error_estimate)):
-            raise NumericalError(f"non-finite evaluation result {v!r}")
+            raise NumericalError(f"non-finite evaluation result {v!r} "
+                                 f"(error estimate {self.abs_error_estimate!r})")
 
 
 def _require_depth(sys: OrthoSystem, q: RatioQuery) -> None:

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import ConstraintError, NumericalError, SingularMatrixError
 from .quadrature import adaptive_integral, star_grid
@@ -286,6 +285,34 @@ def custom_weight(evaluator: Callable, domain: DomainSpec, *,
                       amplitude=float(amplitude), evaluator=evaluator)
 
 
+def regularized_gamma_p(a: int, x: float) -> float:
+    """Regularised lower incomplete gamma P(a, x) for an integer a >= 1."""
+    if x <= 0.0:
+        return 0.0
+    if x < a + 1:
+        # x^a e^-x / a! * sum_k x^k / ((a+1)...(a+k)); the terms fall
+        # geometrically once a + k > x
+        term = total = 1.0
+        k = 1
+        while term > total * 1e-17:
+            term *= x / (a + k)
+            total += term
+            k += 1
+        if a <= 170 and a * math.log(x) < 700.0:
+            return x ** a * math.exp(-x) / math.factorial(a) * total
+        return math.exp(a * math.log(x) - x - math.lgamma(a + 1)) * total
+    # 1 - Q(a, x), Q = e^-x sum_{k<a} x^k / k!, summed from e^-x so that
+    # no term overflows; Q has underflowed once e^-x has
+    term = math.exp(-x)
+    if term == 0.0:
+        return 1.0
+    total = term
+    for k in range(1, a):
+        term *= x / k
+        total += term
+    return 1.0 - total
+
+
 def radial_mass(spec: WeightSpec, n: int, t: float) -> float:
     """integral_0^t r^(2n+1) w(r) dr for rotation-invariant weights
     (amplitude included)."""
@@ -295,7 +322,7 @@ def radial_mass(spec: WeightSpec, n: int, t: float) -> float:
     if spec.kind == "gaussian":
         (scale,) = spec.parameters
         full = math.gamma(n + 1) / (2.0 * scale ** (n + 1))
-        return amp * full * float(gammainc(n + 1, scale * t * t))
+        return amp * full * regularized_gamma_p(n + 1, scale * t * t)
     return amp * min(t, spec.parameters[0]) ** (2 * n + 2) / (2 * n + 2)  # the disk
 
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,6 +88,30 @@ def test_eval_gaussian_heine(tmp_path):
     report = read_json(out)
     assert report["value"]["re"] == pytest.approx(0.0, abs=1e-12)
     assert report["value"]["im"] == pytest.approx(2.0, rel=1e-12)
+
+
+def test_far_pole_on_the_series_backend(tmp_path, capsys):
+    # h_n ~ mass / ebar^(n+1): at |ebar| = 1e150 the power overflows while
+    # the value does not; at 1e200 the value underflows to 0 and the
+    # refusal names the non-finite error estimate
+    def eval_at(ebar):
+        cfg = write_config(tmp_path, base_config(
+            weight={"kind": "gaussian", "scale": 1.0},
+            query={"N": 2, "mus": ["1.7+0.4i"], "epsbars": [[ebar, 0.0]]}))
+        out = tmp_path / "eval.json"
+        return run(["eval", "--config", cfg, "--out", str(out)]), out
+
+    values = {}
+    for ebar in (1e100, 1e150):
+        code, out = eval_at(ebar)
+        assert code == 0
+        report = read_json(out)["value"]
+        values[ebar] = complex(report["re"], report["im"])
+    assert values[1e150] == pytest.approx(values[1e100] * 1e-100, rel=1e-12)
+    assert values[1e100] == pytest.approx(2.73e-200 + 1.36e-200j, rel=1e-12)
+    capsys.readouterr()
+    assert eval_at(1e200)[0] == 3
+    assert "error estimate nan" in capsys.readouterr().err
 
 
 def test_eval_m_exceeds_n_exits_4(tmp_path, capsys):
@@ -352,3 +379,14 @@ def test_readme_example_config_parses():
     assert rc.oracle.radial_nodes == 64
     assert len(list(rc.verify.queries())) == 15
     assert (rc.scan.target, rc.scan.index, len(rc.scan.values)) == ("epsbars", 0, 15)
+
+
+def test_cli_imports_no_scipy():
+    # scipy is a test dependency only; loading it would cost every CLI
+    # process its import time
+    code = ("import detratio, detratio.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(__file__).parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

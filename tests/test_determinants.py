@@ -66,3 +66,38 @@ def test_confluent_vandermonde_reduces_to_plain():
     # multiplicity powers
     log_mod, _ = confluent_vandermonde_logpolar([0.0, 2.0], (2, 3))
     assert log_mod == pytest.approx(6 * np.log(2.0))
+
+
+def _scipy_lu_det(a):
+    """Determinant and pivot ratio from LAPACK's getrf, the reference."""
+    lu_factor = pytest.importorskip("scipy.linalg").lu_factor
+    lu, piv = lu_factor(a)
+    sign = (-1) ** np.count_nonzero(piv != np.arange(len(piv)))
+    diag = np.abs(lu.diagonal())
+    return sign * np.prod(lu.diagonal()), diag.max() / diag.min()
+
+
+def test_lu_det_follows_lapack_pivots():
+    # the |re| + |im| pivot rule reproduces getrf's pivot sequence, so U's
+    # diagonal, and with it the conditioning, agree to rounding
+    rng = np.random.default_rng(7)
+    for n in range(2, 10):
+        for _ in range(20):
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            det, cond = lu_det(a)
+            ref_det, ref_cond = _scipy_lu_det(a)
+            assert abs(det - ref_det) <= 1e-13 * abs(ref_det)
+            assert cond == pytest.approx(ref_cond, rel=1e-13)
+
+
+@pytest.mark.parametrize("a", [
+    [[0, 1, 2], [0, 3, 4], [0, 5, 6]],       # zero first column
+    [[1, 2j, 3], [2, 4j, 6], [-1, -2j, -3]],  # rank 1
+    [[1, 2, 3], [2, 4, 5], [1, 2, 7]],        # zero second pivot
+], ids=["zero-column", "rank-1", "zero-second-pivot"])
+def test_exactly_singular_matrix_gives_zero_and_infinite_conditioning(a):
+    assert lu_det(np.array(a, dtype=complex)) == (0j, math.inf)
+
+
+def test_row_swap_flips_the_sign():
+    assert lu_det(np.array([[0, 1], [1, 0]], dtype=complex)) == (-1 + 0j, 1.0)

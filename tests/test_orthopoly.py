@@ -9,6 +9,7 @@ from detratio import (ConstraintError, MomentMatrix, MonicPoly, NumericalError,
                       moment_matrix, ortho_system,
                       orthogonality_residual_matrix, partition_function,
                       poly_derivative)
+from detratio.orthopoly import lower_inverse
 
 PI = math.pi
 
@@ -119,6 +120,16 @@ def test_construction_uniqueness_cholesky_vs_bordered(gauss, disk, shifted):
             ref = np.array(sys_.polys[k].coeffs)
             scale = max(np.max(np.abs(ref)), 1.0)
             assert np.max(np.abs(alt - ref)) / scale < 1e-8
+
+
+def test_lower_inverse_matches_lapack(gauss, disk, shifted):
+    solve_triangular = pytest.importorskip("scipy.linalg").solve_triangular
+    for spec in (gauss, disk, shifted):
+        lower = moment_matrix(spec, 8).cholesky()
+        ref = solve_triangular(lower, np.eye(len(lower)), lower=True)
+        inv = lower_inverse(lower)
+        assert np.all(np.triu(inv, 1) == 0)
+        assert np.max(np.abs(inv - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_shifted_gaussian_polys_are_shifted_monomials(shifted):

@@ -11,7 +11,8 @@ from detratio import (MONTE_CARLO, ConstraintError, OracleConfig, WeightSpec,
                       disk_flat_weight, full_plane_domain, gaussian_weight,
                       moment_matrix, oracle_partition, ortho_system,
                       shifted_gaussian_weight)
-from detratio.weight import CUSTOM, FAMILIES, _polar_point, closed_moment
+from detratio.weight import (CUSTOM, FAMILIES, _polar_point, closed_moment,
+                             regularized_gamma_p)
 
 from conftest import family_weight
 
@@ -207,6 +208,20 @@ def test_half_angle_unit_vector_matches_mpmath():
         err = max(float(abs(mpmath.expjpi(2 * mpmath.mpf(x)) - mpmath.mpc(g)))
                   for x, g in zip(v, got))
     assert err <= 1e-15
+
+
+def test_incomplete_gamma_matches_mpmath():
+    # both branches, the switch at x = a + 1, e^-x near and past underflow
+    mpmath = pytest.importorskip("mpmath")
+    errors = []
+    with mpmath.workprec(113):
+        for a in range(1, 21):
+            edge = [math.nextafter(a + 1, 0), a + 1, math.nextafter(a + 1, math.inf)]
+            for x in [*np.logspace(-8, 3, 111), *edge, 745.0, 1e200, math.inf]:
+                ref = mpmath.gammainc(a, 0, mpmath.mpf(x), regularized=True)
+                got = regularized_gamma_p(a, float(x))
+                errors.append(float(abs(got - ref) / ref))
+    assert np.max(errors) <= 2e-15  # a NaN fails too
 
 
 # inverse CDF of each family's radial distribution
