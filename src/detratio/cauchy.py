@@ -143,7 +143,6 @@ class CauchyEvaluator:
     largest of 786,432 nodes, however many poles a scan visits.
     """
 
-    weight: WeightSpec
     system: OrthoSystem
     method: str
     tolerance: float = 1e-9
@@ -164,13 +163,16 @@ class CauchyEvaluator:
                 f"cauchy tolerance {self.tolerance:g} is below the rounding "
                 f"floor {ROUNDING_FLOOR:.2e}")
 
+    @property
+    def weight(self) -> WeightSpec:
+        return self.system.weight
+
 
 def cauchy_evaluator(system: OrthoSystem, method: Optional[str] = None,
                      tolerance: float = 1e-9) -> CauchyEvaluator:
     if method is None:
         method = ROTINV_SERIES if system.weight.rotation_invariant else QUADRATURE
-    return CauchyEvaluator(weight=system.weight, system=system, method=method,
-                           tolerance=tolerance)
+    return CauchyEvaluator(system=system, method=method, tolerance=tolerance)
 
 
 def _refuse_interior_derivative_pole(spec: WeightSpec, eps: complex,

@@ -104,7 +104,18 @@ def _field(block: dict, key: str, where: str, convert, default=_REQUIRED):
     return convert(block[key], name)
 
 
-def _block(data: dict, key: str, required: bool = False) -> Optional[dict]:
+def _known(block: dict, where: str, keys) -> None:
+    """Refuse a key of ``block`` outside ``keys``: a misspelt field would
+    otherwise be dropped and its default used."""
+    for key in block:
+        if key not in keys:
+            name = f"{where}.{key}" if where else key
+            raise ConfigError(f"{name}: unknown field; expected one of {tuple(keys)}")
+
+
+def _block(data: dict, key: str, keys, required: bool = False) -> Optional[dict]:
+    """The object ``data[key]`` with its keys checked against ``keys``
+    (None: checked by the caller)."""
     block = data.get(key)
     if block is None:
         if required:
@@ -112,6 +123,8 @@ def _block(data: dict, key: str, required: bool = False) -> Optional[dict]:
         return None
     if not isinstance(block, dict):
         raise ConfigError(f"{key}: expected an object")
+    if keys is not None:
+        _known(block, key, keys)
     return block
 
 
@@ -205,34 +218,39 @@ class RunConfig:
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be an object")
+    _known(data, "", ("weight", "system", "query", "oracle", "verify", "scan",
+                      "output", "tolerance"))
 
-    wblock = _block(data, "weight", required=True)
+    wblock = _block(data, "weight", None, required=True)
     kind = _field(wblock, "kind", "weight", _choice(FAMILIES))
+    fields = FAMILIES[kind].fields
+    _known(wblock, "weight", ("kind", "amplitude", *(f[0] for f in fields)))
     params = {name: _field(wblock, name, "weight",
                            parse_complex if value_type is complex else _real,
                            _REQUIRED if default is None else default)
-              for name, value_type, default in FAMILIES[kind].fields}
+              for name, value_type, default in fields}
     params["amplitude"] = _field(wblock, "amplitude", "weight", _real, 1.0)
 
-    sblock = _block(data, "system", required=True)
-    qblock = _block(data, "query", required=True)
+    sblock = _block(data, "system", ("max_degree",), required=True)
+    qblock = _block(data, "query", ("N", "mus", "epsbars", "mu_multiplicities",
+                                    "eps_multiplicities"), required=True)
     mus = _field(qblock, "mus", "query", _list(parse_complex), ())
     epsbars = _field(qblock, "epsbars", "query", _list(parse_complex), ())
 
-    oblock = _block(data, "oracle") or {}
+    oracle_fields = tuple(f.name for f in dataclasses.fields(OracleConfig))
+    oblock = _block(data, "oracle", oracle_fields) or {}
     try:
-        oracle = OracleConfig(**{f.name: oblock[f.name]
-                                 for f in dataclasses.fields(OracleConfig)
-                                 if oblock.get(f.name) is not None})
+        oracle = OracleConfig(**{name: oblock[name] for name in oracle_fields
+                                 if oblock.get(name) is not None})
     except ConstraintError as exc:
         raise ConfigError(str(exc)) from None
 
-    vblock = _block(data, "verify") or {}
+    vblock = _block(data, "verify", tuple(_VERIFY_FIELDS)) or {}
     verify = VerifySpec(**{"mus_pool": mus, "eps_pool": epsbars, **{
         key: _field(vblock, key, "verify", convert)
         for key, convert in _VERIFY_FIELDS.items() if vblock.get(key) is not None}})
-    scblock = _block(data, "scan")
-    outblock = _block(data, "output") or {}
+    scblock = _block(data, "scan", ("axis", "values", "start", "stop", "count"))
+    outblock = _block(data, "output", ("format", "path")) or {}
 
     return RunConfig(
         weight_kind=kind,
@@ -267,8 +285,7 @@ def load_config(path) -> RunConfig:
 
 
 def build_weight(rc: RunConfig) -> WeightSpec:
-    return FAMILIES[rc.weight_kind].build(rc.weight_params,
-                                          max(16, 2 * rc.max_degree))
+    return FAMILIES[rc.weight_kind].build(**rc.weight_params)
 
 
 def build_query(rc: RunConfig) -> RatioQuery:

@@ -92,8 +92,15 @@ def determinant_rows(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, eps_mults,
     multiplicity, then one row pi_d^(t)(mu)/t! for each mu and t.  Each h
     row is one ``cauchy_row`` request, so its missing transforms are
     computed in one pass.  Returns the matrix and the transform warnings,
-    each listed once; ``cev`` is not used when there are no ebars.
+    each listed once.  ``cev`` may be None when there are no ebars; an
+    evaluator built for another system is refused, since its h rows
+    would not belong to the pi rows of ``sys``.
     """
+    if cev is not None and cev.system is not sys:
+        raise ConstraintError(
+            f"the Cauchy evaluator was built for another orthogonal system "
+            f"({cev.weight.label()} to degree {cev.system.max_degree}), not for "
+            f"{sys.weight.label()} to degree {sys.max_degree}")
     degrees = tuple(degrees)
     rows, warnings = [], []
     for eps, mult in zip(epsbars, eps_mults):

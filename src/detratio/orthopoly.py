@@ -26,7 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConstraintError, NumericalError
-from .weight import MomentMatrix, WeightSpec, moment_matrix, weighted_grid
+from .weight import (MomentMatrix, WeightSpec, moment_matrix, truncation_radius,
+                     weighted_grid)
 
 CONDITION_LIMIT = 1e12
 
@@ -190,8 +191,10 @@ def partition_function(sys: OrthoSystem, n_eigenvalues: int) -> float:
 
 def orthogonality_residual_matrix(sys: OrthoSystem) -> np.ndarray:
     """Normalized Gram residuals |<pi_j, pi_k> - delta r_k| / sqrt(r_j r_k)
-    measured by quadrature on the 192x256 grid."""
-    nodes, wvals = weighted_grid(sys.weight, sys.weight.domain.quad_radius, 192, 256)
+    measured by quadrature on the 192x256 grid, whose disk holds moments
+    of order 2 max_degree."""
+    radius = truncation_radius(sys.weight, 2 * sys.max_degree)
+    nodes, wvals = weighted_grid(sys.weight, radius, 192, 256)
     values = np.vstack([eval_poly(p, nodes) for p in sys.polys])
     gram = (values * wvals) @ values.conj().T
     expected = np.diag(np.asarray(sys.norms))

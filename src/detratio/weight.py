@@ -24,6 +24,12 @@ removing a family touches this module alone.
   rotation invariant, with closed-form moments, used to exercise the
   generic code paths on a weight whose moment matrix is dense.
 
+One rule truncates the built-in full-plane weights, however deep the
+system built on them: the plane is cut at ``gaussian_cutoff(scale,
+CUTOFF_ORDER) + |center|``.  An integral of higher order over such a
+weight (quadrature moments, the orthogonality residual) asks
+``truncation_radius`` for a wider disk.
+
 Custom weights supply an evaluator callable plus an explicit domain
 (including a cutoff radius for full-plane weights); there is no
 automatic support detection.  Their moments come from quadrature, their
@@ -42,6 +48,10 @@ from .errors import ConstraintError, NumericalError, SingularMatrixError
 from .quadrature import adaptive_integral, star_grid
 
 MOMENT_TOL = 1e-10
+# moment order whose gaussian cutoff truncates every built-in full-plane
+# weight: it bounds the tail of r^33 exp(-scale r^2), so it holds Cauchy
+# rows up to degree 32
+CUTOFF_ORDER = 16
 
 FULL_PLANE = "full-plane"
 DISK = "disk"
@@ -74,18 +84,22 @@ def full_plane_domain(cutoff_radius: float) -> DomainSpec:
     return DomainSpec(kind=FULL_PLANE, quad_radius=float(cutoff_radius))
 
 
-def gaussian_cutoff(scale: float, max_order: int) -> float:
+def gaussian_cutoff(scale: float, order: int) -> float:
     """Truncation radius R with exp(-scale R^2) R^(2n+1) below 1e-16 of the
-    full radial integral for every moment order up to ``max_order``."""
-    n = max_order
+    full radial integral for every moment order n up to ``order``.
+
+    The bisection brackets the outer crossing from the peak of the
+    integrand, at sqrt((2n+1) / (2 scale)), outward."""
+    n = order
     target = math.log(1e-16) + math.lgamma(n + 1) - math.log(2.0) \
         - (n + 1) * math.log(scale)
 
     def excess(r: float) -> float:
         return -scale * r * r + (2 * n + 1) * math.log(r) - target
 
-    lo, hi = 1.0, 4.0
-    while excess(hi) > 0.0 and hi < 1e3:
+    lo = max(1.0, math.sqrt((2 * n + 1) / (2.0 * scale)))
+    hi = 4.0  # doubled past the peak and then past the crossing
+    while hi <= lo or excess(hi) > 0.0:
         hi *= 2.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -112,7 +126,6 @@ class WeightSpec:
     domain: DomainSpec
     amplitude: float = 1.0
     evaluator: Optional[Callable] = field(default=None, repr=False)
-    max_order: int = 16
 
     def __post_init__(self):
         if self.kind not in FAMILIES and self.kind != CUSTOM:
@@ -220,13 +233,12 @@ def _check_positivity(spec: WeightSpec) -> None:
             f"(w({bad:.4g}) = {np.min(vals):.4g})")
 
 
-def gaussian_weight(scale: float = 1.0, amplitude: float = 1.0,
-                    max_order: int = 16) -> WeightSpec:
+def gaussian_weight(scale: float = 1.0, amplitude: float = 1.0) -> WeightSpec:
     if scale <= 0:
         raise ConstraintError("gaussian scale must be positive")
-    dom = full_plane_domain(gaussian_cutoff(scale, max_order))
+    dom = full_plane_domain(gaussian_cutoff(scale, CUTOFF_ORDER))
     return WeightSpec(kind="gaussian", parameters=(float(scale),), domain=dom,
-                      amplitude=float(amplitude), max_order=max_order)
+                      amplitude=float(amplitude))
 
 
 def disk_flat_weight(radius: float = 1.0, amplitude: float = 1.0) -> WeightSpec:
@@ -235,23 +247,21 @@ def disk_flat_weight(radius: float = 1.0, amplitude: float = 1.0) -> WeightSpec:
 
 
 def shifted_gaussian_weight(center: complex, scale: float = 1.0,
-                            amplitude: float = 1.0, max_order: int = 16) -> WeightSpec:
+                            amplitude: float = 1.0) -> WeightSpec:
     if scale <= 0:
         raise ConstraintError("gaussian scale must be positive")
     c = complex(center)
-    cutoff = gaussian_cutoff(scale, max_order) + abs(c)
+    cutoff = gaussian_cutoff(scale, CUTOFF_ORDER) + abs(c)
     return WeightSpec(kind="shifted-gaussian",
                       parameters=(c.real, c.imag, float(scale)),
-                      domain=full_plane_domain(cutoff),
-                      amplitude=float(amplitude), max_order=max_order)
+                      domain=full_plane_domain(cutoff), amplitude=float(amplitude))
 
 
 class Family(NamedTuple):
     """A built-in family as configuration knows it: its fields as
     (name, type, default), a default of None marking a required field,
-    and ``build(values, max_order)``, which makes the weight from their
-    values and the amplitude with a full-plane cutoff covering moments up
-    to ``max_order``."""
+    and its factory ``build``, which takes the fields and ``amplitude``
+    as keywords."""
 
     fields: tuple
     build: Callable
@@ -260,16 +270,10 @@ class Family(NamedTuple):
 CUSTOM = "custom"
 # in the order configuration errors list them
 FAMILIES = {
-    "gaussian": Family(
-        (("scale", float, 1.0),),
-        lambda p, max_order: gaussian_weight(p["scale"], p["amplitude"], max_order)),
-    "disk-flat": Family(
-        (("radius", float, 1.0),),
-        lambda p, max_order: disk_flat_weight(p["radius"], p["amplitude"])),
-    "shifted-gaussian": Family(
-        (("center", complex, None), ("scale", float, 1.0)),
-        lambda p, max_order: shifted_gaussian_weight(
-            p["center"], p["scale"], p["amplitude"], max_order)),
+    "gaussian": Family((("scale", float, 1.0),), gaussian_weight),
+    "disk-flat": Family((("radius", float, 1.0),), disk_flat_weight),
+    "shifted-gaussian": Family((("center", complex, None), ("scale", float, 1.0)),
+                               shifted_gaussian_weight),
 }
 
 
@@ -356,8 +360,11 @@ def weighted_grid(spec: WeightSpec, radius: float, n_r: int,
     return grid.nodes, spec.evaluate(grid.nodes) * grid.weights
 
 
-def _moment_grid_radius(spec: WeightSpec, order: int) -> float:
-    if spec.domain.kind == DISK or order <= spec.max_order or spec.kind == CUSTOM:
+def truncation_radius(spec: WeightSpec, order: int) -> float:
+    """Radius of the disk that holds the moments of order up to ``order``
+    to 1e-16: the domain's radius, or past ``CUTOFF_ORDER`` the gaussian
+    cutoff of ``order`` for a built-in full-plane weight."""
+    if spec.domain.kind == DISK or order <= CUTOFF_ORDER or spec.kind == CUSTOM:
         return spec.domain.quad_radius
     return gaussian_cutoff(spec.parameters[-1], order) + abs(spec.centre)
 
@@ -410,7 +417,7 @@ def moment_matrix(spec: WeightSpec, n: int, *, method: str = "auto") -> MomentMa
         entries = np.array([[closed_moment(spec, j, k) for k in range(size)]
                             for j in range(size)], dtype=complex)
     else:
-        radius = _moment_grid_radius(spec, 2 * n)
+        radius = truncation_radius(spec, 2 * n)
 
         def matrix_on(n_r: int, n_t: int) -> np.ndarray:
             nodes, wvals = weighted_grid(spec, radius, n_r, n_t)

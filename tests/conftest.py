@@ -20,7 +20,7 @@ def family_weight(kind: str, amplitude: float = 1.0):
     values = {name: default if default is not None
               else 0.4 + 0.3j if value_type is complex else 0.7
               for name, value_type, default in family.fields}
-    return family.build({**values, "amplitude": amplitude}, 16)
+    return family.build(**values, amplitude=amplitude)
 
 
 def poly_values_on_circle(fn, degree: int, radius: float = 2.0) -> np.ndarray:

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from detratio import disk_flat_weight, gaussian_weight, shifted_gaussian_weight
 from detratio.cli import main
-from detratio.config import parse_complex, parse_config
+from detratio.config import build_weight, parse_complex, parse_config
 from detratio.errors import ConfigError
 
 PI = math.pi
@@ -316,6 +317,86 @@ def test_malformed_value_exits_2_naming_the_field(tmp_path, capsys, block, key, 
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert (f"{block}.{key}" if block else f"error: {key}:") in err
+
+
+@pytest.mark.parametrize("block, key", [
+    (None, "tolerence"), ("weight", "scale"), ("system", "depth"),
+    ("query", "epsbar"), ("oracle", "sample"), ("verify", "Nss"),
+    ("scan", "stepsize"), ("output", "file"),
+])
+def test_unknown_key_exits_2_naming_it(tmp_path, capsys, block, key):
+    # a dropped key would make "epsbar" for "epsbars" evaluate a query
+    # with no inverse factor, and "tolerence" use the default tolerance
+    data = base_config(
+        verify={"Ns": [1]},
+        scan={"axis": "epsbars[0]", "start": 1.5, "stop": 5.0, "count": 2})
+    (data[block] if block else data)[key] = 1
+    cfg = write_config(tmp_path, data)
+    assert run(["eval", "--config", cfg]) == 2
+    name = f"{block}.{key}" if block else key
+    assert capsys.readouterr().err.startswith(
+        f"config error: {name}: unknown field; expected one of (")
+
+
+ROOT = Path(__file__).parents[1]
+FACTORIES = {"gaussian": gaussian_weight, "disk-flat": disk_flat_weight,
+             "shifted-gaussian": shifted_gaussian_weight}
+
+
+def config_weights():
+    """(id, config) for each committed config, each configured weight of
+    the benchmark pools, and a shifted gaussian at depth 12."""
+    for path in sorted((ROOT / "configs").glob("*.json")):
+        yield path.stem, json.loads(path.read_text())
+    for path in sorted((ROOT / "bench" / "pools").glob("*.json")):
+        for entry in json.loads(path.read_text())["weights"]:
+            if "config" in entry:
+                yield f"{path.stem}-{entry['id']}", {
+                    "weight": entry["config"],
+                    "system": {"max_degree": entry["max_degree"]},
+                    "query": {"N": 1}}
+    yield "shifted-12", {
+        "weight": {"kind": "shifted-gaussian", "center": [0.4, 0.3]},
+        "system": {"max_degree": 12}, "query": {"N": 1}}
+
+
+@pytest.mark.parametrize("data", [pytest.param(d, id=i) for i, d in config_weights()])
+def test_cli_builds_the_library_weight(data):
+    # the depth of the system does not reach the weight: the CLI and the
+    # library truncate the plane at the same radius
+    rc = parse_config(data)
+    built = build_weight(rc)
+    library = FACTORIES[rc.weight_kind](**rc.weight_params)
+    assert (built.kind, built.parameters, built.amplitude) == \
+        (library.kind, library.parameters, library.amplitude)
+    assert built.domain.quad_radius.hex() == library.domain.quad_radius.hex()
+
+
+def test_deep_systems_keep_their_values(tmp_path):
+    # the weight does not depend on the depth, and the Gram residual grid
+    # widens with it: a cutoff of order 62 at radius 1.5 would move eval
+    # to 0.0332-0.0199i, fail two verify cases and read a residual of 1.0
+    def report(command, kind, depth, query):
+        weight = ({"kind": "shifted-gaussian", "center": [0.4, 0.3], "scale": 1.0}
+                  if kind == "shifted" else {"kind": "gaussian", "scale": 1.0})
+        cfg = write_config(tmp_path, {"weight": weight,
+                                      "system": {"max_degree": depth},
+                                      "query": query}, f"{kind}{depth}.json")
+        out = tmp_path / f"{command}{kind}{depth}.json"
+        code = run([command, "--config", cfg, "--out", str(out)])
+        return code, read_json(out)
+
+    query = {"N": 2, "epsbars": [[4.6, 0.5]]}
+    (code8, at8), (code31, at31) = (report("eval", "shifted", d, query) for d in (8, 31))
+    assert code8 == code31 == 0
+    assert at8["value"] == at31["value"]
+    assert at8["value"]["re"] == pytest.approx(0.0509, abs=1e-4)
+    query = {"N": 2, "mus": ["1.3+0.8i"], "epsbars": [[4.6, 0.5]]}
+    code, verify = report("verify", "gauss", 31, query)
+    assert code == 0 and len(verify["cases"]) == 8
+    assert all(case["passed"] for case in verify["cases"])
+    code, ortho = report("ortho", "gauss", 31, query)
+    assert code == 0 and ortho["orthogonality_residual_max"] < 1e-12
 
 
 def test_scan_row_keeps_multiplicities(tmp_path):

@@ -153,7 +153,7 @@ def test_conditioning_guard_refuses():
 def test_large_degree_gaussian_builds():
     # diagonal moment matrices equilibrate to condition 1; factorial norms
     # must not trip the guard
-    sys_ = ortho_system(gaussian_weight(max_order=80), 40)
+    sys_ = ortho_system(gaussian_weight(), 40)
     assert sys_.norms[40] == pytest.approx(PI * math.factorial(40), rel=1e-10)
 
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from detratio import (ConstraintError, DegenerateVariablesError, OracleConfig,
-                      RatioQuery, cauchy_evaluator, eval_poly,
+                      RatioQuery, cauchy_evaluator, deformed_cauchy, eval_poly,
                       expectation_inverses, expectation_products,
                       expectation_ratio, gaussian_weight, oracle_expectation,
                       ortho_system, partial_fractions)
@@ -196,6 +196,22 @@ def test_depth_checked_for_the_empty_query():
         expectation_ratio(RatioQuery(N=20), shallow, cauchy_evaluator(shallow))
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda q, sys_, ev: expectation_ratio(q, sys_, ev),
+    lambda q, sys_, ev: expectation_inverses(q, sys_, ev),
+    lambda q, sys_, ev: deformed_cauchy(sys_, ev, q.epsbars, 2, 3.0 + 1j),
+], ids=["ratio", "inverses", "deformed-cauchy"])
+def test_evaluator_of_another_system_is_refused(disk_sys, gauss_ev, evaluate):
+    # h rows of the gaussian next to pi rows of the disk would give a
+    # finite, wrong value; a separately built system of the same weight
+    # is another system too
+    q = RatioQuery(N=2, epsbars=EPS_DISK)
+    for ev in (gauss_ev, cauchy_evaluator(ortho_system(disk_sys.weight, 8))):
+        with pytest.raises(ConstraintError, match="another orthogonal system"):
+            evaluate(q, disk_sys, ev)
+    assert cauchy_evaluator(disk_sys).weight is disk_sys.weight
+
+
 def test_constraint_errors(disk_sys, disk_ev):
     with pytest.raises(ConstraintError):
         RatioQuery(N=1, epsbars=EPS_DISK)  # M > N
@@ -233,7 +249,7 @@ def test_non_finite_results_rejected():
 
 def test_overflow_control_large_system():
     # factorial norms at depth 40 only pass through logs
-    sys_ = ortho_system(gaussian_weight(max_order=80), 40)
+    sys_ = ortho_system(gaussian_weight(), 40)
     cev = cauchy_evaluator(sys_)
     mu = 1.1 + 0.2j
     res = expectation_ratio(RatioQuery(N=40, mus=(mu,)), sys_, cev)

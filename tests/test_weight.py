@@ -11,8 +11,8 @@ from detratio import (MONTE_CARLO, ConstraintError, OracleConfig, WeightSpec,
                       disk_flat_weight, full_plane_domain, gaussian_weight,
                       moment_matrix, oracle_partition, ortho_system,
                       shifted_gaussian_weight)
-from detratio.weight import (CUSTOM, FAMILIES, _polar_point, closed_moment,
-                             regularized_gamma_p)
+from detratio.weight import (CUSTOM, CUTOFF_ORDER, FAMILIES, _polar_point,
+                             closed_moment, gaussian_cutoff, regularized_gamma_p)
 
 from conftest import family_weight
 
@@ -161,13 +161,30 @@ def test_unknown_moment_method_is_refused(disk):
                          ids=["gauss", "gauss05", "shifted"])
 @pytest.mark.parametrize("n", [10, 12])
 def test_quadrature_moments_beyond_max_order_match_closed_form(spec, n):
-    # 2n exceeds the weight's max_order of 16, so the grid radius is
+    # 2n exceeds the cutoff order of 16, so the grid radius is
     # recomputed for order 2n instead of the domain's cutoff
-    assert 2 * n > spec.max_order
+    assert 2 * n > CUTOFF_ORDER
     closed = moment_matrix(spec, n).entries
     quad = moment_matrix(spec, n, method="quadrature").entries
     diag = closed.diagonal().real
     assert np.max(np.abs(quad - closed) / np.sqrt(np.outer(diag, diag))) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [0.1, 0.5, 0.82, 1.0, 1.4, 2.0, 5.0])
+def test_gaussian_cutoff_grows_with_the_order(scale):
+    # past the peak of r^(2n+1) exp(-scale r^2) the tail stays below
+    # 1e-16 of the radial integral; a bisection bracket that misses the
+    # peak returns 1.5 (from order 62 at scale 1)
+    previous = 0.0
+    for n in range(201):
+        radius = gaussian_cutoff(scale, n)
+        assert radius > previous, (n, radius, previous)
+        previous = radius
+        r = radius - 0.5
+        assert r >= math.sqrt((2 * n + 1) / (2 * scale)) or r == 1.0
+        log_tail = -scale * r * r + (2 * n + 1) * math.log(r)
+        log_full = math.lgamma(n + 1) - math.log(2.0) - (n + 1) * math.log(scale)
+        assert log_tail - log_full <= math.log(1e-16) + 1e-12, (n, radius)
 
 
 def test_rotation_invariance_comes_from_the_family():
