@@ -53,7 +53,7 @@ effective support differently foliated iterated integrals disagree by
 an O(w at the pole) ambiguity, mirroring the fact that the coinciding-
 variable limit they feed diverges there.  Both backends therefore
 refuse poles on or inside the effective support at k >= 1, with the
-same check.  Outside it the conventions coincide exactly only where the
+same check, ``_check_pole``.  Outside it the conventions coincide exactly only where the
 weight vanishes at the pole, as outside a disk.  A full-plane weight is
 positive everywhere, so the ambiguity persists beyond its effective
 support and shrinks with the weight at the pole: on ``gaussian_weight()``
@@ -74,10 +74,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConstraintError, ConvergenceError, NumericalError
+from .errors import ConstraintError, NumericalError
 from .orthopoly import MonicPoly, OrthoSystem, eval_poly
-from .quadrature import (PROBE, ROUNDING_FLOOR, adaptive_integral, cauchy_kernel_grid,
-                         cauchy_kernel_weights, disk_chord_lengths)
+from .quadrature import (PROBE, adaptive_integral, cauchy_kernel_grid,
+                         cauchy_kernel_weights, disk_chord_lengths,
+                         require_certifiable)
 from .weight import DISK, WeightSpec, radial_mass, weighted_grid
 
 ROTINV_SERIES = "rotinv-series"
@@ -158,10 +159,7 @@ class CauchyEvaluator:
                 "the series backend requires a rotation-invariant weight")
         # the series values carry rounding error too, so both backends
         # refuse what quadrature refinement could not certify
-        if not self.tolerance >= ROUNDING_FLOOR:
-            raise ConvergenceError(
-                f"cauchy tolerance {self.tolerance:g} is below the rounding "
-                f"floor {ROUNDING_FLOOR:.2e}")
+        require_certifiable(self.tolerance, "cauchy evaluator")
 
     @property
     def weight(self) -> WeightSpec:
@@ -175,22 +173,30 @@ def cauchy_evaluator(system: OrthoSystem, method: Optional[str] = None,
     return CauchyEvaluator(system=system, method=method, tolerance=tolerance)
 
 
-def _refuse_interior_derivative_pole(spec: WeightSpec, eps: complex,
-                                    order: int) -> None:
-    """Refuse a derivative transform whose pole does not lie strictly
-    outside the effective support; both backends call this before
-    computing anything, a pole on a disk's boundary included."""
-    if order >= 1 and abs(eps) <= spec.effective_support_radius:
-        raise NumericalError(
-            f"derivative transform of order {order} at eps={complex(eps):.6g}: "
-            "the pole lies on or inside the effective support, where the "
-            "coinciding-variable limit is undefined")
+def _check_pole(spec: WeightSpec, eps: complex, order: int) -> tuple:
+    """The warnings of a row of transforms at the pole ``eps``.
+
+    A pole on or inside the effective support (on a disk, the disk) is
+    flagged at order 0 and refused with NumericalError at order >= 1.
+    Each backend calls this once per row before computing anything, so a
+    pole on a disk's boundary is refused before any grid is built;
+    ``series_transform``, callable alone, checks its own entry too.
+    """
+    if abs(eps) <= spec.effective_support_radius:
+        if order >= 1:
+            raise NumericalError(
+                f"derivative transform of order {order} at eps={complex(eps):.6g}: "
+                "the pole lies on or inside the effective support, where the "
+                "coinciding-variable limit is undefined")
+        return ("singularity inside domain" if spec.domain.kind == DISK
+                else "singularity inside effective support",)
+    return ()
 
 
 def series_transform(spec: WeightSpec, n: int, eps: complex, order: int = 0) -> complex:
     """Closed-form transform (and derivatives) for rotation-invariant weights."""
     u = complex(eps)
-    _refuse_interior_derivative_pole(spec, u, order)
+    _check_pole(spec, u, order)
     if u == 0:
         return 0j
     mass = radial_mass(spec, n, abs(u))
@@ -200,14 +206,6 @@ def series_transform(spec: WeightSpec, n: int, eps: complex, order: int = 0) -> 
         return coeff * mass / u ** k
     except OverflowError:  # a far pole: the power overflows, its inverse need not
         return coeff * mass * (1 / u) ** k
-
-
-def _inside_warnings(spec: WeightSpec, eps: complex) -> tuple:
-    """Flag a pole on or inside the effective support (on a disk, the disk)."""
-    if abs(eps) <= spec.effective_support_radius:
-        return ("singularity inside domain" if spec.domain.kind == DISK
-                else "singularity inside effective support",)
-    return ()
 
 
 def cauchy_quadrature_row(spec: WeightSpec, polys, eps: complex,
@@ -244,7 +242,7 @@ def cauchy_quadrature_row(spec: WeightSpec, polys, eps: complex,
 
 def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
                     order: int, table: _LevelTable) -> tuple[CauchyResult, ...]:
-    _refuse_interior_derivative_pole(spec, u, order)
+    warnings = _check_pole(spec, u, order)
     pole = np.conj(u)
     boundary = spec.domain.quad_radius
 
@@ -290,7 +288,6 @@ def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
         lv, g = row_levels[n_r, n_t]
         return complex(np.dot(lv.values(poly), g)) / _TWO_PI_I
 
-    warnings = _inside_warnings(spec, u)
     results = []
     for poly in polys:
         l1 = float(np.dot(np.abs(probe.values(poly)), probe_scale)) \
@@ -319,25 +316,20 @@ def cauchy_row(ev: CauchyEvaluator, degrees, eps: complex,
     on the evaluator's level table.
     """
     degrees = tuple(degrees)
-    for n in degrees:
-        if not 0 <= n <= ev.system.max_degree:
-            raise ConstraintError(
-                f"transform degree {n} exceeds system depth {ev.system.max_degree}")
+    polys = {n: ev.system.poly(n) for n in degrees}
     if order < 0:
         raise ConstraintError("derivative order must be non-negative")
     u = complex(eps)
-    missing = [n for n in dict.fromkeys(degrees) if (n, u, order) not in ev._memo]
+    missing = [n for n in polys if (n, u, order) not in ev._memo]
     if missing:
         if ev.method == ROTINV_SERIES:
-            computed = []
-            for n in missing:
-                value = series_transform(ev.weight, n, u, order)
-                computed.append(CauchyResult(value=value, error=abs(value) * 1e-15,
-                                             warnings=_inside_warnings(ev.weight, u)))
+            warnings = _check_pole(ev.weight, u, order)
+            values = [series_transform(ev.weight, n, u, order) for n in missing]
+            computed = [CauchyResult(value=v, error=abs(v) * 1e-15, warnings=warnings)
+                        for v in values]
         else:
-            computed = _quadrature_row(
-                ev.weight, [ev.system.poly(n) for n in missing], u, ev.tolerance,
-                order, ev._levels)
+            computed = _quadrature_row(ev.weight, [polys[n] for n in missing], u,
+                                       ev.tolerance, order, ev._levels)
         for n, result in zip(missing, computed):
             ev._memo[n, u, order] = result
     return tuple(ev._memo[n, u, order] for n in degrees)

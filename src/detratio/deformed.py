@@ -25,12 +25,15 @@ same rows without the last column):
 Deformation variables must be pairwise distinct; nearly coincident
 variables lose all significant digits in the determinant ratio long
 before the analytic (confluent) limit is reached, so they are rejected
-and the caller is directed to derivative rows.
+and the caller is directed to derivative rows.  ``canonical_variables``
+checks every variable list of the package, and ``_bordered_matrix``
+checks the degree range of every deformed formula.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +65,22 @@ def check_nondegenerate(values, label: str) -> None:
             "declare multiplicities and use the confluent path")
 
 
+def canonical_variables(values, label: str, multiplicities=None) -> tuple[tuple, tuple]:
+    """Complex values and int multiplicities (1 by default) of a variable
+    list.  Refuses multiplicities that are not one integer >= 1 (bools
+    excluded) per value, and values that are not pairwise distinct."""
+    xs = tuple(complex(v) for v in values)
+    mults = (1,) * len(xs) if multiplicities is None else tuple(multiplicities)
+    if len(mults) != len(xs) or any(
+            isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1
+            for k in mults):
+        raise ConstraintError(
+            f"{label}: expected one integer multiplicity >= 1 per variable, "
+            f"got {mults!r} for {len(xs)} variables")
+    check_nondegenerate(xs, label)
+    return xs, tuple(int(k) for k in mults)
+
+
 @dataclass(frozen=True)
 class Deformation:
     """Multiplicative mu-factors and inverse ebar-factors of a measure."""
@@ -70,10 +89,9 @@ class Deformation:
     epsbars: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "mus", tuple(complex(v) for v in self.mus))
-        object.__setattr__(self, "epsbars", tuple(complex(v) for v in self.epsbars))
-        check_nondegenerate(self.mus, "mus")
-        check_nondegenerate(self.epsbars, "epsbars")
+        object.__setattr__(self, "mus", canonical_variables(self.mus, "mus")[0])
+        object.__setattr__(self, "epsbars",
+                           canonical_variables(self.epsbars, "epsbars")[0])
 
 
 @dataclass(frozen=True)
@@ -135,32 +153,41 @@ def _bordered_ratio(matrix: np.ndarray, what: str) -> tuple[complex, complex, fl
     return num, den, max(cond_num, cond_den)
 
 
-def _require_depth(sys: OrthoSystem, degree: int, what: str) -> None:
-    if degree > sys.max_degree:
+def _bordered_matrix(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, mus,
+                     mu_mults, n: int, what: str, *, z=None, eps=None) -> np.ndarray:
+    """Matrix of a degree-n deformed formula: the h rows at ``epsbars`` and
+    the pi rows at ``mus``, bordered by the pi row at ``z`` or else the h
+    row at ``eps``, over the degrees n - M .. n + L.  Refuses degrees
+    outside 0 <= M <= n and n + L <= system depth, with M = len(epsbars)
+    inverse factors and L = sum(mu_mults) multiplied ones."""
+    m, ell = len(epsbars), sum(mu_mults)
+    if not 0 <= m <= n or n + ell > sys.max_degree:
         raise ConstraintError(
-            f"{what} needs polynomials up to degree {degree}; "
-            f"system depth is {sys.max_degree}")
+            f"{what} of degree {n} needs 0 <= M <= n and n + L <= {sys.max_degree}, "
+            f"the system depth; here M = {m} inverse factors and L = {ell} "
+            "multiplied ones")
+    if eps is None:
+        mus, mu_mults = mus + (complex(z),), mu_mults + (1,)
+    else:
+        epsbars = epsbars + (complex(eps),)
+    matrix, _ = determinant_rows(sys, cev, epsbars, (1,) * len(epsbars), mus,
+                                 mu_mults, range(n - m, n + ell + 1))
+    return matrix
 
 
 def _deformed_poly(sys: OrthoSystem, cev: CauchyEvaluator, mus, mu_mults,
                    epsbars, n: int, z: complex, what: str) -> DeformedPolyResult:
     """Monic degree-n polynomial for the measure
-    prod_j (mu_j - z)^(m_j) / prod_k (ebar_k - zbar) times the weight."""
-    check_nondegenerate(mus, "mus")
-    check_nondegenerate(epsbars, "epsbars")
-    ell, m = sum(mu_mults), len(epsbars)
-    if n < 0:
-        raise ConstraintError("polynomial degree must be non-negative")
-    if m > n:
-        raise ConstraintError("the number of inverse factors cannot exceed the degree")
-    _require_depth(sys, n + ell, what)
+    prod_j (mu_j - z)^(m_j) / prod_k (ebar_k - zbar) times the weight;
+    ``mu_mults`` None means simple mus."""
+    mus, mu_mults = canonical_variables(mus, "mus", mu_mults)
+    epsbars, _ = canonical_variables(epsbars, "epsbars")
     z = complex(z)
     if any(z == mu for mu in mus):
         raise ConstraintError(
             "evaluation point coincides with a deformation mu; "
             "use christoffel_q, which vanishes there")
-    matrix, _ = determinant_rows(sys, cev, epsbars, (1,) * m, mus + (z,),
-                                 mu_mults + (1,), range(n - m, n + ell + 1))
+    matrix = _bordered_matrix(sys, cev, epsbars, mus, mu_mults, n, what, z=z)
     num, den, cond = _bordered_ratio(matrix, f"{what} minor")
     factor = np.prod([(z - mu) ** k for mu, k in zip(mus, mu_mults)])
     return DeformedPolyResult(num / (den * factor), num, den, cond)
@@ -168,60 +195,45 @@ def _deformed_poly(sys: OrthoSystem, cev: CauchyEvaluator, mus, mu_mults,
 
 def christoffel_q(sys: OrthoSystem, mus, n: int, z: complex) -> complex:
     """Raw bordered determinant for the multiplied measure; vanishes at each mu."""
-    mus = tuple(complex(v) for v in mus)
-    ell = len(mus)
-    _require_depth(sys, n + ell, "christoffel determinant")
-    matrix, _ = determinant_rows(sys, None, (), (), mus + (complex(z),),
-                                 (1,) * (ell + 1), range(n, n + ell + 1))
-    return lu_det(matrix)[0]
+    mus, mults = canonical_variables(mus, "mus")
+    return lu_det(_bordered_matrix(sys, None, (), mus, mults, n,
+                                   "christoffel determinant", z=z))[0]
 
 
 def christoffel_poly(sys: OrthoSystem, mus, n: int, z: complex) -> DeformedPolyResult:
     """Monic degree-n polynomial orthogonal after multiplying the weight
     by prod_j (mu_j - z)."""
-    mus = tuple(mus)
-    return christoffel_poly_confluent(sys, mus, (1,) * len(mus), n, z)
+    return _deformed_poly(sys, None, mus, None, (), n, z, "christoffel formula")
 
 
 def christoffel_poly_confluent(sys: OrthoSystem, mus, multiplicities, n: int,
                                z: complex) -> DeformedPolyResult:
     """Christoffel formula with repeated mu's: derivative rows replace the
     coincident-value rows in both determinants."""
-    mus = tuple(complex(v) for v in mus)
-    mults = tuple(int(m) for m in multiplicities)
-    if len(mus) != len(mults) or any(m < 1 for m in mults):
-        raise ConstraintError("multiplicities must be positive, one per mu")
-    return _deformed_poly(sys, None, mus, mults, (), n, z, "christoffel formula")
+    return _deformed_poly(sys, None, mus, multiplicities, (), n, z,
+                          "christoffel formula")
 
 
 def uvarov_q(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, n: int,
              z: complex) -> complex:
     """Raw bordered determinant for the divided measure."""
-    epsbars = tuple(complex(v) for v in epsbars)
-    m = len(epsbars)
-    if m > n:
-        raise ConstraintError("the number of inverse factors cannot exceed the degree")
-    _require_depth(sys, n, "uvarov determinant")
-    matrix, _ = determinant_rows(sys, cev, epsbars, (1,) * m, (complex(z),), (1,),
-                                 range(n - m, n + 1))
-    return lu_det(matrix)[0]
+    epsbars, _ = canonical_variables(epsbars, "epsbars")
+    return lu_det(_bordered_matrix(sys, cev, epsbars, (), (), n,
+                                   "uvarov determinant", z=z))[0]
 
 
 def uvarov_poly(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, n: int,
                 z: complex) -> DeformedPolyResult:
     """Monic degree-n polynomial orthogonal after dividing the weight by
     prod_k (ebar_k - zbar)."""
-    return _deformed_poly(sys, cev, (), (), tuple(complex(v) for v in epsbars),
-                          n, z, "uvarov formula")
+    return _deformed_poly(sys, cev, (), None, epsbars, n, z, "uvarov formula")
 
 
 def combined_poly(sys: OrthoSystem, cev: CauchyEvaluator, mus, epsbars, n: int,
                   z: complex) -> DeformedPolyResult:
     """Monic degree-n polynomial for the general deformed measure
     prod_j (mu_j - z) / prod_k (ebar_k - zbar) times the weight."""
-    mus = tuple(complex(v) for v in mus)
-    return _deformed_poly(sys, cev, mus, (1,) * len(mus),
-                          tuple(complex(v) for v in epsbars), n, z,
+    return _deformed_poly(sys, cev, mus, None, epsbars, n, z,
                           "combined deformation formula")
 
 
@@ -229,20 +241,14 @@ def deformed_cauchy(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, n: int,
                     eps: complex) -> complex:
     """Cauchy transform of the divided-measure polynomial, expressed
     entirely through the undeformed transforms."""
-    epsbars = tuple(complex(v) for v in epsbars)
-    check_nondegenerate(epsbars, "epsbars")
-    m = len(epsbars)
-    if m > n:
-        raise ConstraintError("the number of inverse factors cannot exceed the degree")
-    _require_depth(sys, n, "deformed Cauchy transform")
+    epsbars, _ = canonical_variables(epsbars, "epsbars")
     eps = complex(eps)
     if any(eps == eb for eb in epsbars):
         raise ConstraintError(
             "evaluation point coincides with a deformation ebar")
     check_nondegenerate(epsbars + (eps,), "epsbars plus evaluation point")
-    matrix, _ = determinant_rows(sys, cev, epsbars + (eps,), (1,) * (m + 1), (), (),
-                                 range(n - m, n + 1))
+    matrix = _bordered_matrix(sys, cev, epsbars, (), (), n,
+                              "deformed Cauchy transform", eps=eps)
     num, den, _ = _bordered_ratio(matrix, "deformed-transform h-minor")
-    prefactor = (-1) ** m / np.prod([eps - eb for eb in epsbars])
+    prefactor = (-1) ** len(epsbars) / np.prod([eps - eb for eb in epsbars])
     return complex(prefactor * num / den)
-

@@ -234,9 +234,8 @@ def oracle_expectation(q: RatioQuery, spec: WeightSpec,
 
 
 def oracle_partition(spec: WeightSpec, n_ev: int, cfg: OracleConfig) -> OracleEstimate:
-    """Direct estimate of the partition function Z_N."""
-    if n_ev < 1:
-        raise ConstraintError("the eigenvalue count must be positive")
+    """Direct estimate of the partition function Z_N; ``RatioQuery``
+    refuses N < 1."""
     _check_n_limit(cfg.method, n_ev)
     q = RatioQuery(N=n_ev)
     if cfg.method == TENSOR_QUADRATURE:

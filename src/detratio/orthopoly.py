@@ -108,7 +108,7 @@ class OrthoSystem:
     def poly(self, k: int) -> MonicPoly:
         if not 0 <= k <= self.max_degree:
             raise ConstraintError(
-                f"polynomial degree {k} exceeds system depth {self.max_degree}")
+                f"polynomial degree {k} is outside 0..{self.max_degree}")
         return self.polys[k]
 
 

@@ -128,6 +128,15 @@ def disk_chord_lengths(center: complex, radius: float):
 ROUNDING_FLOOR = 32 * float(np.finfo(float).eps)
 
 
+def require_certifiable(tol: float, what: str) -> None:
+    """Refuse with ConvergenceError a relative tolerance below
+    ROUNDING_FLOOR, which no doubling can certify."""
+    if not tol >= ROUNDING_FLOOR:
+        raise ConvergenceError(
+            f"{what}: tol={tol:g} is below the rounding floor "
+            f"{ROUNDING_FLOOR:.2e}; no quadrature refinement can certify it")
+
+
 # the one refinement schedule, of moments and Cauchy rows alike: the probe
 # level, then at most four doublings of both node counts, up to 768x1024
 PROBE = (48, 64)
@@ -143,18 +152,14 @@ def adaptive_integral(evaluate, tol: float, *, scale: float = 0.0,
     successive values differ by less than ``tol`` relative to
     ref = max(|value|, scale); raises ConvergenceError otherwise.
 
-    A ``tol`` below ROUNDING_FLOOR (32 machine epsilons) is refused with
-    ConvergenceError before anything is evaluated: no doubling can certify
-    it, whatever the sampled values.  Returns the finest value together
-    with the last doubling difference as an error estimate, raised to at
-    least ROUNDING_FLOOR * ref, so it is never zero.  The ConvergenceError
-    of a refinement that does not converge lists the change at every
-    level it tried.
+    ``require_certifiable`` refuses a ``tol`` below ROUNDING_FLOOR (32
+    machine epsilons) before anything is evaluated.  Returns the finest
+    value together with the last doubling difference as an error
+    estimate, raised to at least ROUNDING_FLOOR * ref, so it is never
+    zero.  The ConvergenceError of a refinement that does not converge
+    lists the change at every level it tried.
     """
-    if not tol >= ROUNDING_FLOOR:
-        raise ConvergenceError(
-            f"{what}: tol={tol:g} is below the rounding floor "
-            f"{ROUNDING_FLOOR:.2e}; no quadrature refinement can certify it")
+    require_certifiable(tol, what)
     n_r, n_t = PROBE
     prev = np.asarray(evaluate(n_r, n_t), dtype=complex)
     history = []

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .cauchy import ROTINV_SERIES, CauchyEvaluator
-from .deformed import (check_nondegenerate, christoffel_poly, deformed_cauchy,
+from .deformed import (canonical_variables, christoffel_poly, deformed_cauchy,
                        determinant_rows)
 from .determinants import confluent_vandermonde_logpolar, scaled_lu_det
 from .errors import ConstraintError, NumericalError
@@ -62,20 +62,13 @@ class RatioQuery:
     def __post_init__(self):
         if self.N < 1:
             raise ConstraintError("the eigenvalue count N must be positive")
-        object.__setattr__(self, "mus", tuple(complex(v) for v in self.mus))
-        object.__setattr__(self, "epsbars", tuple(complex(v) for v in self.epsbars))
-        mm = self.mu_multiplicities
-        em = self.eps_multiplicities
-        mm = tuple(int(v) for v in mm) if mm is not None else (1,) * len(self.mus)
-        em = tuple(int(v) for v in em) if em is not None else (1,) * len(self.epsbars)
+        mus, mm = canonical_variables(self.mus, "mus", self.mu_multiplicities)
+        epsbars, em = canonical_variables(self.epsbars, "epsbars",
+                                          self.eps_multiplicities)
+        object.__setattr__(self, "mus", mus)
+        object.__setattr__(self, "epsbars", epsbars)
         object.__setattr__(self, "mu_multiplicities", mm)
         object.__setattr__(self, "eps_multiplicities", em)
-        if len(mm) != len(self.mus) or len(em) != len(self.epsbars):
-            raise ConstraintError("one multiplicity is required per variable")
-        if any(m < 1 for m in mm + em):
-            raise ConstraintError("multiplicities must be at least 1")
-        check_nondegenerate(self.mus, "mus")
-        check_nondegenerate(self.epsbars, "epsbars")
         if self.M_total > self.N:
             raise ConstraintError(
                 f"M = {self.M_total} inverse factors exceed N = {self.N}")
@@ -214,8 +207,7 @@ def partial_fractions(j: int, epsbars) -> tuple[np.ndarray, Poly]:
     """
     if j < 0:
         raise ConstraintError("the monomial power must be non-negative")
-    eps = tuple(complex(v) for v in epsbars)
-    check_nondegenerate(eps, "epsbars")
+    eps, _ = canonical_variables(epsbars, "epsbars")
     m = len(eps)
     if m == 0:
         return np.zeros(0, dtype=complex), Poly((0j,) * j + (1.0 + 0j,))

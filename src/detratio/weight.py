@@ -90,6 +90,8 @@ def gaussian_cutoff(scale: float, order: int) -> float:
 
     The bisection brackets the outer crossing from the peak of the
     integrand, at sqrt((2n+1) / (2 scale)), outward."""
+    if scale <= 0:
+        raise ConstraintError("gaussian scale must be positive")
     n = order
     target = math.log(1e-16) + math.lgamma(n + 1) - math.log(2.0) \
         - (n + 1) * math.log(scale)
@@ -234,8 +236,6 @@ def _check_positivity(spec: WeightSpec) -> None:
 
 
 def gaussian_weight(scale: float = 1.0, amplitude: float = 1.0) -> WeightSpec:
-    if scale <= 0:
-        raise ConstraintError("gaussian scale must be positive")
     dom = full_plane_domain(gaussian_cutoff(scale, CUTOFF_ORDER))
     return WeightSpec(kind="gaussian", parameters=(float(scale),), domain=dom,
                       amplitude=float(amplitude))
@@ -248,8 +248,6 @@ def disk_flat_weight(radius: float = 1.0, amplitude: float = 1.0) -> WeightSpec:
 
 def shifted_gaussian_weight(center: complex, scale: float = 1.0,
                             amplitude: float = 1.0) -> WeightSpec:
-    if scale <= 0:
-        raise ConstraintError("gaussian scale must be positive")
     c = complex(center)
     cutoff = gaussian_cutoff(scale, CUTOFF_ORDER) + abs(c)
     return WeightSpec(kind="shifted-gaussian",

@@ -1,0 +1,129 @@
+"""Each input rule of the library is checked by one function.
+
+The variable list by ``deformed.canonical_variables``, the degree range
+of a deformed formula by ``deformed._bordered_matrix``, a polynomial
+degree by ``OrthoSystem.poly``, a pole by ``cauchy._check_pole`` and a
+tolerance by ``quadrature.require_certifiable``.  The behavioural tests
+send the same malformed inputs down every path; the AST guards keep the
+copies of a check from coming back.
+"""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import detratio
+from detratio import (ConstraintError, DegenerateVariablesError, RatioQuery,
+                      cauchy_evaluator, cauchy_row, christoffel_poly,
+                      christoffel_poly_confluent, christoffel_q, combined_poly,
+                      deformed_cauchy, uvarov_poly, uvarov_q)
+
+# each formula as f(sys, cev, mus, epsbars, n); the christoffel formulas
+# take no inverse factors and no evaluator
+FORMULAS = {
+    "christoffel_q": lambda s, ev, mus, eps, n: christoffel_q(s, mus, n, 0.3),
+    "christoffel_poly": lambda s, ev, mus, eps, n: christoffel_poly(s, mus, n, 0.3),
+    "christoffel_poly_confluent": lambda s, ev, mus, eps, n:
+        christoffel_poly_confluent(s, mus, (1,) * len(mus), n, 0.3),
+    "uvarov_q": lambda s, ev, mus, eps, n: uvarov_q(s, ev, eps, n, 0.3),
+    "uvarov_poly": lambda s, ev, mus, eps, n: uvarov_poly(s, ev, eps, n, 0.3),
+    "combined_poly": lambda s, ev, mus, eps, n:
+        combined_poly(s, ev, mus, eps, n, 0.3),
+    "deformed_cauchy": lambda s, ev, mus, eps, n:
+        deformed_cauchy(s, ev, eps, n, 3.0 + 1j),
+}
+INVERSE = ("uvarov_q", "uvarov_poly", "combined_poly", "deformed_cauchy")
+MULTIPLIED = ("christoffel_q", "christoffel_poly", "christoffel_poly_confluent",
+              "combined_poly")
+
+# (case, formulas, mus, epsbars, n, foreign evaluator, exception, message)
+CASES = [
+    ("near-coincident mus", MULTIPLIED, (1.5, 1.5 + 1e-10), (), 2, False,
+     DegenerateVariablesError, "mus contains variables closer than"),
+    ("equal mus", MULTIPLIED, (1.5, 1.5), (), 2, False,
+     DegenerateVariablesError, "mus contains variables closer than"),
+    ("near-coincident epsbars", INVERSE, (), (2.0, 2.0 + 1e-10), 2, False,
+     DegenerateVariablesError, "epsbars contains variables closer than"),
+    ("more inverse factors than the degree", INVERSE, (), (2.0, 3.0), 1, False,
+     ConstraintError, r"of degree 1 needs 0 <= M <= n .* M = 2 inverse"),
+    ("negative degree", tuple(FORMULAS), (), (), -1, False,
+     ConstraintError, r"of degree -1 needs 0 <= M <= n"),
+    ("too deep a system", tuple(FORMULAS), (), (), 9, False,
+     ConstraintError, r"of degree 9 needs .* n \+ L <= 8"),
+    ("too deep with factors", MULTIPLIED, (1.5, 2.5), (), 7, False,
+     ConstraintError, r"of degree 7 needs .* L = 2 multiplied"),
+    ("evaluator of another system", INVERSE, (), (2.0,), 2, True,
+     ConstraintError, "another orthogonal system"),
+]
+
+
+@pytest.mark.parametrize("formula,mus,epsbars,n,foreign,exc,message", [
+    pytest.param(name, mus, epsbars, n, foreign, exc, message, id=f"{case}-{name}")
+    for case, names, mus, epsbars, n, foreign, exc, message in CASES
+    for name in names])
+def test_deformed_formulas_refuse_malformed_inputs_alike(
+        disk_sys, disk_ev, gauss_ev, formula, mus, epsbars, n, foreign, exc, message):
+    ev = gauss_ev if foreign else disk_ev
+    with pytest.raises(ConstraintError, match=message) as info:
+        FORMULAS[formula](disk_sys, ev, mus, epsbars, n)
+    assert type(info.value) is exc
+
+
+@pytest.mark.parametrize("mults", [(1.5,), (True,), (0,), (1, 1), ("2",)],
+                         ids=["fraction", "bool", "zero", "two-for-one", "string"])
+def test_multiplicities_are_integers_one_per_variable(disk_sys, mults):
+    # a fractional or bool multiplicity used to be truncated by int()
+    with pytest.raises(ConstraintError, match="integer multiplicity >= 1"):
+        RatioQuery(N=3, mus=(1.0,), mu_multiplicities=mults)
+    with pytest.raises(ConstraintError, match="integer multiplicity >= 1"):
+        RatioQuery(N=3, epsbars=(2.0,), eps_multiplicities=mults)
+    with pytest.raises(ConstraintError, match="integer multiplicity >= 1"):
+        christoffel_poly_confluent(disk_sys, (1.5,), mults, 2, 0.3)
+
+
+def test_numpy_integer_multiplicities_accepted():
+    q = RatioQuery(N=3, mus=(1.7,), mu_multiplicities=(np.int64(2),))
+    assert q.mu_multiplicities == (2,) and type(q.mu_multiplicities[0]) is int
+
+
+@pytest.mark.parametrize("method", ["rotinv-series", "quadrature"])
+def test_transform_degree_outside_the_system_refused(disk_sys, method):
+    ev = cauchy_evaluator(disk_sys, method=method)
+    for n in (-1, 9):
+        with pytest.raises(ConstraintError, match=f"degree {n} is outside 0..8"):
+            cauchy_row(ev, (0, n), 5.0)
+        with pytest.raises(ConstraintError, match=f"degree {n} is outside 0..8"):
+            disk_sys.poly(n)
+    assert not ev._memo
+
+
+def _name(node) -> str:
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _sites(matches) -> list:
+    """(module, function) of every AST node of src for which ``matches``
+    holds; a method counts under its own name."""
+    sites = []
+    for path in sorted(Path(detratio.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for fn in top.body if isinstance(top, ast.ClassDef) else [top]:
+                sites += [(path.name, getattr(fn, "name", None))
+                          for node in ast.walk(fn) if matches(node)]
+    return sites
+
+
+def test_each_input_rule_is_checked_in_one_place():
+    # the variable-list rule, and deformed_cauchy's evaluation point
+    assert _sites(lambda node: isinstance(node, ast.Call)
+                  and _name(node.func) == "check_nondegenerate") == [
+        ("deformed.py", "canonical_variables"), ("deformed.py", "deformed_cauchy")]
+    # the rounding floor
+    assert _sites(lambda node: isinstance(node, ast.Compare) and "ROUNDING_FLOOR"
+                  in {_name(n) for n in ast.walk(node)}) == [
+        ("quadrature.py", "require_certifiable")]
+    # the pole rule, the one reader of the effective support in cauchy.py
+    assert [site for site in _sites(lambda node: _name(node) == "effective_support_radius")
+            if site[0] == "cauchy.py"] == [("cauchy.py", "_check_pole")]
