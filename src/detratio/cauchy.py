@@ -132,7 +132,11 @@ class _LevelTable:
 class CauchyEvaluator:
     """Per-weight evaluator of h_n(ebar) for one orthogonal system.
 
-    ``_memo`` holds every transform computed, under (degree, eps, order).
+    ``_memo`` maps a pole eps to the transforms computed there, under
+    (degree, order).  It keeps at most ``max_degree + 1`` poles and
+    evicts the least recently requested first: a query has at most
+    N <= max_degree + 1 distinct eps, so its own poles stay while a long
+    scan moves on.
     On the quadrature backend ``_levels`` holds the refinement levels
     its rows built: for the origin-centred grid of far poles, each
     level's nodes, w * weights and pi_d at the nodes, kept for the
@@ -309,7 +313,7 @@ def cauchy_quadrature(spec: WeightSpec, poly: MonicPoly, eps: complex,
 def cauchy_row(ev: CauchyEvaluator, degrees, eps: complex,
                order: int = 0) -> tuple[CauchyResult, ...]:
     """Transforms h_d^(order)(eps) for each d in ``degrees``, memoized per
-    evaluator under (d, eps, order).
+    evaluator under eps and then (d, order).
 
     The degrees missing from the memo are computed together; on the
     quadrature backend that is one ``cauchy_quadrature_row`` pass, run
@@ -320,7 +324,9 @@ def cauchy_row(ev: CauchyEvaluator, degrees, eps: complex,
     if order < 0:
         raise ConstraintError("derivative order must be non-negative")
     u = complex(eps)
-    missing = [n for n in polys if (n, u, order) not in ev._memo]
+    memo = ev._memo
+    entries = memo.get(u, {})
+    missing = [n for n in polys if (n, order) not in entries]
     if missing:
         if ev.method == ROTINV_SERIES:
             warnings = _check_pole(ev.weight, u, order)
@@ -331,8 +337,12 @@ def cauchy_row(ev: CauchyEvaluator, degrees, eps: complex,
             computed = _quadrature_row(ev.weight, [polys[n] for n in missing], u,
                                        ev.tolerance, order, ev._levels)
         for n, result in zip(missing, computed):
-            ev._memo[n, u, order] = result
-    return tuple(ev._memo[n, u, order] for n in degrees)
+            entries[n, order] = result
+    memo.pop(u, None)
+    memo[u] = entries   # the most recently requested pole is the last
+    while len(memo) > ev.system.max_degree + 1:
+        del memo[next(iter(memo))]
+    return tuple(entries[n, order] for n in degrees)
 
 
 def cauchy_transform_full(ev: CauchyEvaluator, n: int, eps: complex,

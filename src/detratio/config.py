@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ConfigError, ConstraintError
+from .errors import ConfigError, ConstraintError, is_integer
 from .oracle import OracleConfig
 from .ratios import RatioQuery
 from .weight import FAMILIES, WeightSpec
@@ -65,7 +65,7 @@ def _positive(value, where: str) -> float:
 
 def _integer(low: int):
     def convert(value, where: str) -> int:
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        if not is_integer(value) or value < low:
             raise ConfigError(f"{where}: expected an integer >= {low}, got {value!r}")
         return value
     return convert

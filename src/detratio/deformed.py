@@ -33,14 +33,13 @@ checks the degree range of every deformed formula.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cauchy import CauchyEvaluator, cauchy_row
 from .determinants import lu_det, require_nonsingular
-from .errors import ConstraintError, DegenerateVariablesError
+from .errors import ConstraintError, DegenerateVariablesError, is_integer
 from .orthopoly import OrthoSystem, eval_poly, poly_derivative
 
 NEAR_DEGENERACY_RTOL = 1e-8
@@ -71,9 +70,7 @@ def canonical_variables(values, label: str, multiplicities=None) -> tuple[tuple,
     excluded) per value, and values that are not pairwise distinct."""
     xs = tuple(complex(v) for v in values)
     mults = (1,) * len(xs) if multiplicities is None else tuple(multiplicities)
-    if len(mults) != len(xs) or any(
-            isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1
-            for k in mults):
+    if len(mults) != len(xs) or any(not is_integer(k) or k < 1 for k in mults):
         raise ConstraintError(
             f"{label}: expected one integer multiplicity >= 1 per variable, "
             f"got {mults!r} for {len(xs)} variables")

@@ -1,8 +1,17 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the integer test of
+their input checks.
 
 The CLI maps these onto process exit codes: config errors exit 2,
 numerical failures exit 3, constraint violations exit 4.
 """
+
+import numbers
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer (numpy integers included) and not
+    a bool: the test of every integer input, counts and multiplicities."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class DetratioError(Exception):

@@ -33,17 +33,16 @@ closer poles belong to the quadrature oracle.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .deformed import Deformation
-from .errors import ConstraintError, NumericalError, SingularMatrixError
+from .errors import ConstraintError, NumericalError, SingularMatrixError, is_integer
 from .orthopoly import MonicPoly
 from .quadrature import adaptive_integral
 from .ratios import RatioQuery
-from .weight import WeightSpec, closed_moment, weighted_grid
+from .weight import WeightSpec, closed_moments, planar_moments, weighted_grid
 
 TENSOR_QUADRATURE = "tensor-quadrature"
 MONTE_CARLO = "monte-carlo"
@@ -66,8 +65,7 @@ class OracleConfig:
             raise ConstraintError(f"oracle.method: unknown method {self.method!r}")
         for name in ("radial_nodes", "angular_nodes", "samples", "seed", "batches"):
             value, low = getattr(self, name), 0 if name == "seed" else 1
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-                    or value < low:
+            if not is_integer(value) or value < low:
                 raise ConstraintError(
                     f"oracle.{name}: expected an integer >= {low}, got {value!r}")
 
@@ -235,14 +233,14 @@ def oracle_expectation(q: RatioQuery, spec: WeightSpec,
 
 def oracle_partition(spec: WeightSpec, n_ev: int, cfg: OracleConfig) -> OracleEstimate:
     """Direct estimate of the partition function Z_N; ``RatioQuery``
-    refuses N < 1."""
-    _check_n_limit(cfg.method, n_ev)
+    refuses an N that is not an integer >= 1."""
     q = RatioQuery(N=n_ev)
+    _check_n_limit(cfg.method, q.N)
     if cfg.method == TENSOR_QUADRATURE:
         return _tensor_estimate(q, spec, cfg, lambda num, den: den)
     num_means, den_means, neff, total = _mc_batches(q, spec, cfg)
     # the sampler refused custom weights, so M_00 has a closed form
-    norm = closed_moment(spec, 0, 0).real ** n_ev
+    norm = closed_moments(spec, 0)[0, 0].real ** n_ev
     value = complex(norm * np.mean(den_means))
     nb = len(den_means)
     stderr = float(norm * np.std(den_means, ddof=1) / math.sqrt(nb)) if nb > 1 \
@@ -275,12 +273,10 @@ def oracle_deformed_op(spec: WeightSpec, deformation: Deformation,
     if n == 0:
         return MonicPoly((1.0 + 0j,))
 
-    def moments_on(n_r: int, n_t: int) -> np.ndarray:
-        z, w = weighted_grid(spec, spec.domain.quad_radius, n_r, n_t)
-        measure = w * _ratio_factor(z, deformation.mus, deformation.epsbars)
-        powers = np.vstack([z ** j for j in range(n + 1)])
-        conj_pow = np.vstack([np.conj(z) ** k for k in range(n)])
-        return (powers * measure) @ conj_pow.T  # [j, k]
+    def moments_on(n_r: int, n_t: int) -> np.ndarray:  # [j, k]
+        return planar_moments(
+            spec, spec.domain.quad_radius, n_r, n_t, n + 1, n,
+            lambda z: _ratio_factor(z, deformation.mus, deformation.epsbars))
 
     moments, _ = adaptive_integral(
         moments_on, DEFORMED_MOMENT_TOL,

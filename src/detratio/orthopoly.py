@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConstraintError, NumericalError
+from .errors import ConstraintError, NumericalError, is_integer
 from .weight import (MomentMatrix, WeightSpec, moment_matrix, truncation_radius,
                      weighted_grid)
 
@@ -175,10 +175,16 @@ def bordered_coefficients(m: MomentMatrix, k: int) -> np.ndarray:
     return coeffs
 
 
+def require_eigenvalue_count(n) -> None:
+    """Refuse with ConstraintError an eigenvalue count N that is not an
+    integer >= 1; a bool is no count."""
+    if not is_integer(n) or n < 1:
+        raise ConstraintError(f"the eigenvalue count N must be an integer >= 1, got {n!r}")
+
+
 def partition_function(sys: OrthoSystem, n_eigenvalues: int) -> float:
     """Normalization integral of the n-eigenvalue measure: N! prod r_j."""
-    if n_eigenvalues < 1:
-        raise ConstraintError("the eigenvalue count must be positive")
+    require_eigenvalue_count(n_eigenvalues)
     if n_eigenvalues > sys.max_degree + 1:
         raise ConstraintError(
             f"partition function for N={n_eigenvalues} needs norms up to "

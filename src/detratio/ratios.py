@@ -39,7 +39,7 @@ from .deformed import (canonical_variables, christoffel_poly, deformed_cauchy,
                        determinant_rows)
 from .determinants import confluent_vandermonde_logpolar, scaled_lu_det
 from .errors import ConstraintError, NumericalError
-from .orthopoly import OrthoSystem, Poly
+from .orthopoly import OrthoSystem, Poly, require_eigenvalue_count
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -60,8 +60,8 @@ class RatioQuery:
     eps_multiplicities: tuple = None
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ConstraintError("the eigenvalue count N must be positive")
+        require_eigenvalue_count(self.N)
+        object.__setattr__(self, "N", int(self.N))
         mus, mm = canonical_variables(self.mus, "mus", self.mu_multiplicities)
         epsbars, em = canonical_variables(self.epsbars, "epsbars",
                                           self.eps_multiplicities)

@@ -9,6 +9,12 @@ moments are
     M_jk = integral_D  z^j zbar^k w(z, zbar) dA,
 
 a Hermitian positive definite Gram matrix for any admissible weight.
+The built-in families have them in closed form (``closed_moments``).
+Quadrature moments, of a custom weight or on request, are the sums of
+z^j zbar^k w over the origin-centred polar grid of ``weighted_grid``,
+taken by ``planar_moments``: one FFT along the angle per radial node
+yields every angular harmonic, and each moment is then a sum over the
+radial nodes, with no table of node powers.
 
 This module is the only one that knows the weight families; no other
 module names one.  ``FAMILIES`` lists the built-in families with their
@@ -45,7 +51,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConstraintError, NumericalError, SingularMatrixError
-from .quadrature import adaptive_integral, star_grid
+from .quadrature import adaptive_integral, star_grid, unit_radial_rule
 
 MOMENT_TOL = 1e-10
 # moment order whose gaussian cutoff truncates every built-in full-plane
@@ -328,26 +334,28 @@ def radial_mass(spec: WeightSpec, n: int, t: float) -> float:
     return amp * min(t, spec.parameters[0]) ** (2 * n + 2) / (2 * n + 2)  # the disk
 
 
-def closed_moment(spec: WeightSpec, j: int, k: int):
-    """Closed-form M_jk for the built-in families, or None."""
-    amp = spec.amplitude
+def closed_moments(spec: WeightSpec, n: int):
+    """Closed-form moment matrix M_jk, 0 <= j,k <= n, for the built-in
+    families, or None.
+
+    The shifted gaussian binomially expands z = c + (z - c) on both sides:
+    M = pi amp B diag(a!/scale^(a+1)) B^H with B_ja = binom(j, a) c^(j-a)."""
+    amp, size = spec.amplitude, n + 1
     if spec.kind == "gaussian":
         (scale,) = spec.parameters
-        if j != k:
-            return 0j
-        return complex(amp * math.pi * math.gamma(k + 1) / scale ** (k + 1))
+        return np.diag([complex(amp * math.pi * math.gamma(k + 1) / scale ** (k + 1))
+                        for k in range(size)])
     if spec.kind == "disk-flat":
         (radius,) = spec.parameters
-        if j != k:
-            return 0j
-        return complex(amp * math.pi * radius ** (2 * k + 2) / (k + 1))
+        return np.diag([complex(amp * math.pi * radius ** (2 * k + 2) / (k + 1))
+                        for k in range(size)])
     if spec.kind == "shifted-gaussian":
         scale, c = spec.parameters[-1], spec.centre
-        total = 0j
-        for a in range(min(j, k) + 1):
-            total += (math.comb(j, a) * math.comb(k, a) * math.gamma(a + 1)
-                      / scale ** (a + 1)) * c ** (j - a) * np.conj(c) ** (k - a)
-        return complex(amp * math.pi * total)
+        lower = np.tril(np.subtract.outer(np.arange(size), np.arange(size)))
+        binom = np.array([[math.comb(j, a) for a in range(size)] for j in range(size)])
+        shifts = binom * c ** lower    # zero above the diagonal, where binom is
+        gains = [math.gamma(a + 1) / scale ** (a + 1) for a in range(size)]
+        return amp * math.pi * (shifts * gains) @ shifts.conj().T
     return None
 
 
@@ -356,6 +364,28 @@ def weighted_grid(spec: WeightSpec, radius: float, n_r: int,
     """Origin-centred grid nodes on |z| <= ``radius`` and w times their weights."""
     grid = star_grid(0j, radius, n_r, n_t)
     return grid.nodes, spec.evaluate(grid.nodes) * grid.weights
+
+
+def planar_moments(spec: WeightSpec, radius: float, n_r: int, n_t: int,
+                   rows: int, cols: int, factor: Optional[Callable] = None) -> np.ndarray:
+    """S_jk = sum of z^j zbar^k v(z) over the ``weighted_grid`` nodes, for
+    j < ``rows`` and k < ``cols``; v is w times the quadrature weights,
+    times ``factor(nodes)`` when a factor is given.
+
+    The grid runs ray by ray, z = rho_r e^{i phi_t} with phi_t = 2 pi t/n_t,
+    so z^j zbar^k = rho_r^(j+k) e^{i(j-k) phi_t}.  One FFT along the angle
+    gives, per radial node, every angular harmonic sum_t v e^{i m phi_t},
+    its entry -m mod n_t, and each S_jk is then a sum over the n_r radial
+    nodes: O(n log n_t + n_r rows cols) with no power of the nodes.  The
+    sum is the direct one, regrouped."""
+    nodes, v = weighted_grid(spec, radius, n_r, n_t)
+    if factor is not None:
+        v = v * factor(nodes)
+    j, k = np.ogrid[:rows, :cols]
+    harmonics = np.fft.fft(v.reshape(n_t, n_r), axis=0)[(k - j) % n_t]
+    rho = radius * unit_radial_rule(n_r)[0]
+    radial = rho ** np.arange(rows + cols - 1)[:, None]    # [j + k, r]
+    return np.sum(harmonics * radial[j + k], axis=-1)
 
 
 def truncation_radius(spec: WeightSpec, order: int) -> float:
@@ -410,21 +440,12 @@ def moment_matrix(spec: WeightSpec, n: int, *, method: str = "auto") -> MomentMa
         raise ConstraintError("moment matrix order must be non-negative")
     if method not in ("auto", "quadrature"):
         raise ConstraintError(f"unknown moment method {method!r}")
-    size = n + 1
-    if method == "auto" and closed_moment(spec, 0, 0) is not None:
-        entries = np.array([[closed_moment(spec, j, k) for k in range(size)]
-                            for j in range(size)], dtype=complex)
-    else:
+    entries = closed_moments(spec, n) if method == "auto" else None
+    if entries is None:
         radius = truncation_radius(spec, 2 * n)
-
-        def matrix_on(n_r: int, n_t: int) -> np.ndarray:
-            nodes, wvals = weighted_grid(spec, radius, n_r, n_t)
-            powers = np.vstack([nodes ** j for j in range(size)])
-            return (powers * wvals) @ powers.conj().T
-
         entries, _ = adaptive_integral(
-            matrix_on, MOMENT_TOL,
-            what=f"moment matrix of order {n} for {spec.label()}")
+            lambda n_r, n_t: planar_moments(spec, radius, n_r, n_t, n + 1, n + 1),
+            MOMENT_TOL, what=f"moment matrix of order {n} for {spec.label()}")
 
     # Hermiticity by construction: keep the upper triangle, mirror-conjugate it.
     herm = np.triu(entries, 1) + np.triu(entries, 1).conj().T \

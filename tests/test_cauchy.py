@@ -552,10 +552,19 @@ def test_far_levels_are_built_once_per_evaluator(monkeypatch, shifted):
 def test_level_table_stays_bounded_over_long_scans(shifted):
     ev = cauchy_evaluator(ortho_system(shifted, 4), method="quadrature")
     boundary = shifted.domain.quad_radius
+    memo_sizes = []
     for k in range(60):
         phase = np.exp(2j * np.pi * k / 60)
         cauchy_row(ev, range(3), (boundary + 1.0 + k / 10) * phase)
         cauchy_row(ev, range(3), (0.5 + k / 20) * phase)
+        memo_sizes.append(len(ev._memo))
+    # 3,000 further scan points on the far grid, whose levels exist already
+    for k in range(3000):
+        cauchy_row(ev, range(3), (boundary + 1.0 + k / 1000) * np.exp(2j * np.pi * k / 3000))
+        memo_sizes.append(len(ev._memo))
+    # the memo keeps the transforms of max_degree + 1 = 5 poles
+    assert max(memo_sizes) == 5
+    assert all(len(entries) == 3 for entries in ev._memo.values())
     table = ev._levels
     # every level adaptive_integral can visit, the probe first
     visitable = 1 + MAX_DOUBLINGS
@@ -565,6 +574,17 @@ def test_level_table_stays_bounded_over_long_scans(shifted):
     assert table.centred_pole == (0.5 + 59 / 20) * np.exp(2j * np.pi * 59 / 60)
     levels = [*table.far.values(), *table.centred.values()]
     assert all(len(lv.poly_values) <= 3 for lv in levels)
+
+
+def test_memo_evicts_the_least_recently_requested_pole(gauss_sys):
+    ev = cauchy_evaluator(gauss_sys)
+    poles = [4.0 + 0.5j * k for k in range(gauss_sys.max_degree + 2)]
+    for eps in poles[:-1]:
+        cauchy_row(ev, (0, 1), eps)
+    first = cauchy_row(ev, (0, 1), poles[0])   # a hit, now the most recent
+    cauchy_row(ev, (0, 1), poles[-1])          # evicts poles[1]
+    assert list(ev._memo) == poles[2:-1] + [poles[0], poles[-1]]
+    assert all(a is b for a, b in zip(first, cauchy_row(ev, (0, 1), poles[0])))
 
 
 def _pole_classes(spec) -> dict:

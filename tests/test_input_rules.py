@@ -2,8 +2,10 @@
 
 The variable list by ``deformed.canonical_variables``, the degree range
 of a deformed formula by ``deformed._bordered_matrix``, a polynomial
-degree by ``OrthoSystem.poly``, a pole by ``cauchy._check_pole`` and a
-tolerance by ``quadrature.require_certifiable``.  The behavioural tests
+degree by ``OrthoSystem.poly``, a pole by ``cauchy._check_pole``, a
+tolerance by ``quadrature.require_certifiable`` and the eigenvalue count
+by ``orthopoly.require_eigenvalue_count``; every integer input takes the
+test ``errors.is_integer``.  The behavioural tests
 send the same malformed inputs down every path; the AST guards keep the
 copies of a check from coming back.
 """
@@ -15,10 +17,11 @@ import numpy as np
 import pytest
 
 import detratio
-from detratio import (ConstraintError, DegenerateVariablesError, RatioQuery,
-                      cauchy_evaluator, cauchy_row, christoffel_poly,
+from detratio import (ConstraintError, DegenerateVariablesError, OracleConfig,
+                      RatioQuery, cauchy_evaluator, cauchy_row, christoffel_poly,
                       christoffel_poly_confluent, christoffel_q, combined_poly,
-                      deformed_cauchy, uvarov_poly, uvarov_q)
+                      deformed_cauchy, oracle_partition, partition_function,
+                      uvarov_poly, uvarov_q)
 
 # each formula as f(sys, cev, mus, epsbars, n); the christoffel formulas
 # take no inverse factors and no evaluator
@@ -88,6 +91,25 @@ def test_numpy_integer_multiplicities_accepted():
     assert q.mu_multiplicities == (2,) and type(q.mu_multiplicities[0]) is int
 
 
+@pytest.mark.parametrize("n", [2.5, True, 0, -1, "3", 3.0],
+                         ids=["fraction", "bool", "zero", "negative", "string", "float"])
+def test_eigenvalue_count_is_an_integer(disk, disk_sys, n):
+    # N = 2.5 used to raise a bare TypeError and N = True to evaluate as N = 1
+    message = "the eigenvalue count N must be an integer >= 1"
+    with pytest.raises(ConstraintError, match=message):
+        RatioQuery(N=n, epsbars=(2.0,))
+    with pytest.raises(ConstraintError, match=message):
+        partition_function(disk_sys, n)
+    with pytest.raises(ConstraintError, match=message):
+        oracle_partition(disk, n, OracleConfig())
+
+
+def test_numpy_integer_eigenvalue_count_accepted(disk_sys):
+    q = RatioQuery(N=np.int64(2), epsbars=(2.0,))
+    assert q.N == 2 and type(q.N) is int
+    assert partition_function(disk_sys, np.int64(2)) == partition_function(disk_sys, 2)
+
+
 @pytest.mark.parametrize("method", ["rotinv-series", "quadrature"])
 def test_transform_degree_outside_the_system_refused(disk_sys, method):
     ev = cauchy_evaluator(disk_sys, method=method)
@@ -127,3 +149,8 @@ def test_each_input_rule_is_checked_in_one_place():
     # the pole rule, the one reader of the effective support in cauchy.py
     assert [site for site in _sites(lambda node: _name(node) == "effective_support_radius")
             if site[0] == "cauchy.py"] == [("cauchy.py", "_check_pole")]
+    # the eigenvalue count, and the integer test of every integer input
+    assert _sites(lambda node: isinstance(node, ast.Call)
+                  and _name(node.func) == "require_eigenvalue_count") == [
+        ("orthopoly.py", "partition_function"), ("ratios.py", "__post_init__")]
+    assert _sites(lambda node: _name(node) == "Integral") == [("errors.py", "is_integer")]

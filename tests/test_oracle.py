@@ -10,6 +10,7 @@ from detratio import (ConstraintError, ConvergenceError, Deformation,
 from detratio import oracle
 from detratio.oracle import (_batch_ratio_stats, _pair_sum, _ratio_factor,
                              _sample_eigenvalues)
+from detratio.quadrature import adaptive_integral
 from detratio.weight import weighted_grid
 
 from conftest import (EPS_DISK, EPS_GAUSS, MUS_DISK, MUS_GAUSS,
@@ -231,6 +232,30 @@ def test_deformed_op_matches_combined(gauss, gauss_sys, gauss_ev):
         ref = combined_poly(gauss_sys, gauss_ev, defn.mus, defn.epsbars, 2, z).value
         assert eval_poly(pol, z) == pytest.approx(ref, rel=1e-6, abs=1e-7)
 
+
+
+def _deformed_op_direct(spec, deformation, n: int) -> np.ndarray:
+    """Coefficients of ``oracle_deformed_op`` from moments summed node by
+    node, each power of the nodes tabulated."""
+    def moments_on(n_r, n_t):
+        z, w = weighted_grid(spec, spec.domain.quad_radius, n_r, n_t)
+        measure = w * _ratio_factor(z, deformation.mus, deformation.epsbars)
+        powers = np.vander(z, n + 1, increasing=True).T
+        return (powers * measure) @ powers[:n].conj().T
+
+    moments, _ = adaptive_integral(moments_on, oracle.DEFORMED_MOMENT_TOL)
+    return np.append(np.linalg.solve(moments[:n, :n].T, -moments[n, :n]), 1.0)
+
+
+@pytest.mark.parametrize("which,mus,epsbars,n", [
+    ("disk", (), (), 2), ("disk", (), (2.0,), 1), ("disk", (), (3.0,), 1),
+    ("gauss", (1.0,), (), 1), ("gauss", (1.0,), (4.6,), 1),
+    ("gauss", (1.2 + 0.4j,), (4.6 + 0.5j,), 2)])
+def test_deformed_op_matches_node_by_node_moments(request, which, mus, epsbars, n):
+    spec, deformation = request.getfixturevalue(which), Deformation(mus=mus, epsbars=epsbars)
+    got = oracle_deformed_op(spec, deformation, n)
+    reference = _deformed_op_direct(spec, deformation, n)
+    assert np.max(np.abs(np.array(got.coeffs) - reference)) <= 1e-12
 
 
 def test_deformed_op_refuses_unconverged_moments(gauss):

@@ -11,8 +11,11 @@ from detratio import (MONTE_CARLO, ConstraintError, OracleConfig, WeightSpec,
                       disk_flat_weight, full_plane_domain, gaussian_weight,
                       moment_matrix, oracle_partition, ortho_system,
                       shifted_gaussian_weight)
-from detratio.weight import (CUSTOM, CUTOFF_ORDER, FAMILIES, _polar_point,
-                             closed_moment, gaussian_cutoff, regularized_gamma_p)
+from detratio.oracle import _ratio_factor
+from detratio.quadrature import adaptive_integral
+from detratio.weight import (CUSTOM, CUTOFF_ORDER, FAMILIES, MOMENT_TOL, _polar_point,
+                             closed_moments, gaussian_cutoff, planar_moments,
+                             regularized_gamma_p, truncation_radius, weighted_grid)
 
 from conftest import family_weight
 
@@ -106,12 +109,87 @@ def test_quadrature_moments_converge_under_doubling(disk):
     assert fine == pytest.approx(PI / 3, rel=1e-12)
 
 
+def _shifted_moment(spec, j: int, k: int) -> complex:
+    """M_jk of a shifted gaussian, summed entry by entry: the binomial
+    expansion of z = c + (z - c) on both sides."""
+    scale, c = spec.parameters[-1], spec.centre
+    return spec.amplitude * PI * sum(
+        math.comb(j, a) * math.comb(k, a) * math.factorial(a) / scale ** (a + 1)
+        * c ** (j - a) * np.conj(c) ** (k - a) for a in range(min(j, k) + 1))
+
+
 def test_shifted_gaussian_closed_moments(shifted):
     # dense matrix; spot-check one entry against direct quadrature
     closed = moment_matrix(shifted, 2).entries[2, 1]
     quad = moment_matrix(shifted, 2, method="quadrature").entries[2, 1]
     assert closed == pytest.approx(quad, rel=1e-9)
     assert abs(closed) > 0.1  # genuinely non-diagonal
+    # the matrix form against the entry-by-entry sum
+    for spec in (shifted, shifted_gaussian_weight(0.47 + 1.257j, 1.3, 2.0),
+                 shifted_gaussian_weight(0.0, 0.6)):
+        for n in (8, 16):
+            matrix = closed_moments(spec, n)
+            entries = np.array([[_shifted_moment(spec, j, k) for k in range(n + 1)]
+                                for j in range(n + 1)])
+            assert np.all(np.abs(matrix - entries) <= 2e-15 * np.abs(entries))
+
+
+def test_rotation_invariant_closed_moments_are_the_diagonal_formulas():
+    gauss, disk = gaussian_weight(1.7, 1.2), disk_flat_weight(1.3, 0.7)
+    diag = {gauss: [1.2 * PI * math.gamma(k + 1) / 1.7 ** (k + 1) for k in range(9)],
+            disk: [0.7 * PI * 1.3 ** (2 * k + 2) / (k + 1) for k in range(9)]}
+    for spec, values in diag.items():
+        assert np.array_equal(closed_moments(spec, 8), np.diag(values))
+    custom = custom_weight(lambda z: np.exp(-np.abs(z) ** 2), full_plane_domain(9.0))
+    assert closed_moments(custom, 8) is None
+
+
+class AnisoGaussian:
+    """exp(-(a x'^2 + b y'^2)) in coordinates rotated by ``angle``: a
+    weight with a dense moment matrix and no closed form."""
+
+    def __init__(self, a: float, b: float, angle: float):
+        self.a, self.b = a, b
+        self.rot = complex(math.cos(angle), -math.sin(angle))
+
+    def __call__(self, z):
+        zr = np.asarray(z, dtype=complex) * self.rot
+        return np.exp(-(self.a * zr.real ** 2 + self.b * zr.imag ** 2))
+
+
+ANISO = custom_weight(AnisoGaussian(0.8, 1.4, 0.6), full_plane_domain(9.0))
+
+
+def _direct_moments(spec, radius, n_r, n_t, rows, cols, factor=None):
+    """sum of z^j zbar^k v over the weighted grid, node by node: the
+    reference of ``planar_moments``."""
+    nodes, v = weighted_grid(spec, radius, n_r, n_t)
+    if factor is not None:
+        v = v * factor(nodes)
+    powers = np.vander(nodes, max(rows, cols), increasing=True).T
+    return (powers[:rows] * v) @ powers[:cols].conj().T
+
+
+@pytest.mark.parametrize("degree", [8, 16])
+@pytest.mark.parametrize("which", ["aniso", "shifted"])
+def test_planar_moments_match_the_direct_sum(request, which, degree):
+    spec = ANISO if which == "aniso" else request.getfixturevalue("shifted")
+    size, radius = degree + 1, truncation_radius(spec, 2 * degree)
+    factor = lambda z: _ratio_factor(z, (1.2 + 0.4j,), (4.6 + 0.5j,))  # noqa: E731
+    # the refinement levels, and grids too coarse for the harmonics, where
+    # the angular sums alias on both sides alike (odd n_t included); both
+    # sides round, by up to 2.4e-15 of the largest entry on these grids
+    for n_r, n_t in ((48, 64), (96, 128), (192, 256), (5, 7), (6, 8)):
+        for rows, cols, f in ((size, size, None), (size, degree, factor)):
+            fast = planar_moments(spec, radius, n_r, n_t, rows, cols, f)
+            direct = _direct_moments(spec, radius, n_r, n_t, rows, cols, f)
+            assert np.max(np.abs(fast - direct)) <= 5e-15 * np.max(np.abs(direct)), \
+                (n_r, n_t, f)
+    # moment_matrix refines the same sums on the same grids
+    reference, _ = adaptive_integral(
+        lambda n_r, n_t: _direct_moments(spec, radius, n_r, n_t, size, size), MOMENT_TOL)
+    got = moment_matrix(spec, degree, method="quadrature").entries
+    assert np.max(np.abs(got - reference)) <= 5e-15 * np.max(np.abs(reference))
 
 
 def test_positivity_is_checked():
@@ -200,8 +278,9 @@ def test_rotation_invariance_comes_from_the_family():
 @pytest.mark.parametrize("kind", FAMILIES)
 def test_family_centre_sampler_and_norm_agree(kind):
     spec = family_weight(kind, amplitude=1.3)
-    m00 = closed_moment(spec, 0, 0)
-    assert spec.centre == pytest.approx(closed_moment(spec, 1, 0) / m00,
+    moments = closed_moments(spec, 1)
+    m00 = moments[0, 0]
+    assert spec.centre == pytest.approx(moments[1, 0] / m00,
                                         rel=1e-14, abs=1e-15)
     u, v = np.random.default_rng(7).random((2, 20_000))
     z = spec.sample(u, v)
@@ -295,3 +374,39 @@ def test_origin_grids_are_built_in_one_place():
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     callers.append((path.name, getattr(top, "name", None), node.lineno))
     assert [caller[:2] for caller in callers] == [("weight.py", "weighted_grid")], callers
+
+
+def test_planar_power_tables_are_summed_in_one_place():
+    # sums of z^j zbar^k over the nodes go through weight.planar_moments,
+    # which takes no power of the nodes; a table of node powers, one row
+    # per exponent (``nodes ** j`` or ``z ** j`` in a loop or
+    # comprehension over j, or np.vander), is a second, slower copy of it
+    node_names = {"nodes", "z", "zbar"}
+
+    def is_node_array(node) -> bool:
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "conj":
+            node = node.args[0] if node.args else node
+        return getattr(node, "id", None) in node_names \
+            or getattr(node, "attr", None) in node_names
+
+    sites = []
+    for path in sorted(Path(detratio.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for loop in ast.walk(top):
+                if isinstance(loop, ast.comprehension):
+                    targets, scope = loop.target, top
+                elif isinstance(loop, ast.For):
+                    targets, scope = loop.target, loop
+                else:
+                    continue
+                names = {n.id for n in ast.walk(targets) if isinstance(n, ast.Name)}
+                sites += [(path.name, getattr(top, "name", None)) for node in ast.walk(scope)
+                          if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                          and is_node_array(node.left)
+                          and {n.id for n in ast.walk(node.right)
+                               if isinstance(n, ast.Name)} & names]
+            sites += [(path.name, getattr(top, "name", None)) for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and "vander" in (getattr(node.func, "id", None),
+                                       getattr(node.func, "attr", None))]
+    assert set(sites) <= {("weight.py", "planar_moments")}, sites
