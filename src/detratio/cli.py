@@ -31,7 +31,7 @@ from .config import (RunConfig, build_oracle_config, build_query, build_weight,
                      complex_out, load_config)
 from .errors import (ConfigError, ConstraintError, DetratioError,
                      NumericalError)
-from .oracle import MONTE_CARLO, TENSOR_QUADRATURE, oracle_expectation
+from .oracle import MAX_N, MONTE_CARLO, TENSOR_QUADRATURE, oracle_expectation
 from .orthopoly import ortho_system, orthogonality_residual_matrix
 from .quadrature import ROUNDING_FLOOR
 from .ratios import (expectation_inverses, expectation_products,
@@ -71,8 +71,12 @@ def _emit(rc: RunConfig, report: dict, header=(), rows=()) -> None:
     else:
         text = json.dumps(_round17(report), indent=2, sort_keys=True)
     if rc.output_path:
-        with open(rc.output_path, "w") as handle:
-            handle.write(text)
+        try:
+            with open(rc.output_path, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {rc.output_path}: "
+                              f"{exc.strerror or exc}") from None
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -141,10 +145,11 @@ def cmd_verify(rc: RunConfig) -> int:
     for query in verify.queries():
         name = f"N={query.N} L={query.L_total} M={query.M_total}"
         case = {"case": name, "N": query.N, "L": query.L_total, "M": query.M_total}
-        method = TENSOR_QUADRATURE if query.N <= 2 else MONTE_CARLO
+        method = (TENSOR_QUADRATURE if query.N <= MAX_N[TENSOR_QUADRATURE]
+                  else MONTE_CARLO)
         cfg = build_oracle_config(rc, method=method)
         try:
-            formula = expectation_ratio(query, system, cev).value * verify.corrupt_factor
+            formula = expectation_ratio(query, system, cev).value
             est = oracle_expectation(query, weight, cfg)
         except NumericalError as exc:
             case.update({"status": "oracle-error", "message": str(exc),

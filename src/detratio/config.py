@@ -138,7 +138,6 @@ class VerifySpec:
     Ls: tuple = (0, 1, 2)
     Ms: Optional[tuple] = None  # None: 0 .. min(N, 2)
     tolerance: float = 1e-6
-    corrupt_factor: float = 1.0
 
     def queries(self):
         """One query per grid case that M <= N and the pools allow."""
@@ -155,7 +154,7 @@ class VerifySpec:
 _VERIFY_FIELDS = {
     "mus_pool": _list(parse_complex), "eps_pool": _list(parse_complex),
     "Ns": _list(_integer(1)), "Ls": _list(_integer(0)), "Ms": _list(_integer(0)),
-    "tolerance": _positive, "corrupt_factor": _real,
+    "tolerance": _positive,
 }
 
 

@@ -107,10 +107,13 @@ def determinant_rows(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, eps_mults,
     multiplicity, then one row pi_d^(t)(mu)/t! for each mu and t.  Each h
     row is one ``cauchy_row`` request, so its missing transforms are
     computed in one pass.  Returns the matrix and the transform warnings,
-    each listed once.  ``cev`` may be None when there are no ebars; an
-    evaluator built for another system is refused, since its h rows
+    each listed once.  ``cev`` may be None only when there are no ebars;
+    an evaluator built for another system is refused, since its h rows
     would not belong to the pi rows of ``sys``.
     """
+    if cev is None and epsbars:
+        raise ConstraintError(
+            "the h rows of the ebars need a Cauchy evaluator, got None")
     if cev is not None and cev.system is not sys:
         raise ConstraintError(
             f"the Cauchy evaluator was built for another orthogonal system "

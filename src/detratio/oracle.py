@@ -6,12 +6,12 @@ Ground truth for every determinant identity in the package: the
     Z_N   = prod_i integral dw(z_i) |Delta_N|^2,
     <f>_w = (1/Z_N) prod_i integral dw(z_i) f(z) |Delta_N|^2,
 
-evaluated either on tensor products of the polar quadrature grids
-(N <= 2; cost grows as the square of the node count per eigenvalue) or
-by Monte Carlo (N <= 4): eigenvalues drawn i.i.d. from the normalized
-single-particle weight by inverse-CDF sampling in polar coordinates,
-with |Delta|^2 applied as a reweighting factor and the expectation
-computed as a ratio of sample means.
+evaluated either on tensor products of the polar quadrature grid, as
+Andreief's identity on ``planar_moments`` (N <= 2), or by Monte Carlo
+(N <= 4; the limits are ``MAX_N``): eigenvalues drawn i.i.d. from the
+normalized single-particle weight by inverse-CDF sampling in polar
+coordinates, with |Delta|^2 applied as a reweighting factor and the
+expectation computed as a ratio of sample means.
 
 Monte Carlo error bars come from batch means over independently seeded,
 deterministically derived per-batch RNG streams; the reduction order is
@@ -47,6 +47,7 @@ from .weight import WeightSpec, closed_moments, planar_moments, weighted_grid
 TENSOR_QUADRATURE = "tensor-quadrature"
 MONTE_CARLO = "monte-carlo"
 
+MAX_N = {TENSOR_QUADRATURE: 2, MONTE_CARLO: 4}  # largest N per method
 MC_MIN_SUPPORT_DISTANCE = 0.5  # in units of the effective-support radius
 DEFORMED_MOMENT_TOL = 1e-7  # relative to the largest deformed moment
 
@@ -79,10 +80,9 @@ class OracleEstimate:
 
 
 def _check_n_limit(method: str, n_ev: int) -> None:
-    limit = 2 if method == TENSOR_QUADRATURE else 4
-    if n_ev > limit:
+    if n_ev > MAX_N[method]:
         raise ConstraintError(
-            f"{method} oracle supports N <= {limit}, got N = {n_ev}")
+            f"{method} oracle supports N <= {MAX_N[method]}, got N = {n_ev}")
 
 
 def _ratio_factor(z: np.ndarray, mus, epsbars) -> np.ndarray:
@@ -96,30 +96,19 @@ def _ratio_factor(z: np.ndarray, mus, epsbars) -> np.ndarray:
     return out
 
 
-def _pair_sum(z: np.ndarray, u: np.ndarray, v: np.ndarray) -> complex:
-    """sum_{a,b} u_a v_b |z_a - z_b|^2 over the tensored grid.
-
-    Expanding |z_a - z_b|^2 = |z_a|^2 + |z_b|^2 - z_a zbar_b - zbar_a z_b
-    turns the double sum into four products of single sums; this is an
-    exact rewriting of the pairwise sum (asserted against the direct
-    double loop in the tests), not an approximation.
-    """
-    r2 = np.abs(z) ** 2
-    su, sv = np.sum(u), np.sum(v)
-    return complex(np.sum(u * r2) * sv + su * np.sum(v * r2)
-                   - np.sum(u * z) * np.sum(v * np.conj(z))
-                   - np.sum(u * np.conj(z)) * np.sum(v * z))
-
-
 def _tensor_sums(q: RatioQuery, spec: WeightSpec, n_r: int, n_t: int):
-    """The tensor-grid sums of f |Delta|^2 and |Delta|^2 (with N = 1,
-    of f and 1): their ratio is the expectation, the second is Z_N."""
-    z, w = weighted_grid(spec, spec.domain.quad_radius, n_r, n_t)
-    f1 = _ratio_factor(z, q.expanded_mus(), q.expanded_epsbars())
-    if q.N == 1:
-        return np.sum(w * f1), np.sum(w)
-    return (_pair_sum(z, w * f1, w * f1),
-            _pair_sum(z, w.astype(complex), w.astype(complex)))
+    """The tensor-grid sums of f |Delta|^2 and |Delta|^2, f = prod_i F(z_i):
+    their ratio is the expectation, the second is Z_N.  By Andreief's
+    identity each is N! det[S_jk], j, k < N, of ``planar_moments`` with
+    and without the factor F: one grid instead of its N-fold product."""
+    mus, epsbars = q.expanded_mus(), q.expanded_epsbars()
+
+    def grid_sum(factor) -> complex:
+        moments = planar_moments(spec, spec.domain.quad_radius, n_r, n_t,
+                                 q.N, q.N, factor)
+        return math.factorial(q.N) * np.linalg.det(moments)
+
+    return grid_sum(lambda z: _ratio_factor(z, mus, epsbars)), grid_sum(None)
 
 
 def _tensor_estimate(q: RatioQuery, spec: WeightSpec, cfg: OracleConfig,

@@ -126,7 +126,8 @@ def _require_depth(sys: OrthoSystem, q: RatioQuery) -> None:
 def expectation_ratio(q: RatioQuery, sys: OrthoSystem,
                       cev: CauchyEvaluator) -> EvalResult:
     """Evaluate the determinant expression for the given query;
-    multiplicities produce derivative rows."""
+    multiplicities produce derivative rows.  ``cev`` may be None for a
+    query without ebars."""
     _require_depth(sys, q)
     M, L = q.M_total, q.L_total
     if M == 0 and L == 0:
@@ -146,8 +147,9 @@ def expectation_ratio(q: RatioQuery, sys: OrthoSystem,
     value = mant * cmath.exp(complex(log_pref + log_scale - log_mu - log_eps,
                                      phase_pref - phase_mu - phase_eps))
 
-    h_rel = 1e-14 if cev.method == ROTINV_SERIES else cev.tolerance
-    rel_err = cond * (M + L) * 1e-15 + (M > 0) * M * h_rel
+    rel_err = cond * (M + L) * 1e-15
+    if M > 0:
+        rel_err += M * (1e-14 if cev.method == ROTINV_SERIES else cev.tolerance)
     backend = cev.method if M > 0 else "polynomial"
     return EvalResult(complex(value), abs(value) * rel_err,
                       Diagnostics(cond, backend, warnings))

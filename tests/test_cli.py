@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from detratio import disk_flat_weight, gaussian_weight, shifted_gaussian_weight
+from detratio import cli
 from detratio.cli import main
 from detratio.config import build_weight, parse_complex, parse_config
 from detratio.errors import ConfigError
@@ -41,6 +43,17 @@ def run(args):
 def read_json(path):
     with open(path) as handle:
         return json.load(handle)
+
+
+def scale_formula(monkeypatch, factor):
+    """Make the CLI see every determinant-formula value times ``factor``."""
+    formula = cli.expectation_ratio
+
+    def scaled(*args):
+        result = formula(*args)
+        return replace(result, value=result.value * factor)
+
+    monkeypatch.setattr(cli, "expectation_ratio", scaled)
 
 
 def test_ortho_gaussian_norms(tmp_path):
@@ -152,10 +165,10 @@ def test_verify_default_grid_passes(tmp_path):
     assert {"formula", "oracle", "oracle_stderr", "seed", "passed"} <= set(case)
 
 
-def test_verify_corrupted_prefactor_names_cases(tmp_path):
+def test_verify_corrupted_prefactor_names_cases(tmp_path, monkeypatch):
+    scale_formula(monkeypatch, 1.001)
     cfg = write_config(tmp_path, base_config(
         verify={"Ns": [1], "Ls": [0, 1], "tolerance": 1e-6,
-                "corrupt_factor": 1.001,
                 "mus_pool": ["1.7+0.4i"], "eps_pool": [[2.0, 0.3]]}))
     out = tmp_path / "verify.json"
     assert run(["verify", "--config", cfg, "--out", str(out)]) == 1
@@ -179,15 +192,15 @@ def test_verify_mc_n3(tmp_path):
         assert case["samples"] == 200000
 
 
-def test_verify_mc_empty_query_tolerates_rounding(tmp_path):
+def test_verify_mc_empty_query_tolerates_rounding(tmp_path, monkeypatch):
     # L = M = 0 has an oracle stderr of a few 1e-17; a 2-ulp deviation of
     # the formula is rounding, not a failed case
+    scale_formula(monkeypatch, 1.0000000000000004)
     cfg = write_config(tmp_path, base_config(
         weight={"kind": "gaussian", "scale": 1.0},
         system={"max_degree": 6},
         oracle={"method": "monte-carlo", "samples": 200000, "seed": 5},
         verify={"Ns": [3], "Ls": [0], "Ms": [0],
-                "corrupt_factor": 1.0000000000000004,
                 "mus_pool": ["1.3+0.8i"], "eps_pool": [[4.6, 0.5]]}))
     out = tmp_path / "verify.json"
     assert run(["verify", "--config", cfg, "--out", str(out)]) == 0
@@ -195,6 +208,21 @@ def test_verify_mc_empty_query_tolerates_rounding(tmp_path):
     assert case["method"] == "monte-carlo"
     assert case["abs_deviation"] > 3 * case["oracle_stderr"]
     assert case["passed"]
+
+
+@pytest.mark.parametrize("command, path_in_config", [
+    ("eval", False), ("verify", False), ("eval", True)])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, path_in_config):
+    # --out into a missing directory, or output.path naming a directory
+    out = tmp_path if path_in_config else tmp_path / "missing" / "report.json"
+    cfg = write_config(tmp_path, base_config(
+        verify={"Ns": [1], "Ls": [0], "Ms": [0]},
+        output={"format": "json", "path": str(out) if path_in_config else None}))
+    flags = [] if path_in_config else ["--out", str(out)]
+    assert run([command, "--config", cfg, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write output {out}")
+    assert "Traceback" not in err
 
 
 def test_scan_inverse_column(tmp_path):
@@ -294,7 +322,6 @@ def test_shifted_gaussian_config(tmp_path):
     ("verify", "Ns", [0]),
     ("verify", "Ms", [-1]),
     ("verify", "tolerance", "x"),
-    ("verify", "corrupt_factor", "x"),
     ("scan", "count", "x"),
     ("scan", "start", "a"),
     ("oracle", "radial_nodes", "x"),

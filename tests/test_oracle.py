@@ -8,8 +8,8 @@ from detratio import (ConstraintError, ConvergenceError, Deformation,
                       oracle_expectation, oracle_partition,
                       partition_function)
 from detratio import oracle
-from detratio.oracle import (_batch_ratio_stats, _pair_sum, _ratio_factor,
-                             _sample_eigenvalues)
+from detratio.oracle import (_batch_ratio_stats, _ratio_factor,
+                             _sample_eigenvalues, _tensor_sums)
 from detratio.quadrature import adaptive_integral
 from detratio.weight import weighted_grid
 
@@ -21,7 +21,7 @@ CFG = OracleConfig(radial_nodes=48, angular_nodes=64)
 
 
 def _pair_sum_direct(z: np.ndarray, u: np.ndarray, v: np.ndarray) -> complex:
-    """Literal chunked double sum, the cross-check for _pair_sum."""
+    """Literal chunked double sum of u_a v_b |z_a - z_b|^2."""
     total = 0j
     chunk = max(1, 2_000_000 // max(len(z), 1))
     for s in range(0, len(z), chunk):
@@ -30,13 +30,27 @@ def _pair_sum_direct(z: np.ndarray, u: np.ndarray, v: np.ndarray) -> complex:
     return complex(total)
 
 
-def test_pair_sum_factorization_is_exact(disk):
-    z, w = weighted_grid(disk, disk.domain.quad_radius, 12, 16)
-    u = w * (z + 0.3)
-    v = w * np.conj(z) ** 2
-    fast = _pair_sum(z, u, v)
-    direct = _pair_sum_direct(z, u, v)
-    assert fast == pytest.approx(direct, rel=1e-13)
+def _tensor_sums_direct(q: RatioQuery, spec, n_r: int, n_t: int):
+    """The tensor-product sums of f |Delta|^2 and |Delta|^2 written out:
+    a single sum for N = 1, the chunked double loop for N = 2."""
+    z, w = weighted_grid(spec, spec.domain.quad_radius, n_r, n_t)
+    u = w * _ratio_factor(z, q.expanded_mus(), q.expanded_epsbars())
+    if q.N == 1:
+        return complex(np.sum(u)), complex(np.sum(w))
+    return _pair_sum_direct(z, u, u), _pair_sum_direct(z, w, w)
+
+
+@pytest.mark.parametrize("n_ev, epsbars", [
+    (1, (0.2 - 0.4j,)),               # pole inside the unit disk
+    (1, (2.0 + 0.3j,)),               # pole outside
+    (2, (0.2 - 0.4j, 2.0 + 0.3j)),
+])
+def test_tensor_sums_match_literal_grid_integral(disk, n_ev, epsbars):
+    q = RatioQuery(N=n_ev, mus=(0.3 + 0.2j, 1.7 + 0.4j), epsbars=epsbars)
+    num, den = _tensor_sums(q, disk, 12, 16)
+    num_direct, den_direct = _tensor_sums_direct(q, disk, 12, 16)
+    assert num == pytest.approx(num_direct, rel=1e-13)
+    assert den == pytest.approx(den_direct, rel=1e-13)
 
 
 def _mc_batches_direct(q: RatioQuery, spec, cfg: OracleConfig):
