@@ -169,6 +169,11 @@ class CauchyEvaluator:
     def weight(self) -> WeightSpec:
         return self.system.weight
 
+    @property
+    def relative_error(self) -> float:
+        """Relative error of one transform: rounding, or the tolerance."""
+        return 1e-14 if self.method == ROTINV_SERIES else self.tolerance
+
 
 def cauchy_evaluator(system: OrthoSystem, method: Optional[str] = None,
                      tolerance: float = 1e-9) -> CauchyEvaluator:
@@ -212,40 +217,11 @@ def series_transform(spec: WeightSpec, n: int, eps: complex, order: int = 0) -> 
         return coeff * mass * (1 / u) ** k
 
 
-def cauchy_quadrature_row(spec: WeightSpec, polys, eps: complex,
-                          tolerance: float = 1e-9,
-                          order: int = 0) -> tuple[CauchyResult, ...]:
-    """Adaptive singularity-aware quadrature of the transforms of ``polys``.
-
-    ``eps`` is the value subtracted in the kernel (the ebar of the
-    transform), so the pole in z-space sits at z = conj(eps).  Each
-    refinement level builds its grid once for the whole row and keeps
-    its nodes and one vector g = w * weights (times the kernel, for a
-    pole outside the domain), so an entry's value there is
-    dot(pi(nodes), g) / (2 pi i).  An entry's L1 scale is the dot
-    product of |pi(nodes)| with |g| on the 48x64 probe level.  Each entry
-    runs its own ``adaptive_integral`` on those tables from the probe
-    level up, with its own probe scale, and stops at its own level, so
-    its value, error and warnings are those of a row holding it alone.
-
-    The levels, with the weight values and each pi(nodes) on them, live
-    in a table that this call builds and drops.  ``cauchy_row`` runs the
-    same code on its evaluator's table (see ``CauchyEvaluator``), where
-    far levels outlive the row and centred levels last until a row at
-    another centred pole; the values, errors and warnings are the same
-    bits either way.
-
-    Derivative kernels (order >= 1) are only conditionally integrable;
-    with the pole on or inside the effective support the value depends
-    on the integration foliation and the coinciding-variable limit they
-    serve does not exist, so that combination is refused.
-    """
-    return _quadrature_row(spec, polys, complex(eps), tolerance, order,
-                           _LevelTable())
-
-
 def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
                     order: int, table: _LevelTable) -> tuple[CauchyResult, ...]:
+    """Transforms of ``polys`` at the ebar ``u`` (pole z = conj(u)) on the
+    levels of ``table``; each entry stops at its own level, so its bits
+    are those of a row holding it alone, on any table."""
     warnings = _check_pole(spec, u, order)
     pole = np.conj(u)
     boundary = spec.domain.quad_radius
@@ -306,8 +282,10 @@ def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
 
 def cauchy_quadrature(spec: WeightSpec, poly: MonicPoly, eps: complex,
                       tolerance: float = 1e-9, order: int = 0) -> CauchyResult:
-    """Quadrature transform of one polynomial: a row of one entry."""
-    return cauchy_quadrature_row(spec, (poly,), eps, tolerance, order)[0]
+    """Quadrature transform of one polynomial: a row of one entry, on a
+    level table of its own."""
+    return _quadrature_row(spec, (poly,), complex(eps), tolerance, order,
+                           _LevelTable())[0]
 
 
 def cauchy_row(ev: CauchyEvaluator, degrees, eps: complex,
@@ -316,8 +294,8 @@ def cauchy_row(ev: CauchyEvaluator, degrees, eps: complex,
     evaluator under eps and then (d, order).
 
     The degrees missing from the memo are computed together; on the
-    quadrature backend that is one ``cauchy_quadrature_row`` pass, run
-    on the evaluator's level table.
+    quadrature backend that is one ``_quadrature_row`` pass on the
+    evaluator's level table.
     """
     degrees = tuple(degrees)
     polys = {n: ev.system.poly(n) for n in degrees}

@@ -22,7 +22,7 @@ same rows without the last column):
   bordered by the h row at the evaluation point, with the prefactor
   (-1)^m / prod_k (ebar - ebar_k).
 
-Deformation variables must be pairwise distinct; nearly coincident
+The deformation variables must be pairwise distinct; nearly coincident
 variables lose all significant digits in the determinant ratio long
 before the analytic (confluent) limit is reached, so they are rejected
 and the caller is directed to derivative rows.  ``canonical_variables``
@@ -76,19 +76,6 @@ def canonical_variables(values, label: str, multiplicities=None) -> tuple[tuple,
             f"got {mults!r} for {len(xs)} variables")
     check_nondegenerate(xs, label)
     return xs, tuple(int(k) for k in mults)
-
-
-@dataclass(frozen=True)
-class Deformation:
-    """Multiplicative mu-factors and inverse ebar-factors of a measure."""
-
-    mus: tuple = ()
-    epsbars: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "mus", canonical_variables(self.mus, "mus")[0])
-        object.__setattr__(self, "epsbars",
-                           canonical_variables(self.epsbars, "epsbars")[0])
 
 
 @dataclass(frozen=True)
@@ -200,16 +187,11 @@ def christoffel_q(sys: OrthoSystem, mus, n: int, z: complex) -> complex:
                                    "christoffel determinant", z=z))[0]
 
 
-def christoffel_poly(sys: OrthoSystem, mus, n: int, z: complex) -> DeformedPolyResult:
+def christoffel_poly(sys: OrthoSystem, mus, n: int, z: complex,
+                     multiplicities=None) -> DeformedPolyResult:
     """Monic degree-n polynomial orthogonal after multiplying the weight
-    by prod_j (mu_j - z)."""
-    return _deformed_poly(sys, None, mus, None, (), n, z, "christoffel formula")
-
-
-def christoffel_poly_confluent(sys: OrthoSystem, mus, multiplicities, n: int,
-                               z: complex) -> DeformedPolyResult:
-    """Christoffel formula with repeated mu's: derivative rows replace the
-    coincident-value rows in both determinants."""
+    by prod_j (mu_j - z)^(m_j), with m_j from ``multiplicities`` (1 by
+    default); a repeated mu takes derivative rows in both determinants."""
     return _deformed_poly(sys, None, mus, multiplicities, (), n, z,
                           "christoffel formula")
 

@@ -23,6 +23,8 @@ import numpy as np
 
 from .errors import SingularMatrixError
 
+_TINY = np.finfo(float).tiny  # the smallest normal double
+
 
 def lu_det(matrix) -> tuple[complex, float]:
     """Determinant and pivot-ratio conditioning; a 0x0 matrix has det 1.
@@ -71,20 +73,32 @@ def scaled_lu_det(matrix) -> tuple[complex, float, float]:
     """(mantissa, log_scale, conditioning) with det = mantissa * exp(log_scale).
 
     Rows are rescaled by their max modulus before factorization and the
-    logs of the scales are accumulated separately.
+    logs of the scales are accumulated separately.  A row whose max
+    modulus is subnormal, where dividing by it would overflow, is first
+    multiplied by an exact power of two, whose log joins the scales.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.size == 0:
         return 1.0 + 0j, 0.0, 1.0
     scales = np.max(np.abs(a), axis=1)
-    if np.any(scales == 0.0):
-        return 0j, 0.0, float("inf")
+    log_lift = 0.0
+    if np.min(scales) < _TINY:
+        if np.any(scales == 0.0):
+            return 0j, 0.0, float("inf")
+        low = scales < _TINY
+        exps = -np.frexp(scales[low])[1][:, None]
+        a = a.copy()
+        a[low] = np.ldexp(a[low].real, exps) + 1j * np.ldexp(a[low].imag, exps)
+        scales[low] = np.max(np.abs(a[low]), axis=1)
+        log_lift = int(np.sum(exps)) * math.log(2.0)
     mantissa, cond = lu_det(a / scales[:, None])
-    return mantissa, float(np.sum(np.log(scales))), cond
+    return mantissa, float(np.sum(np.log(scales))) - log_lift, cond
 
 
 def require_nonsingular(det: complex, cond: float, what: str) -> None:
-    if det == 0 or not math.isfinite(cond):
+    if det == 0:
+        raise SingularMatrixError(f"{what} is singular: its determinant is exactly 0")
+    if not math.isfinite(cond):
         raise SingularMatrixError(
             f"{what} is numerically singular (conditioning {cond:.3e})")
 

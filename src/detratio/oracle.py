@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformed import Deformation
+from .deformed import canonical_variables
 from .errors import ConstraintError, NumericalError, SingularMatrixError, is_integer
 from .orthopoly import MonicPoly
 from .quadrature import adaptive_integral
@@ -237,24 +237,28 @@ def oracle_partition(spec: WeightSpec, n_ev: int, cfg: OracleConfig) -> OracleEs
     return OracleEstimate(value, stderr, neff, MONTE_CARLO)
 
 
-def deformed_integral(spec: WeightSpec, deformation: Deformation, fn) -> complex:
-    """integral fn(z) dw^(deformation) over the domain (complex measure)
-    on the 128x160 origin-centred grid."""
+def deformed_integral(spec: WeightSpec, mus, epsbars, fn) -> complex:
+    """integral fn(z) prod_j (mu_j - z) / prod_k (ebar_k - zbar) dw over
+    the domain (a complex measure) on the 128x160 origin-centred grid."""
+    mus, _ = canonical_variables(mus, "mus")
+    epsbars, _ = canonical_variables(epsbars, "epsbars")
     z, w = weighted_grid(spec, spec.domain.quad_radius, 128, 160)
-    measure = w * _ratio_factor(z, deformation.mus, deformation.epsbars)
+    measure = w * _ratio_factor(z, mus, epsbars)
     return complex(np.sum(measure * fn(z)))
 
 
-def oracle_deformed_op(spec: WeightSpec, deformation: Deformation,
-                       n: int) -> MonicPoly:
+def oracle_deformed_op(spec: WeightSpec, mus, epsbars, n: int) -> MonicPoly:
     """Monic degree-n polynomial solving the one-sided orthogonality
-    conditions against zbar^k, k < n, for the deformed measure.
+    conditions against zbar^k, k < n, for the measure
+    prod_j (mu_j - z) / prod_k (ebar_k - zbar) times the weight.
 
     Works directly from quadrature moments of the deformed measure and is
     therefore independent of every determinant formula.  Moments that do
     not converge to ``DEFORMED_MOMENT_TOL``, as with an inverse factor
     whose pole sits where the weight is large, raise ConvergenceError.
     """
+    mus, _ = canonical_variables(mus, "mus")
+    epsbars, _ = canonical_variables(epsbars, "epsbars")
     if n < 0:
         raise ConstraintError("polynomial degree must be non-negative")
     if n > 4:
@@ -265,7 +269,7 @@ def oracle_deformed_op(spec: WeightSpec, deformation: Deformation,
     def moments_on(n_r: int, n_t: int) -> np.ndarray:  # [j, k]
         return planar_moments(
             spec, spec.domain.quad_radius, n_r, n_t, n + 1, n,
-            lambda z: _ratio_factor(z, deformation.mus, deformation.epsbars))
+            lambda z: _ratio_factor(z, mus, epsbars))
 
     moments, _ = adaptive_integral(
         moments_on, DEFORMED_MOMENT_TOL,

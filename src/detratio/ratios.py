@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .cauchy import ROTINV_SERIES, CauchyEvaluator
+from .cauchy import CauchyEvaluator
 from .deformed import (canonical_variables, christoffel_poly, deformed_cauchy,
                        determinant_rows)
 from .determinants import confluent_vandermonde_logpolar, scaled_lu_det
@@ -149,7 +149,7 @@ def expectation_ratio(q: RatioQuery, sys: OrthoSystem,
 
     rel_err = cond * (M + L) * 1e-15
     if M > 0:
-        rel_err += M * (1e-14 if cev.method == ROTINV_SERIES else cev.tolerance)
+        rel_err += M * cev.relative_error
     backend = cev.method if M > 0 else "polynomial"
     return EvalResult(complex(value), abs(value) * rel_err,
                       Diagnostics(cond, backend, warnings))
@@ -193,9 +193,8 @@ def expectation_inverses(q: RatioQuery, sys: OrthoSystem,
         h = deformed_cauchy(sys, cev, q.epsbars[:m_total - j], q.N - j,
                             q.epsbars[m_total - j])
         value *= (-2j * math.pi / r) * h
-    h_rel = 1e-14 if cev.method == ROTINV_SERIES else cev.tolerance
     return EvalResult(complex(value),
-                      abs(value) * (m_total * h_rel + m_total * 1e-14),
+                      abs(value) * (m_total * cev.relative_error + m_total * 1e-14),
                       Diagnostics(1.0, "telescope-inverses", ()))
 
 

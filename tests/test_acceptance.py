@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from detratio import (Deformation, OracleConfig, RatioQuery, cauchy_evaluator,
+from detratio import (OracleConfig, RatioQuery, cauchy_evaluator,
                       cauchy_transform, christoffel_poly, combined_poly,
                       expectation_inverses, expectation_products,
                       expectation_ratio, eval_poly,
@@ -226,15 +226,14 @@ def test_criterion_8a_bi_orthogonality(disk, disk_sys, disk_ev):
     worst = 0.0
     for ell, m in itertools.product(range(3), range(3)):
         for n in range(max(m, 1), 5):
-            defn = Deformation(mus=MUS_DISK[:ell], epsbars=EPS_DISK[:m])
+            mus, epsbars = MUS_DISK[:ell], EPS_DISK[:m]
             coeffs = poly_values_on_circle(
-                lambda z: combined_poly(disk_sys, disk_ev, defn.mus,
-                                        defn.epsbars, n, z).value, n)
+                lambda z: combined_poly(disk_sys, disk_ev, mus, epsbars, n, z).value, n)
             for k in range(n):
                 val = deformed_integral(
-                    disk, defn, lambda z: eval_poly(coeffs, z) * np.conj(z) ** k)
+                    disk, mus, epsbars, lambda z: eval_poly(coeffs, z) * np.conj(z) ** k)
                 scale = deformed_integral(
-                    disk, defn,
+                    disk, mus, epsbars,
                     lambda z: np.abs(eval_poly(coeffs, z) * np.conj(z) ** k) + 0j)
                 worst = max(worst, abs(val) / abs(scale))
     ok = worst < 1e-6
@@ -249,7 +248,7 @@ def test_criterion_8b_uvarov_closed_form_as_specified(disk, disk_sys, disk_ev):
     z = 0.9 + 0.3j
     got = uvarov_poly(disk_sys, disk_ev, (2.0,), 1, z).value
     stated = z - 0.5
-    oracle = oracle_deformed_op(disk, Deformation(epsbars=(2.0,)), 1)
+    oracle = oracle_deformed_op(disk, (), (2.0,), 1)
     ok = abs(got - stated) <= 1e-9
     report("criterion 8b (single-inverse polynomial equals z - 1/2)", ok,
            f"formula gives z - {-uvarov_poly(disk_sys, disk_ev, (2.0,), 1, 0).value:.6g}, "

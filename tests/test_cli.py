@@ -11,7 +11,7 @@ import pytest
 from detratio import disk_flat_weight, gaussian_weight, shifted_gaussian_weight
 from detratio import cli
 from detratio.cli import main
-from detratio.config import build_weight, parse_complex, parse_config
+from detratio.config import VerifySpec, build_weight, parse_complex, parse_config
 from detratio.errors import ConfigError
 
 PI = math.pi
@@ -487,6 +487,15 @@ def test_readme_example_config_parses():
     assert rc.oracle.radial_nodes == 64
     assert len(list(rc.verify.queries())) == 15
     assert (rc.scan.target, rc.scan.index, len(rc.scan.values)) == ("epsbars", 0, 15)
+
+
+def test_readme_library_quick_start_runs(capsys):
+    # the printed formula and oracle values agree to verify's tolerance
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    exec(section.split("```python", 1)[1].split("```", 1)[0], {})
+    value, oracle_value, _ = map(complex, capsys.readouterr().out.split())
+    assert abs(value - oracle_value) <= VerifySpec.tolerance * abs(oracle_value)
 
 
 def test_cli_imports_no_scipy():

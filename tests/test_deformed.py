@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from detratio import (ConstraintError, Deformation, DegenerateVariablesError,
-                      christoffel_poly, christoffel_poly_confluent,
-                      christoffel_q, combined_poly, deformed_cauchy,
-                      deformed_integral, eval_poly, oracle_deformed_op,
+from detratio import (ConstraintError, DegenerateVariablesError, RatioQuery,
+                      SingularMatrixError, christoffel_poly, christoffel_q,
+                      combined_poly, deformed_cauchy, deformed_integral,
+                      eval_poly, expectation_products, oracle_deformed_op,
                       uvarov_poly, uvarov_q)
 
 from conftest import (EPS_DISK, EPS_GAUSS, MUS_DISK, MUS_GAUSS,
@@ -23,12 +23,22 @@ def test_christoffel_empty_deformation_is_base_poly(gauss_sys):
 def test_christoffel_gaussian_single_mu(gauss_sys, gauss):
     # deformed measure (1 - z) exp(-|z|^2): the degree-1 polynomial is z,
     # confirmed by the independent bi-orthogonality solve
-    oracle = oracle_deformed_op(gauss, Deformation(mus=(1.0,)), 1)
+    oracle = oracle_deformed_op(gauss, (1.0,), (), 1)
     assert abs(oracle.coeffs[0]) < 1e-10
     for z in (0.7 + 0.2j, -1.1 + 0.9j):
         res = christoffel_poly(gauss_sys, (1.0,), 1, z)
         assert res.value == pytest.approx(z, rel=1e-13)
         assert res.denominator_det != 0
+
+
+def test_exactly_singular_minor_says_so(gauss_sys):
+    # pi_2(0) = 0 on the gaussian: the 1x1 minor of the christoffel
+    # formula is exactly 0, which no conditioning number describes
+    with pytest.raises(SingularMatrixError, match="minor is singular: its "
+                       "determinant is exactly 0$"):
+        christoffel_poly(gauss_sys, (0j,), 2, 1.0)
+    with pytest.raises(SingularMatrixError, match="determinant is exactly 0$"):
+        expectation_products(RatioQuery(N=2, mus=(0j, 1.0)), gauss_sys)
 
 
 def test_christoffel_q_vanishes_at_each_mu(disk_sys):
@@ -52,7 +62,7 @@ def test_uvarov_empty_deformation(disk_sys, disk_ev):
 def test_uvarov_disk_closed_form(disk_sys, disk_ev, disk):
     # h_0(2) = i/4, h_1(2) = i/16 give pi_1^{[0,1]} = z - 1/4; the
     # bi-orthogonality solve against the deformed measure confirms it
-    oracle = oracle_deformed_op(disk, Deformation(epsbars=(2.0,)), 1)
+    oracle = oracle_deformed_op(disk, (), (2.0,), 1)
     assert oracle.coeffs[0] == pytest.approx(-0.25, abs=1e-9)
     for z in (0.0, 0.5 + 0.2j):
         res = uvarov_poly(disk_sys, disk_ev, (2.0,), 1, z)
@@ -60,8 +70,7 @@ def test_uvarov_disk_closed_form(disk_sys, disk_ev, disk):
 
 
 def test_uvarov_bi_orthogonality_by_quadrature(disk, disk_sys, disk_ev):
-    defn = Deformation(epsbars=(2.0,))
-    val = deformed_integral(disk, defn,
+    val = deformed_integral(disk, (), (2.0,),
                             lambda z: eval_poly([-0.25, 1.0], z))
     assert abs(val) < 1e-12
 
@@ -72,11 +81,10 @@ def test_uvarov_q_orthogonality_identity(disk, disk_sys, disk_ev):
     n = 3
     coeffs = poly_values_on_circle(
         lambda z: uvarov_q(disk_sys, disk_ev, epsbars, n, z), n)
-    base = Deformation()
     for eb in epsbars:
-        val = deformed_integral(disk, base,
+        val = deformed_integral(disk, (), (),
                                 lambda z: eval_poly(coeffs, z) / (np.conj(z) - eb))
-        scale = deformed_integral(disk, base,
+        scale = deformed_integral(disk, (), (),
                                   lambda z: np.abs(eval_poly(coeffs, z) / (np.conj(z) - eb)) + 0j)
         assert abs(val) < 1e-10 * abs(scale)
 
@@ -93,7 +101,7 @@ def test_combined_reduces_to_uvarov_and_christoffel(disk_sys, disk_ev):
 
 def test_combined_matches_oracle_solve(gauss, gauss_sys, gauss_ev):
     mus, epsbars = (1.0,), (4.6,)
-    oracle = oracle_deformed_op(gauss, Deformation(mus=mus, epsbars=epsbars), 1)
+    oracle = oracle_deformed_op(gauss, mus, epsbars, 1)
     rng = np.random.default_rng(3)
     for _ in range(10):
         z = rng.standard_normal() + 1j * rng.standard_normal()
@@ -113,7 +121,7 @@ def test_deformed_cauchy_disk_closed_form(disk, disk_sys, disk_ev):
     got = deformed_cauchy(disk_sys, disk_ev, (2.0,), 1, 3.0)
     assert got == pytest.approx(1j / 72, rel=1e-12)
     direct = deformed_integral(
-        disk, Deformation(epsbars=(2.0,)),
+        disk, (), (2.0,),
         lambda z: eval_poly([-0.25, 1.0], z) / (np.conj(z) - 3.0)) / (2j * math.pi)
     assert got == pytest.approx(direct, rel=1e-10)
 
@@ -123,10 +131,9 @@ def test_deformed_cauchy_swap_vs_direct_definition(disk, disk_sys, disk_ev):
     # measure; both orderings must match their direct definitions
     for (eb_def, eb_eval) in ((2.0, 3.0), (3.0, 2.0)):
         got = deformed_cauchy(disk_sys, disk_ev, (eb_def,), 1, eb_eval)
-        defn = Deformation(epsbars=(eb_def,))
-        pol = oracle_deformed_op(disk, defn, 1)
+        pol = oracle_deformed_op(disk, (), (eb_def,), 1)
         direct = deformed_integral(
-            disk, defn,
+            disk, (), (eb_def,),
             lambda z: eval_poly(pol, z) / (np.conj(z) - eb_eval)) / (2j * math.pi)
         assert got == pytest.approx(direct, rel=1e-8)
 
@@ -151,14 +158,14 @@ def test_bi_orthogonality_residuals(which, request):
     worst = 0.0
     for ell, m in itertools.product(range(3), range(3)):
         for n in range(max(m, 1), 5):
-            defn = Deformation(mus=mus_pool[:ell], epsbars=eps_pool[:m])
+            mus, epsbars = mus_pool[:ell], eps_pool[:m]
             coeffs = poly_values_on_circle(
-                lambda z: combined_poly(sys_, cev, defn.mus, defn.epsbars, n, z).value, n)
+                lambda z: combined_poly(sys_, cev, mus, epsbars, n, z).value, n)
             for k in range(n):
                 val = deformed_integral(
-                    spec, defn, lambda z: eval_poly(coeffs, z) * np.conj(z) ** k)
+                    spec, mus, epsbars, lambda z: eval_poly(coeffs, z) * np.conj(z) ** k)
                 scale = deformed_integral(
-                    spec, defn,
+                    spec, mus, epsbars,
                     lambda z: np.abs(eval_poly(coeffs, z) * np.conj(z) ** k) + 0j)
                 worst = max(worst, abs(val) / abs(scale))
     assert worst < 1e-6
@@ -187,7 +194,7 @@ def test_degenerate_limit_continuity(gauss_sys):
     # growing like 1e-16/delta as the determinants lose digits)
     mu = 1.1 + 0.7j
     z = 0.3 + 0.2j
-    limit = christoffel_poly_confluent(gauss_sys, (mu,), (2,), 2, z).value
+    limit = christoffel_poly(gauss_sys, (mu,), 2, z, multiplicities=(2,)).value
     for delta in (1e-4, 1e-5, 1e-6, 1e-7, 2e-8):
         val = christoffel_poly(gauss_sys, (mu, mu + delta), 2, z).value
         assert abs(val - limit) / abs(limit) < 1e-6
@@ -199,7 +206,7 @@ def test_multiplicity_three_limit(gauss_sys):
     mu = 1.1 + 0.7j
     z = 0.3 + 0.2j
     for n in (1, 2, 3):
-        limit = christoffel_poly_confluent(gauss_sys, (mu,), (3,), n, z).value
+        limit = christoffel_poly(gauss_sys, (mu,), n, z, multiplicities=(3,)).value
         val = christoffel_poly(gauss_sys, (mu, mu + 1e-3, mu + 2e-3), n, z).value
         assert abs(val - limit) / abs(limit) < 1e-7
 

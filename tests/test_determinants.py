@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,19 @@ def test_empty_det_is_one():
     assert lu_det(np.zeros((0, 0))) == (1.0 + 0j, 1.0)
     mant, log_scale, cond = scaled_lu_det(np.zeros((0, 0)))
     assert mant == 1.0 and log_scale == 0.0
+
+
+def test_subnormal_rows_are_lifted_by_a_power_of_two():
+    # the first row's max modulus is subnormal; the lift is exact, so
+    # the determinant keeps the digits the subnormal entries carry
+    a = np.array([[3e-320j, 1e-321], [1.5, 2.0 - 1j]])
+    lifted = a * np.array([[2.0 ** 1000], [1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mant, log_scale, _ = scaled_lu_det(a)
+    ref, ref_log, _ = scaled_lu_det(lifted)
+    assert mant == pytest.approx(ref, rel=1e-15)
+    assert log_scale == pytest.approx(ref_log - 1000 * math.log(2.0), rel=1e-15)
 
 
 def test_scaled_det_reassembles():

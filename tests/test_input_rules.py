@@ -19,17 +19,16 @@ import pytest
 import detratio
 from detratio import (ConstraintError, DegenerateVariablesError, OracleConfig,
                       RatioQuery, cauchy_evaluator, cauchy_row, christoffel_poly,
-                      christoffel_poly_confluent, christoffel_q, combined_poly,
-                      deformed_cauchy, oracle_partition, partition_function,
-                      uvarov_poly, uvarov_q)
+                      christoffel_q, combined_poly, deformed_cauchy,
+                      oracle_partition, partition_function, uvarov_poly, uvarov_q)
 
 # each formula as f(sys, cev, mus, epsbars, n); the christoffel formulas
 # take no inverse factors and no evaluator
 FORMULAS = {
     "christoffel_q": lambda s, ev, mus, eps, n: christoffel_q(s, mus, n, 0.3),
     "christoffel_poly": lambda s, ev, mus, eps, n: christoffel_poly(s, mus, n, 0.3),
-    "christoffel_poly_confluent": lambda s, ev, mus, eps, n:
-        christoffel_poly_confluent(s, mus, (1,) * len(mus), n, 0.3),
+    "christoffel_poly-multiplicities": lambda s, ev, mus, eps, n:
+        christoffel_poly(s, mus, n, 0.3, multiplicities=(1,) * len(mus)),
     "uvarov_q": lambda s, ev, mus, eps, n: uvarov_q(s, ev, eps, n, 0.3),
     "uvarov_poly": lambda s, ev, mus, eps, n: uvarov_poly(s, ev, eps, n, 0.3),
     "combined_poly": lambda s, ev, mus, eps, n:
@@ -38,7 +37,7 @@ FORMULAS = {
         deformed_cauchy(s, ev, eps, n, 3.0 + 1j),
 }
 INVERSE = ("uvarov_q", "uvarov_poly", "combined_poly", "deformed_cauchy")
-MULTIPLIED = ("christoffel_q", "christoffel_poly", "christoffel_poly_confluent",
+MULTIPLIED = ("christoffel_q", "christoffel_poly", "christoffel_poly-multiplicities",
               "combined_poly")
 
 # (case, formulas, mus, epsbars, n, foreign evaluator, exception, message)
@@ -83,7 +82,7 @@ def test_multiplicities_are_integers_one_per_variable(disk_sys, mults):
     with pytest.raises(ConstraintError, match="integer multiplicity >= 1"):
         RatioQuery(N=3, epsbars=(2.0,), eps_multiplicities=mults)
     with pytest.raises(ConstraintError, match="integer multiplicity >= 1"):
-        christoffel_poly_confluent(disk_sys, (1.5,), mults, 2, 0.3)
+        christoffel_poly(disk_sys, (1.5,), 2, 0.3, multiplicities=mults)
 
 
 def test_numpy_integer_multiplicities_accepted():

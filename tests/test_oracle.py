@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from detratio import (ConstraintError, ConvergenceError, Deformation,
-                      OracleConfig, RatioQuery, eval_poly, oracle_deformed_op,
-                      oracle_expectation, oracle_partition,
-                      partition_function)
+from detratio import (ConstraintError, ConvergenceError, OracleConfig,
+                      RatioQuery, eval_poly, oracle_deformed_op,
+                      oracle_expectation, oracle_partition, partition_function)
 from detratio import oracle
 from detratio.oracle import (_batch_ratio_stats, _ratio_factor,
                              _sample_eigenvalues, _tensor_sums)
@@ -227,33 +226,33 @@ def test_mc_pole_distance_policy(gauss):
 
 
 def test_deformed_op_reduces_to_base(disk, disk_sys):
-    pol = oracle_deformed_op(disk, Deformation(), 2)
+    pol = oracle_deformed_op(disk, (), (), 2)
     assert np.allclose(pol.coeffs, disk_sys.polys[2].coeffs, atol=1e-10)
 
 
 def test_deformed_op_disk_inverse_factor(disk):
-    pol = oracle_deformed_op(disk, Deformation(epsbars=(2.0,)), 1)
+    pol = oracle_deformed_op(disk, (), (2.0,), 1)
     assert pol.coeffs[0] == pytest.approx(-0.25, abs=1e-9)
 
 
 def test_deformed_op_matches_combined(gauss, gauss_sys, gauss_ev):
     from detratio import combined_poly
-    defn = Deformation(mus=(1.2 + 0.4j,), epsbars=(4.6 + 0.5j,))
-    pol = oracle_deformed_op(gauss, defn, 2)
+    mus, epsbars = (1.2 + 0.4j,), (4.6 + 0.5j,)
+    pol = oracle_deformed_op(gauss, mus, epsbars, 2)
     rng = np.random.default_rng(8)
     for _ in range(10):
         z = rng.standard_normal() + 1j * rng.standard_normal()
-        ref = combined_poly(gauss_sys, gauss_ev, defn.mus, defn.epsbars, 2, z).value
+        ref = combined_poly(gauss_sys, gauss_ev, mus, epsbars, 2, z).value
         assert eval_poly(pol, z) == pytest.approx(ref, rel=1e-6, abs=1e-7)
 
 
 
-def _deformed_op_direct(spec, deformation, n: int) -> np.ndarray:
+def _deformed_op_direct(spec, mus, epsbars, n: int) -> np.ndarray:
     """Coefficients of ``oracle_deformed_op`` from moments summed node by
     node, each power of the nodes tabulated."""
     def moments_on(n_r, n_t):
         z, w = weighted_grid(spec, spec.domain.quad_radius, n_r, n_t)
-        measure = w * _ratio_factor(z, deformation.mus, deformation.epsbars)
+        measure = w * _ratio_factor(z, mus, epsbars)
         powers = np.vander(z, n + 1, increasing=True).T
         return (powers * measure) @ powers[:n].conj().T
 
@@ -266,9 +265,9 @@ def _deformed_op_direct(spec, deformation, n: int) -> np.ndarray:
     ("gauss", (1.0,), (), 1), ("gauss", (1.0,), (4.6,), 1),
     ("gauss", (1.2 + 0.4j,), (4.6 + 0.5j,), 2)])
 def test_deformed_op_matches_node_by_node_moments(request, which, mus, epsbars, n):
-    spec, deformation = request.getfixturevalue(which), Deformation(mus=mus, epsbars=epsbars)
-    got = oracle_deformed_op(spec, deformation, n)
-    reference = _deformed_op_direct(spec, deformation, n)
+    spec = request.getfixturevalue(which)
+    got = oracle_deformed_op(spec, mus, epsbars, n)
+    reference = _deformed_op_direct(spec, mus, epsbars, n)
     assert np.max(np.abs(np.array(got.coeffs) - reference)) <= 1e-12
 
 
@@ -277,7 +276,7 @@ def test_deformed_op_refuses_unconverged_moments(gauss):
     # moments change by order one at every doubling, so the solve is
     # refused (ConvergenceError is a NumericalError: CLI exit 3)
     with pytest.raises(ConvergenceError, match="deformed-measure moments"):
-        oracle_deformed_op(gauss, Deformation(epsbars=(1.0,)), 2)
+        oracle_deformed_op(gauss, (), (1.0,), 2)
 
 
 def test_mc_partition_n3(gauss, gauss_sys):

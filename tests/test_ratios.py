@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,8 +80,8 @@ def series_systems():
 @given(st.data())
 def test_telescopes_agree_with_the_determinant(series_systems, data):
     # products only: mus on the 1e-3 lattice of the box |re|, |im| <= 3,
-    # which keeps the pi rows clear of subnormal numbers, where the row
-    # scaling of scaled_lu_det overflows; inverses only: epsbars 0.5 to 4
+    # which keeps the pi rows clear of subnormal numbers, where the
+    # telescope's christoffel division overflows; inverses only: epsbars 0.5 to 4
     # outside the effective support.  Two sweeps of 6000 draws saw at
     # most 3.5e-14 (products) and 2.7e-12 (inverses)
     system, cev = data.draw(st.sampled_from(series_systems), "system")
@@ -373,3 +374,17 @@ def test_partial_fractions_reconstruction(j, poles):
 def test_partial_fractions_rejects_repeated_poles():
     with pytest.raises(DegenerateVariablesError):
         partial_fractions(1, (2.0, 2.0))
+
+
+def test_subnormal_pi_row_is_scaled_without_overflow():
+    # pi_3(mu) = mu^3 = -3.594e-320j is subnormal, so dividing its row by
+    # the max modulus would multiply by an overflowing 1/scale
+    sys_ = ortho_system(gaussian_weight(), 7)
+    mu = 3.3e-107j
+    q = RatioQuery(N=3, mus=(mu,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = expectation_ratio(q, sys_, None).value
+        products = expectation_products(q, sys_).value
+    assert abs(got - mu ** 3) <= 1e-3 * abs(mu ** 3)
+    assert abs(got - products) <= 1e-3 * abs(products)
