@@ -7,7 +7,8 @@ Subcommands:
 * ``eval``    evaluate the ratio expectation for the configured query,
               with the telescope cross-check where one applies;
 * ``verify``  sweep a grid of (N, L, M) cases comparing the determinant
-              formula against the configured oracle;
+              formula against the configured oracle; a case the oracle
+              refuses fails, and the sweep goes on;
 * ``scan``    sweep one variable over a grid and tabulate the values.
 
 Exit codes: 0 success (verify: all cases pass), 1 verification failure,
@@ -148,12 +149,16 @@ def cmd_verify(rc: RunConfig) -> int:
         method = (TENSOR_QUADRATURE if query.N <= MAX_N[TENSOR_QUADRATURE]
                   else MONTE_CARLO)
         cfg = build_oracle_config(rc, method=method)
+        formula = None
         try:
             formula = expectation_ratio(query, system, cev).value
             est = oracle_expectation(query, weight, cfg)
-        except NumericalError as exc:
-            case.update({"status": "oracle-error", "message": str(exc),
-                         "passed": False})
+        except (NumericalError, ConstraintError) as exc:
+            refused = isinstance(exc, ConstraintError)
+            if refused and formula is None:
+                raise    # the formula's own refusal keeps its exit code
+            case.update({"status": "oracle-refused" if refused else "oracle-error",
+                         "message": str(exc), "passed": False})
             cases.append(case)
             failed.append(name)
             continue

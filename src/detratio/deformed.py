@@ -11,7 +11,8 @@ consecutive degrees d, first the h rows h_d^(t)(ebar_k)/t! for each
 ebar and each t below its multiplicity, then the pi rows
 pi_d^(t)(mu_j)/t! likewise.  A deformed quantity is the determinant of
 such rows bordered by one last row, divided by its top-left minor (the
-same rows without the last column):
+same rows without the last column), both from ``scaled_lu_det``, as a
+ratio of mantissas times 2 to the difference of the exponents:
 
 * multiplication only (Christoffel): pi rows at the mu's bordered by the
   pi row at z, divided by prod_j (z - mu_j)^(m_j); repeated mu's give
@@ -38,8 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy import CauchyEvaluator, cauchy_row
-from .determinants import lu_det, require_nonsingular
-from .errors import ConstraintError, DegenerateVariablesError, is_integer
+from .determinants import scaled_lu_det
+from .errors import (ConstraintError, DegenerateVariablesError, NumericalError,
+                     SingularMatrixError, is_integer)
 from .orthopoly import OrthoSystem, eval_poly, poly_derivative
 
 NEAR_DEGENERACY_RTOL = 1e-8
@@ -81,8 +83,6 @@ def canonical_variables(values, label: str, multiplicities=None) -> tuple[tuple,
 @dataclass(frozen=True)
 class DeformedPolyResult:
     value: complex
-    numerator_det: complex
-    denominator_det: complex
     conditioning: float
 
 
@@ -126,18 +126,28 @@ def determinant_rows(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, eps_mults,
     return matrix, tuple(warnings)
 
 
-def _bordered_ratio(matrix: np.ndarray, what: str) -> tuple[complex, complex, float]:
-    """Numerator, denominator and conditioning of a bordered ratio.
+def _ldexp(mantissa: complex, exponent: int, what: str) -> complex:
+    """mantissa * 2**exponent, refused where it leaves the double range."""
+    try:
+        return complex(math.ldexp(mantissa.real, exponent),
+                       math.ldexp(mantissa.imag, exponent))
+    except OverflowError:
+        raise NumericalError(f"{what} overflows: {mantissa!r} * 2**{exponent}") from None
 
-    The numerator is det(matrix); the denominator is its top-left minor,
-    without the border row and the last column, and must be nonsingular.
-    The conditioning is the worse of the two pivot ratios.  Callers divide
-    themselves, each with its own prefactor.
-    """
-    num, cond_num = lu_det(matrix)
-    den, cond_den = lu_det(matrix[:-1, :-1])
-    require_nonsingular(den, cond_den, what)
-    return num, den, max(cond_num, cond_den)
+
+def _bordered_ratio(matrix: np.ndarray, what: str) -> tuple[complex, float]:
+    """det(matrix) over its top-left minor ``what``, which must be
+    nonsingular, and the worse of the two pivot ratios; neither
+    determinant is formed on its own.  Callers apply their prefactors."""
+    num, e_num, cond_num = scaled_lu_det(matrix)
+    den, e_den, cond_den = scaled_lu_det(matrix[:-1, :-1])
+    if den == 0:
+        raise SingularMatrixError(f"{what} is singular: its determinant is exactly 0")
+    if not math.isfinite(cond_den):
+        raise SingularMatrixError(
+            f"{what} is numerically singular (conditioning {cond_den:.3e})")
+    ratio = _ldexp(num / den, e_num - e_den, f"the ratio over the {what}")
+    return ratio, max(cond_num, cond_den)
 
 
 def _bordered_matrix(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, mus,
@@ -175,16 +185,18 @@ def _deformed_poly(sys: OrthoSystem, cev: CauchyEvaluator, mus, mu_mults,
             "evaluation point coincides with a deformation mu; "
             "use christoffel_q, which vanishes there")
     matrix = _bordered_matrix(sys, cev, epsbars, mus, mu_mults, n, what, z=z)
-    num, den, cond = _bordered_ratio(matrix, f"{what} minor")
+    ratio, cond = _bordered_ratio(matrix, f"{what} minor")
     factor = np.prod([(z - mu) ** k for mu, k in zip(mus, mu_mults)])
-    return DeformedPolyResult(num / (den * factor), num, den, cond)
+    return DeformedPolyResult(complex(ratio / factor), cond)
 
 
 def christoffel_q(sys: OrthoSystem, mus, n: int, z: complex) -> complex:
     """Raw bordered determinant for the multiplied measure; vanishes at each mu."""
     mus, mults = canonical_variables(mus, "mus")
-    return lu_det(_bordered_matrix(sys, None, (), mus, mults, n,
-                                   "christoffel determinant", z=z))[0]
+    what = "christoffel determinant"
+    mantissa, exponent, _ = scaled_lu_det(
+        _bordered_matrix(sys, None, (), mus, mults, n, what, z=z))
+    return _ldexp(mantissa, exponent, what)
 
 
 def christoffel_poly(sys: OrthoSystem, mus, n: int, z: complex,
@@ -200,8 +212,10 @@ def uvarov_q(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, n: int,
              z: complex) -> complex:
     """Raw bordered determinant for the divided measure."""
     epsbars, _ = canonical_variables(epsbars, "epsbars")
-    return lu_det(_bordered_matrix(sys, cev, epsbars, (), (), n,
-                                   "uvarov determinant", z=z))[0]
+    what = "uvarov determinant"
+    mantissa, exponent, _ = scaled_lu_det(
+        _bordered_matrix(sys, cev, epsbars, (), (), n, what, z=z))
+    return _ldexp(mantissa, exponent, what)
 
 
 def uvarov_poly(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, n: int,
@@ -231,6 +245,6 @@ def deformed_cauchy(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, n: int,
     check_nondegenerate(epsbars + (eps,), "epsbars plus evaluation point")
     matrix = _bordered_matrix(sys, cev, epsbars, (), (), n,
                               "deformed Cauchy transform", eps=eps)
-    num, den, _ = _bordered_ratio(matrix, "deformed-transform h-minor")
+    ratio, _ = _bordered_ratio(matrix, "deformed-transform h-minor")
     prefactor = (-1) ** len(epsbars) / np.prod([eps - eb for eb in epsbars])
-    return complex(prefactor * num / den)
+    return complex(prefactor * ratio)

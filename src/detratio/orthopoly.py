@@ -61,16 +61,20 @@ def eval_poly(p: Poly | Sequence[complex], z):
     """Horner evaluation, vectorized over z; ``z`` is never modified."""
     coeffs = p.coeffs if isinstance(p, Poly) else tuple(p)
     z = np.asarray(z, dtype=complex)
-    out = np.full_like(z, coeffs[-1])
-    if out.size > 1:
-        # out = out * z + c without a new array per step, to the same bits
-        for c in reversed(coeffs[:-1]):
+    if z.size > 1 and len(coeffs) > 1:
+        # out = out * z + c without a new array per step, to the same bits,
+        # starting from c_d * z + c_(d-1) rather than a filled array (with
+        # the scalar first, numpy rounds as for the filled array)
+        out = coeffs[-1] * z
+        out += coeffs[-2]
+        for c in reversed(coeffs[:-2]):
             out *= z
             out += c
-    else:
-        # numpy rounds a one-element product made in place differently
-        for c in reversed(coeffs[:-1]):
-            out = out * z + c
+        return out
+    # numpy rounds a one-element product made in place differently
+    out = np.full_like(z, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        out = out * z + c
     if out.ndim == 0:
         return complex(out)
     return out

@@ -41,6 +41,7 @@ from .determinants import confluent_vandermonde_logpolar, scaled_lu_det
 from .errors import ConstraintError, NumericalError
 from .orthopoly import OrthoSystem, Poly, require_eigenvalue_count
 
+LOG_TWO = math.log(2.0)
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
 
@@ -137,14 +138,14 @@ def expectation_ratio(q: RatioQuery, sys: OrthoSystem,
     matrix, warnings = determinant_rows(
         sys, cev, q.epsbars, q.eps_multiplicities, q.mus, q.mu_multiplicities,
         range(n_ev - M, n_ev + L))
-    mant, log_scale, cond = scaled_lu_det(matrix)
+    mant, exponent, cond = scaled_lu_det(matrix)
     log_mu, phase_mu = confluent_vandermonde_logpolar(q.mus, q.mu_multiplicities)
     log_eps, phase_eps = confluent_vandermonde_logpolar(q.epsbars,
                                                         q.eps_multiplicities)
     log_pref = M * LOG_TWO_PI - sum(math.log(sys.norms[j])
                                     for j in range(n_ev - M, n_ev))
     phase_pref = -M * math.pi / 2 + math.pi * ((M * (M - 1) // 2) % 2)
-    value = mant * cmath.exp(complex(log_pref + log_scale - log_mu - log_eps,
+    value = mant * cmath.exp(complex(log_pref + exponent * LOG_TWO - log_mu - log_eps,
                                      phase_pref - phase_mu - phase_eps))
 
     rel_err = cond * (M + L) * 1e-15

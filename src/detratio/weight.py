@@ -334,28 +334,49 @@ def radial_mass(spec: WeightSpec, n: int, t: float) -> float:
     return amp * min(t, spec.parameters[0]) ** (2 * n + 2) / (2 * n + 2)  # the disk
 
 
+def _closed_terms(spec: WeightSpec, size: int, term: Callable[[int], float]) -> list:
+    """term(k) for k < size, refused with NumericalError at the first order
+    whose closed form leaves the range of a double."""
+    out = []
+    for k in range(size):
+        try:
+            value = term(k)
+        except (OverflowError, ZeroDivisionError):
+            value = math.inf
+        if not 0.0 < value < math.inf:
+            raise NumericalError(
+                f"the closed-form moment of order {k} of {spec.label()} is outside "
+                "the range of a double; reduce max_degree")
+        out.append(value)
+    return out
+
+
 def closed_moments(spec: WeightSpec, n: int):
     """Closed-form moment matrix M_jk, 0 <= j,k <= n, for the built-in
-    families, or None.
+    families, or None.  An order whose diagonal moment leaves the range
+    of a double raises NumericalError.
 
     The shifted gaussian binomially expands z = c + (z - c) on both sides:
     M = pi amp B diag(a!/scale^(a+1)) B^H with B_ja = binom(j, a) c^(j-a)."""
     amp, size = spec.amplitude, n + 1
     if spec.kind == "gaussian":
         (scale,) = spec.parameters
-        return np.diag([complex(amp * math.pi * math.gamma(k + 1) / scale ** (k + 1))
-                        for k in range(size)])
+        return np.diag([complex(v) for v in _closed_terms(
+            spec, size, lambda k: amp * math.pi * math.gamma(k + 1) / scale ** (k + 1))])
     if spec.kind == "disk-flat":
         (radius,) = spec.parameters
-        return np.diag([complex(amp * math.pi * radius ** (2 * k + 2) / (k + 1))
-                        for k in range(size)])
+        return np.diag([complex(v) for v in _closed_terms(
+            spec, size, lambda k: amp * math.pi * radius ** (2 * k + 2) / (k + 1))])
     if spec.kind == "shifted-gaussian":
         scale, c = spec.parameters[-1], spec.centre
         lower = np.tril(np.subtract.outer(np.arange(size), np.arange(size)))
         binom = np.array([[math.comb(j, a) for a in range(size)] for j in range(size)])
-        shifts = binom * c ** lower    # zero above the diagonal, where binom is
-        gains = [math.gamma(a + 1) / scale ** (a + 1) for a in range(size)]
-        return amp * math.pi * (shifts * gains) @ shifts.conj().T
+        gains = _closed_terms(spec, size, lambda a: math.gamma(a + 1) / scale ** (a + 1))
+        with np.errstate(over="ignore", invalid="ignore"):   # refused below
+            shifts = binom * c ** lower    # zero above the diagonal, where binom is
+            entries = amp * math.pi * (shifts * gains) @ shifts.conj().T
+        _closed_terms(spec, size, lambda k: entries[k, k].real)
+        return entries
     return None
 
 

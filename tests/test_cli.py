@@ -142,6 +142,14 @@ def test_eval_depth_constraint_exits_4(tmp_path):
     assert run(["eval", "--config", cfg]) == 4
 
 
+def test_degree_past_the_double_range_exits_3(tmp_path, capsys):
+    # 171! overflows a double: the closed-form moment refuses its order
+    cfg = write_config(tmp_path, base_config(
+        weight={"kind": "gaussian", "scale": 1.0}, system={"max_degree": 171}))
+    assert run(["eval", "--config", cfg]) == 3
+    assert "closed-form moment of order 171" in capsys.readouterr().err
+
+
 def test_eval_empty_query_depth_exits_4(tmp_path, capsys):
     cfg = write_config(tmp_path, base_config(
         system={"max_degree": 8},
@@ -208,6 +216,35 @@ def test_verify_mc_empty_query_tolerates_rounding(tmp_path, monkeypatch):
     assert case["method"] == "monte-carlo"
     assert case["abs_deviation"] > 3 * case["oracle_stderr"]
     assert case["passed"]
+
+
+def test_verify_reports_an_oracle_refusal_and_goes_on(tmp_path, capsys):
+    # Monte Carlo refuses the ebar 3.5+0.5i, too close to the gaussian's
+    # effective support: each case with it fails with the refusal, and
+    # the sweep goes on.  A refusal of the formula itself still exits 4
+    def verify(max_degree):
+        cfg = write_config(tmp_path, base_config(
+            weight={"kind": "gaussian", "scale": 1.0},
+            system={"max_degree": max_degree},
+            oracle={"method": "monte-carlo", "samples": 20000, "seed": 5},
+            verify={"Ns": [3], "Ls": [0, 1], "Ms": [0, 1],
+                    "mus_pool": ["1.3+0.8i"], "eps_pool": [[3.5, 0.5]]}))
+        out = tmp_path / "verify.json"
+        return run(["verify", "--config", cfg, "--out", str(out)]), out
+
+    code, out = verify(6)
+    assert code == 1
+    report = read_json(out)
+    assert report["summary"]["failing_cases"] == ["N=3 L=0 M=1", "N=3 L=1 M=1"]
+    for case in report["cases"]:
+        if case["M"] == 1:
+            assert case["status"] == "oracle-refused" and not case["passed"]
+            assert "Monte Carlo with an inverse factor requires" in case["message"]
+        else:
+            assert case["passed"] and "status" not in case
+    capsys.readouterr()
+    assert verify(2)[0] == 4
+    assert "requires system depth 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, path_in_config", [

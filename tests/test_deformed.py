@@ -28,7 +28,7 @@ def test_christoffel_gaussian_single_mu(gauss_sys, gauss):
     for z in (0.7 + 0.2j, -1.1 + 0.9j):
         res = christoffel_poly(gauss_sys, (1.0,), 1, z)
         assert res.value == pytest.approx(z, rel=1e-13)
-        assert res.denominator_det != 0
+        assert res.conditioning < math.inf
 
 
 def test_exactly_singular_minor_says_so(gauss_sys):

@@ -19,28 +19,37 @@ def test_lu_det_matches_numpy():
 
 def test_empty_det_is_one():
     assert lu_det(np.zeros((0, 0))) == (1.0 + 0j, 1.0)
-    mant, log_scale, cond = scaled_lu_det(np.zeros((0, 0)))
-    assert mant == 1.0 and log_scale == 0.0
+    assert scaled_lu_det(np.zeros((0, 0))) == (1.0 + 0j, 0, 1.0)
 
 
 def test_subnormal_rows_are_lifted_by_a_power_of_two():
-    # the first row's max modulus is subnormal; the lift is exact, so
+    # the first row's max modulus is subnormal; the scaling is exact, so
     # the determinant keeps the digits the subnormal entries carry
     a = np.array([[3e-320j, 1e-321], [1.5, 2.0 - 1j]])
     lifted = a * np.array([[2.0 ** 1000], [1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mant, log_scale, _ = scaled_lu_det(a)
-    ref, ref_log, _ = scaled_lu_det(lifted)
+        mant, exponent, _ = scaled_lu_det(a)
+    ref, ref_exponent, _ = scaled_lu_det(lifted)
     assert mant == pytest.approx(ref, rel=1e-15)
-    assert log_scale == pytest.approx(ref_log - 1000 * math.log(2.0), rel=1e-15)
+    assert exponent == ref_exponent - 1000
 
 
 def test_scaled_det_reassembles():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((5, 5)) * np.logspace(0, 12, 5)[:, None]
-    mant, log_scale, _ = scaled_lu_det(a)
-    assert mant * np.exp(log_scale) == pytest.approx(np.linalg.det(a), rel=1e-10)
+    mant, exponent, _ = scaled_lu_det(a)
+    assert mant * 2.0 ** exponent == pytest.approx(np.linalg.det(a), rel=1e-10)
+
+
+def test_rows_are_scaled_by_powers_of_two():
+    # every row's largest modulus lands in [0.5, 1), so a 1x1 mantissa is
+    # the entry with its exponent taken out, bit for bit
+    for x in (3.0 - 4j, 5e-324, -1e300j, 0.75):
+        mant, exponent, cond = scaled_lu_det(np.array([[x]]))
+        assert 0.5 <= abs(mant) < 1.0 and cond == 1.0
+        assert complex(math.ldexp(mant.real, exponent),
+                       math.ldexp(mant.imag, exponent)) == x
 
 
 def test_singular_row_gives_zero():
@@ -82,6 +91,13 @@ def test_confluent_vandermonde_reduces_to_plain():
     assert log_mod == pytest.approx(6 * np.log(2.0))
 
 
+def test_vandermonde_phase_underflows_to_zero():
+    # the difference 2 + 5e-324j has a phase below the smallest double;
+    # cmath.phase raises OverflowError there, atan2 returns 0
+    assert confluent_vandermonde_logpolar([0j, 2 + 5e-324j], (1, 1)) == (
+        math.log(2.0), 0.0)
+
+
 def _scipy_lu_det(a):
     """Determinant and pivot ratio from LAPACK's getrf, the reference."""
     lu_factor = pytest.importorskip("scipy.linalg").lu_factor
@@ -105,12 +121,14 @@ def test_lu_det_follows_lapack_pivots():
 
 
 @pytest.mark.parametrize("a", [
+    [[0]],                                    # zero 1x1, no shortcut
     [[0, 1, 2], [0, 3, 4], [0, 5, 6]],       # zero first column
     [[1, 2j, 3], [2, 4j, 6], [-1, -2j, -3]],  # rank 1
     [[1, 2, 3], [2, 4, 5], [1, 2, 7]],        # zero second pivot
-], ids=["zero-column", "rank-1", "zero-second-pivot"])
+], ids=["zero-1x1", "zero-column", "rank-1", "zero-second-pivot"])
 def test_exactly_singular_matrix_gives_zero_and_infinite_conditioning(a):
     assert lu_det(np.array(a, dtype=complex)) == (0j, math.inf)
+    assert scaled_lu_det(np.array(a, dtype=complex))[::2] == (0j, math.inf)
 
 
 def test_row_swap_flips_the_sign():

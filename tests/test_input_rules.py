@@ -153,3 +153,16 @@ def test_each_input_rule_is_checked_in_one_place():
                   and _name(node.func) == "require_eigenvalue_count") == [
         ("orthopoly.py", "partition_function"), ("ratios.py", "__post_init__")]
     assert _sites(lambda node: _name(node) == "Integral") == [("errors.py", "is_integer")]
+
+
+def test_determinants_are_taken_in_one_place():
+    # every determinant of the formulas goes through scaled_lu_det, the one
+    # caller of the elimination kernel; numpy's determinant serves only
+    # the two independent constructions, the Andreief tensor oracle and
+    # the bordered moment minors
+    def calls(name):
+        return lambda node: isinstance(node, ast.Call) and _name(node.func) == name
+
+    assert _sites(calls("lu_det")) == [("determinants.py", "scaled_lu_det")]
+    assert set(_sites(calls("det"))) == {("oracle.py", "_tensor_sums"),
+                                         ("orthopoly.py", "bordered_coefficients")}

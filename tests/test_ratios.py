@@ -79,17 +79,18 @@ def series_systems():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_telescopes_agree_with_the_determinant(series_systems, data):
-    # products only: mus on the 1e-3 lattice of the box |re|, |im| <= 3,
-    # which keeps the pi rows clear of subnormal numbers, where the
-    # telescope's christoffel division overflows; inverses only: epsbars 0.5 to 4
-    # outside the effective support.  Two sweeps of 6000 draws saw at
-    # most 3.5e-14 (products) and 2.7e-12 (inverses)
+    # products only: float mus in the box |re|, |im| <= 3, zero,
+    # subnormal and underflowed pi rows included; inverses only: epsbars
+    # 0.5 to 4 outside the effective support.  Sweeps of 6000 and 20000
+    # product draws saw at most 1.3e-13 relative, and 1.7e-321 absolute
+    # below the smallest normal double; earlier sweeps of the inverses,
+    # at most 2.7e-12
     system, cev = data.draw(st.sampled_from(series_systems), "system")
     n_ev = data.draw(st.integers(1, 4), "N")
     count = data.draw(st.integers(1, n_ev), "count")
     products = data.draw(st.booleans(), "products")
     if products:
-        part = st.integers(-3000, 3000).map(lambda k: k / 1000)
+        part = st.floats(-3.0, 3.0)
         point = st.builds(complex, part, part)
     else:
         support = system.weight.effective_support_radius
@@ -99,18 +100,28 @@ def test_telescopes_agree_with_the_determinant(series_systems, data):
     assume(all(abs(a - b) >= 0.1 for a, b in itertools.combinations(values, 2)))
     if products:
         q = RatioQuery(N=n_ev, mus=values)
-        if 0 in values:
-            # pi_n(z) = z^n on these weights, so the pi row at mu = 0 is
-            # zero, and the determinant refuses the zero as an underflow
+        degrees = range(n_ev, n_ev + count)
+        if any(all(eval_poly(system.poly(d), mu) == 0 for d in degrees)
+               for mu in values):
+            # pi_n(z) = z^n on these weights, so the pi row is exactly zero
+            # at mu = 0 or where |mu|^N underflows; both paths refuse the
+            # zero, which they cannot tell from an underflow
             with pytest.raises(NumericalError):
                 expectation_ratio(q, system, None)
+            with pytest.raises(NumericalError):
+                expectation_products(q, system)
             return
         telescope = expectation_products(q, system).value
     else:
         q = RatioQuery(N=n_ev, epsbars=values)
         telescope = expectation_inverses(q, system, cev).value
     determinant = expectation_ratio(q, system, cev).value
-    assert abs(telescope - determinant) <= 1e-10 * abs(determinant)
+    # near and below the smallest normal double the bound is absolute:
+    # the telescope rounds a subnormal partial product to the spacing
+    # 2^-1074, and its later factors, mu^N with |mu^N| <= (3 sqrt 2)^4 =
+    # 324, multiply that rounding by at most 324^3
+    floor = 2.0 ** -1074 * 324.0 ** 3
+    assert abs(telescope - determinant) <= 1e-10 * abs(determinant) + floor
 
 
 def test_permutation_symmetry(disk_sys, disk_ev):
@@ -377,8 +388,8 @@ def test_partial_fractions_rejects_repeated_poles():
 
 
 def test_subnormal_pi_row_is_scaled_without_overflow():
-    # pi_3(mu) = mu^3 = -3.594e-320j is subnormal, so dividing its row by
-    # the max modulus would multiply by an overflowing 1/scale
+    # pi_3(mu) = mu^3 = -3.594e-320j is subnormal: 1 / its modulus
+    # overflows, a power of two that scales its row does not
     sys_ = ortho_system(gaussian_weight(), 7)
     mu = 3.3e-107j
     q = RatioQuery(N=3, mus=(mu,))
@@ -388,3 +399,31 @@ def test_subnormal_pi_row_is_scaled_without_overflow():
         products = expectation_products(q, sys_).value
     assert abs(got - mu ** 3) <= 1e-3 * abs(mu ** 3)
     assert abs(got - products) <= 1e-3 * abs(products)
+
+
+def test_telescope_over_a_subnormal_minor():
+    # the christoffel minor pi_3(3.3e-107j) is subnormal: dividing by its
+    # product with (z - mu) overflows, the ratio of mantissas stays
+    # finite.  Exact: (mu_1 mu_2)^3
+    sys_ = ortho_system(gaussian_weight(), 7)
+    mus = (3.3e-107j, 0.5 + 0.2j)
+    q = RatioQuery(N=3, mus=mus)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        telescope = expectation_products(q, sys_)
+        determinant = expectation_ratio(q, sys_, None).value
+    exact = mus[0] ** 3 * mus[1] ** 3
+    assert math.isfinite(telescope.abs_error_estimate)
+    for value in (telescope.value, determinant):
+        assert value != 0 and abs(value - exact) <= 1e-3 * abs(exact)
+
+
+def test_zero_pi_row_is_refused_by_both_paths():
+    # pi_1(0) = 0 on the gaussian: the determinant and the telescope both
+    # refuse the zero, which they cannot tell from an underflow
+    sys_ = ortho_system(gaussian_weight(), 7)
+    q = RatioQuery(N=1, mus=(0j,))
+    with pytest.raises(NumericalError):
+        expectation_ratio(q, sys_, None)
+    with pytest.raises(NumericalError):
+        expectation_products(q, sys_)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import detratio
-from detratio import (MONTE_CARLO, ConstraintError, OracleConfig, WeightSpec,
+from detratio import (MONTE_CARLO, ConstraintError, NumericalError,
+                      OracleConfig, WeightSpec,
                       cauchy_evaluator, custom_weight, disk_domain,
                       disk_flat_weight, full_plane_domain, gaussian_weight,
                       moment_matrix, oracle_partition, ortho_system,
@@ -190,6 +191,19 @@ def test_planar_moments_match_the_direct_sum(request, which, degree):
         lambda n_r, n_t: _direct_moments(spec, radius, n_r, n_t, size, size), MOMENT_TOL)
     got = moment_matrix(spec, degree, method="quadrature").entries
     assert np.max(np.abs(got - reference)) <= 5e-15 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("spec, degree, order", [
+    (gaussian_weight(1.0), 171, 171),      # math.gamma(172) overflows
+    (gaussian_weight(0.5), 160, 150),      # pi 150! 2^151 overflows
+    (disk_flat_weight(2.0), 520, 511),     # 2.0 ** 1024 overflows
+    (disk_flat_weight(0.1), 200, 160),     # pi 0.1^322 / 161 underflows to 0
+    (shifted_gaussian_weight(3 + 4j, 1.0), 150, 150),
+], ids=["gamma", "scale", "power", "underflow", "shifted"])
+def test_closed_moments_past_the_double_range_name_the_order(spec, degree, order):
+    with pytest.raises(NumericalError, match=f"closed-form moment of order {order} "):
+        ortho_system(spec, degree)
+    assert closed_moments(spec, order - 1) is not None
 
 
 def test_positivity_is_checked():
