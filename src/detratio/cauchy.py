@@ -98,17 +98,22 @@ class CauchyResult:
 
 @dataclass(eq=False)
 class _Level:
-    """One refinement level: its nodes, a weight vector on them, and the
-    values of each polynomial on them, evaluated on first use."""
+    """One refinement level: its nodes, a weight vector on them, and each
+    polynomial's values on them in z - ``centre``, evaluated on first use."""
 
     nodes: np.ndarray
     weighted: np.ndarray
+    centre: complex
     poly_values: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.zeta = self.nodes - self.centre if self.centre else self.nodes
 
     def values(self, poly) -> np.ndarray:
         vals = self.poly_values.get(poly)
         if vals is None:
-            vals = self.poly_values[poly] = eval_poly(poly, self.nodes)
+            vals = self.poly_values[poly] = eval_poly(poly.coeffs, self.zeta) \
+                if poly.centre == self.centre else eval_poly(poly, self.nodes)
         return vals
 
 
@@ -223,7 +228,7 @@ def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
     levels of ``table``; each entry stops at its own level, so its bits
     are those of a row holding it alone, on any table."""
     warnings = _check_pole(spec, u, order)
-    pole = np.conj(u)
+    pole, c = np.conj(u), spec.centre
     boundary = spec.domain.quad_radius
 
     if abs(u) <= boundary:
@@ -237,7 +242,7 @@ def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
             lv = levels.get((n_r, n_t))
             if lv is None:
                 grid = cauchy_kernel_grid(pole, rho_max, n_r, n_t, order=order)
-                lv = levels[n_r, n_t] = _Level(grid.nodes, spec.evaluate(grid.nodes))
+                lv = levels[n_r, n_t] = _Level(grid.nodes, spec.evaluate(grid.nodes), c)
                 return lv, lv.weighted * grid.weights
             # the weights depend on the order, the nodes do not
             return lv, lv.weighted * cauchy_kernel_weights(rho_max, n_r, n_t, order)
@@ -247,7 +252,8 @@ def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
         def level(n_r: int, n_t: int):
             lv = levels.get((n_r, n_t))
             if lv is None:
-                lv = levels[n_r, n_t] = _Level(*weighted_grid(spec, boundary, n_r, n_t))
+                nodes, weighted = weighted_grid(spec, boundary, n_r, n_t, 0j)
+                lv = levels[n_r, n_t] = _Level(nodes, weighted, c)
             # g = w * weights * order!/(zbar - ebar)^(order+1), one division
             g = lv.weighted
             shift = np.conj(lv.nodes)

@@ -7,8 +7,8 @@ Subcommands:
 * ``eval``    evaluate the ratio expectation for the configured query,
               with the telescope cross-check where one applies;
 * ``verify``  sweep a grid of (N, L, M) cases comparing the determinant
-              formula against the configured oracle; a case the oracle
-              refuses fails, and the sweep goes on;
+              formula against the configured oracle; a case that fails or
+              is refused fails, and the sweep goes on;
 * ``scan``    sweep one variable over a grid and tabulate the values.
 
 Exit codes: 0 success (verify: all cases pass), 1 verification failure,
@@ -157,8 +157,9 @@ def cmd_verify(rc: RunConfig) -> int:
             refused = isinstance(exc, ConstraintError)
             if refused and formula is None:
                 raise    # the formula's own refusal keeps its exit code
-            case.update({"status": "oracle-refused" if refused else "oracle-error",
-                         "message": str(exc), "passed": False})
+            status = ("formula-error" if formula is None
+                      else "oracle-refused" if refused else "oracle-error")
+            case.update({"status": status, "message": str(exc), "passed": False})
             cases.append(case)
             failed.append(name)
             continue

@@ -42,7 +42,8 @@ from .errors import ConstraintError, NumericalError, SingularMatrixError, is_int
 from .orthopoly import MonicPoly
 from .quadrature import adaptive_integral
 from .ratios import RatioQuery
-from .weight import WeightSpec, closed_moments, planar_moments, weighted_grid
+from .weight import (WeightSpec, closed_moments, planar_moments, truncation_radius,
+                     weighted_grid)
 
 TENSOR_QUADRATURE = "tensor-quadrature"
 MONTE_CARLO = "monte-carlo"
@@ -104,7 +105,7 @@ def _tensor_sums(q: RatioQuery, spec: WeightSpec, n_r: int, n_t: int):
     mus, epsbars = q.expanded_mus(), q.expanded_epsbars()
 
     def grid_sum(factor) -> complex:
-        moments = planar_moments(spec, spec.domain.quad_radius, n_r, n_t,
+        moments = planar_moments(spec, truncation_radius(spec, 0), n_r, n_t,
                                  q.N, q.N, factor)
         return math.factorial(q.N) * np.linalg.det(moments)
 
@@ -239,10 +240,10 @@ def oracle_partition(spec: WeightSpec, n_ev: int, cfg: OracleConfig) -> OracleEs
 
 def deformed_integral(spec: WeightSpec, mus, epsbars, fn) -> complex:
     """integral fn(z) prod_j (mu_j - z) / prod_k (ebar_k - zbar) dw over
-    the domain (a complex measure) on the 128x160 origin-centred grid."""
+    the domain (a complex measure) on the 128x160 grid about the centre."""
     mus, _ = canonical_variables(mus, "mus")
     epsbars, _ = canonical_variables(epsbars, "epsbars")
-    z, w = weighted_grid(spec, spec.domain.quad_radius, 128, 160)
+    z, w = weighted_grid(spec, truncation_radius(spec, 0), 128, 160)
     measure = w * _ratio_factor(z, mus, epsbars)
     return complex(np.sum(measure * fn(z)))
 
@@ -252,7 +253,8 @@ def oracle_deformed_op(spec: WeightSpec, mus, epsbars, n: int) -> MonicPoly:
     conditions against zbar^k, k < n, for the measure
     prod_j (mu_j - z) / prod_k (ebar_k - zbar) times the weight.
 
-    Works directly from quadrature moments of the deformed measure and is
+    Works directly from quadrature moments of the deformed measure about
+    the weight's centre, in whose powers its coefficients are, and is
     therefore independent of every determinant formula.  Moments that do
     not converge to ``DEFORMED_MOMENT_TOL``, as with an inverse factor
     whose pole sits where the weight is large, raise ConvergenceError.
@@ -264,11 +266,11 @@ def oracle_deformed_op(spec: WeightSpec, mus, epsbars, n: int) -> MonicPoly:
     if n > 4:
         raise ConstraintError("the deformed-measure solver is desk-scale: n <= 4")
     if n == 0:
-        return MonicPoly((1.0 + 0j,))
+        return MonicPoly((1.0 + 0j,), spec.centre)
 
     def moments_on(n_r: int, n_t: int) -> np.ndarray:  # [j, k]
         return planar_moments(
-            spec, spec.domain.quad_radius, n_r, n_t, n + 1, n,
+            spec, truncation_radius(spec, 0), n_r, n_t, n + 1, n,
             lambda z: _ratio_factor(z, mus, epsbars))
 
     moments, _ = adaptive_integral(
@@ -282,4 +284,4 @@ def oracle_deformed_op(spec: WeightSpec, mus, epsbars, n: int) -> MonicPoly:
         raise SingularMatrixError(
             "deformed-moment system is singular: the bi-orthogonal polynomial "
             f"is not unique at degree {n} for this deformation") from None
-    return MonicPoly(tuple(lower) + (1.0 + 0j,))
+    return MonicPoly(tuple(lower) + (1.0 + 0j,), spec.centre)

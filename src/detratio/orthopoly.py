@@ -1,16 +1,19 @@
 """Monic orthogonal polynomials in the complex plane.
 
-Given a positive weight with moment matrix M_jk = integral z^j zbar^k dw,
-there is a unique family of monic polynomials pi_k(z) = z^k + ... with
+Given a positive weight with centre c and moments
+M_jk = integral zeta^j conj(zeta)^k dw about it, zeta = z - c, there is a
+unique family of monic polynomials pi_k = zeta^k + ... with
 
     integral_D  pi_k(z) conj(pi_j(z)) dw = delta_kj r_k,    r_k > 0.
 
-Construction is by Cholesky factorization of the moment matrix: with
-M = L L^H the coefficient rows are diag(L) L^(-1) (unit diagonal, hence
-monic) and the squared norms are the squared Cholesky pivots.  This is
-numerically stabler than naive Gram-Schmidt and fails cleanly when the
-matrix is not positive definite.  An independent construction through
-bordered determinants of moment minors is provided for cross-checking.
+A ``Poly`` holds its coefficients in powers of zeta with its ``centre``,
+which ``eval_poly`` and ``poly_derivative`` honour.  Construction is by
+Cholesky factorization of the moment matrix: with M = L L^H the
+coefficient rows are diag(L) L^(-1) (unit diagonal, hence monic) and the
+squared norms are the squared Cholesky pivots.  This is numerically
+stabler than naive Gram-Schmidt and fails cleanly when the matrix is not
+positive definite.  An independent construction through bordered
+determinants of moment minors is provided for cross-checking.
 
 The polynomials depend on z only; coefficients of conjugate monomials
 are absent by construction.  Neither a three-term recursion nor a
@@ -34,9 +37,10 @@ CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class Poly:
-    """Polynomial with complex coefficients in ascending powers of z."""
+    """Complex coefficients in ascending powers of z - ``centre``."""
 
     coeffs: tuple
+    centre: complex = 0j
 
     def __post_init__(self):
         if len(self.coeffs) == 0:
@@ -58,9 +62,12 @@ class MonicPoly(Poly):
 
 
 def eval_poly(p: Poly | Sequence[complex], z):
-    """Horner evaluation, vectorized over z; ``z`` is never modified."""
+    """Horner evaluation in z - ``p.centre``, vectorized over z; a bare
+    coefficient sequence is taken about 0.  ``z`` is never modified."""
     coeffs = p.coeffs if isinstance(p, Poly) else tuple(p)
+    centre = p.centre if isinstance(p, Poly) else 0
     z = np.asarray(z, dtype=complex)
+    z = z - centre if centre else z
     if z.size > 1 and len(coeffs) > 1:
         # out = out * z + c without a new array per step, to the same bits,
         # starting from c_d * z + c_(d-1) rather than a filled array (with
@@ -81,7 +88,7 @@ def eval_poly(p: Poly | Sequence[complex], z):
 
 
 def poly_derivative(p: Poly, order: int = 1) -> Poly:
-    """Exact coefficient-wise derivative of the given order."""
+    """Exact coefficient-wise derivative of the given order (d/dzeta = d/dz)."""
     if order < 0:
         raise ConstraintError("derivative order must be non-negative")
     coeffs = np.asarray(p.coeffs, dtype=complex)
@@ -90,7 +97,7 @@ def poly_derivative(p: Poly, order: int = 1) -> Poly:
             coeffs = np.array([0j])
             break
         coeffs = coeffs[1:] * np.arange(1, len(coeffs))
-    return Poly(tuple(coeffs))
+    return Poly(tuple(coeffs), p.centre)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +133,7 @@ def lower_inverse(lower: np.ndarray) -> np.ndarray:
 
 
 def build_ortho_system(m: MomentMatrix, weight: WeightSpec) -> OrthoSystem:
-    """Orthogonalize the monomials against the given moment matrix."""
+    """Orthogonalize the powers of z - ``weight.centre`` against their moments."""
     # Conditioning is judged after Jacobi equilibration: a plain condition
     # number only reflects the spread of the diagonal (norms grow like k!
     # for gaussian weights), not the cancellation Cholesky actually faces.
@@ -147,7 +154,7 @@ def build_ortho_system(m: MomentMatrix, weight: WeightSpec) -> OrthoSystem:
     for k in range(m.order + 1):
         coeffs = coeff_rows[k, :k + 1].copy()
         coeffs[-1] = 1.0 + 0j
-        polys.append(MonicPoly(tuple(coeffs)))
+        polys.append(MonicPoly(tuple(coeffs), weight.centre))
     norms = tuple(float(p * p) for p in pivots)
     return OrthoSystem(weight=weight, max_degree=m.order, polys=tuple(polys),
                        norms=norms, conditioning=cond)

@@ -116,6 +116,12 @@ class EvalResult:
                                  f"(error estimate {self.abs_error_estimate!r})")
 
 
+def _result(value: complex, rel_err: float, diagnostics: Diagnostics) -> EvalResult:
+    """The value with the error |value| * rel_err, at least one ulp of it."""
+    error = max(abs(value) * rel_err, math.ulp(abs(value)))   # binds if subnormal
+    return EvalResult(complex(value), error, diagnostics)
+
+
 def _require_depth(sys: OrthoSystem, q: RatioQuery) -> None:
     need = max(q.N + q.L_total - 1, q.N - 1)
     if need > sys.max_degree:
@@ -152,8 +158,7 @@ def expectation_ratio(q: RatioQuery, sys: OrthoSystem,
     if M > 0:
         rel_err += M * cev.relative_error
     backend = cev.method if M > 0 else "polynomial"
-    return EvalResult(complex(value), abs(value) * rel_err,
-                      Diagnostics(cond, backend, warnings))
+    return _result(value, rel_err, Diagnostics(cond, backend, warnings))
 
 
 def expectation_products(q: RatioQuery, sys: OrthoSystem) -> EvalResult:
@@ -172,8 +177,8 @@ def expectation_products(q: RatioQuery, sys: OrthoSystem) -> EvalResult:
         res = christoffel_poly(sys, q.mus[:j], q.N, mu)
         value *= res.value
         cond = max(cond, res.conditioning)
-    return EvalResult(complex(value), abs(value) * cond * 1e-14 * max(len(q.mus), 1),
-                      Diagnostics(cond, "telescope-products", ()))
+    return _result(value, cond * 1e-14 * max(len(q.mus), 1),
+                   Diagnostics(cond, "telescope-products", ()))
 
 
 def expectation_inverses(q: RatioQuery, sys: OrthoSystem,
@@ -194,9 +199,8 @@ def expectation_inverses(q: RatioQuery, sys: OrthoSystem,
         h = deformed_cauchy(sys, cev, q.epsbars[:m_total - j], q.N - j,
                             q.epsbars[m_total - j])
         value *= (-2j * math.pi / r) * h
-    return EvalResult(complex(value),
-                      abs(value) * (m_total * cev.relative_error + m_total * 1e-14),
-                      Diagnostics(1.0, "telescope-inverses", ()))
+    return _result(value, m_total * cev.relative_error + m_total * 1e-14,
+                   Diagnostics(1.0, "telescope-inverses", ()))
 
 
 def partial_fractions(j: int, epsbars) -> tuple[np.ndarray, Poly]:

@@ -1,20 +1,18 @@
-"""Weight functions on planar domains and their monomial moments.
+"""Weight functions on planar domains and their moments about the centre.
 
 A weight is a strictly positive density w(z, zbar) on a domain D, either
 a disk or the full complex plane (truncated at an effective cutoff
 radius for quadrature).  The measure convention throughout the package
-is dw = w(z, zbar) dA with dA the real Lebesgue area element.  Monomial
-moments are
+is dw = w(z, zbar) dA with dA the real Lebesgue area element.  Moments
+are taken about the weight's centre c (``WeightSpec.centre``),
 
-    M_jk = integral_D  z^j zbar^k w(z, zbar) dA,
+    M_jk = integral_D  zeta^j conj(zeta)^k w(z, zbar) dA,   zeta = z - c,
 
 a Hermitian positive definite Gram matrix for any admissible weight.
-The built-in families have them in closed form (``closed_moments``).
-Quadrature moments, of a custom weight or on request, are the sums of
-z^j zbar^k w over the origin-centred polar grid of ``weighted_grid``,
-taken by ``planar_moments``: one FFT along the angle per radial node
-yields every angular harmonic, and each moment is then a sum over the
-radial nodes, with no table of node powers.
+The built-in families have them in closed form, diagonal for each
+(``closed_moments``).  Quadrature moments, of a custom weight or on
+request, are summed by ``planar_moments`` over the polar grid of
+``weighted_grid`` centred on c, with no table of node powers.
 
 This module is the only one that knows the weight families; no other
 module names one.  ``FAMILIES`` lists the built-in families with their
@@ -24,22 +22,22 @@ radial masses and moments, and the Monte Carlo sampler.  Adding or
 removing a family touches this module alone.
 
 * ``gaussian``          w = amplitude * exp(-scale |z|^2) on the plane;
-  everywhere but in its closed forms, the shifted gaussian centred at 0
+  the shifted gaussian at 0, whose Cauchy transforms have a closed form
 * ``disk-flat``         w = amplitude on |z| <= radius
-* ``shifted-gaussian``  w = amplitude * exp(-scale |z - center|^2); not
-  rotation invariant, with closed-form moments, used to exercise the
-  generic code paths on a weight whose moment matrix is dense.
+* ``shifted-gaussian``  w = amplitude * exp(-scale |z - center|^2); its
+  Cauchy transforms take the quadrature backend.
 
 One rule truncates the built-in full-plane weights, however deep the
 system built on them: the plane is cut at ``gaussian_cutoff(scale,
-CUTOFF_ORDER) + |center|``.  An integral of higher order over such a
-weight (quadrature moments, the orthogonality residual) asks
-``truncation_radius`` for a wider disk.
+CUTOFF_ORDER) + |center|`` from the origin, which holds the disk of
+radius ``gaussian_cutoff(scale, CUTOFF_ORDER)`` about the centre.  An
+integral of higher order over such a weight (quadrature moments, the
+orthogonality residual) asks ``truncation_radius`` for a wider disk.
 
 Custom weights supply an evaluator callable plus an explicit domain
 (including a cutoff radius for full-plane weights); there is no
-automatic support detection.  Their moments come from quadrature, their
-Cauchy transforms from the quadrature backend, and they have no sampler.
+automatic support detection.  Their centre is 0, their moments and
+Cauchy transforms come from quadrature, and they have no sampler.
 """
 
 from __future__ import annotations
@@ -220,10 +218,11 @@ def _polar_point(r, v) -> np.ndarray:
 
 
 def _check_positivity(spec: WeightSpec) -> None:
+    # about the centre: far from it a shifted gaussian underflows to 0
     rng = np.random.default_rng(1234)
-    r = spec.domain.quad_radius * np.sqrt(rng.random(64))
+    r = truncation_radius(spec, 0) * np.sqrt(rng.random(64))
     th = 2 * np.pi * rng.random(64)
-    z = r * np.exp(1j * th)
+    z = spec.centre + r * np.exp(1j * th)
     if spec.kind == CUSTOM:
         # complex arithmetic leaves rounding in the imaginary part: about
         # 1e-16 of the largest value for exp(-z * conj(z))
@@ -334,71 +333,51 @@ def radial_mass(spec: WeightSpec, n: int, t: float) -> float:
     return amp * min(t, spec.parameters[0]) ** (2 * n + 2) / (2 * n + 2)  # the disk
 
 
-def _closed_terms(spec: WeightSpec, size: int, term: Callable[[int], float]) -> list:
-    """term(k) for k < size, refused with NumericalError at the first order
-    whose closed form leaves the range of a double."""
-    out = []
-    for k in range(size):
+def closed_moments(spec: WeightSpec, n: int):
+    """Closed-form moment matrix M_jk about the centre, 0 <= j,k <= n, for
+    the built-in families, or None.  Each is diagonal, and the first order
+    whose moment leaves the range of a double raises NumericalError."""
+    if spec.kind == CUSTOM:
+        return None
+    amp, par = spec.amplitude, spec.parameters[-1]   # the radius, or the scale
+    diagonal = []
+    for k in range(n + 1):
         try:
-            value = term(k)
+            if spec.kind == "disk-flat":
+                value = amp * math.pi * par ** (2 * k + 2) / (k + 1)
+            else:  # a gaussian, shifted or centred at 0
+                value = amp * math.pi * math.gamma(k + 1) / par ** (k + 1)
         except (OverflowError, ZeroDivisionError):
             value = math.inf
         if not 0.0 < value < math.inf:
             raise NumericalError(
                 f"the closed-form moment of order {k} of {spec.label()} is outside "
                 "the range of a double; reduce max_degree")
-        out.append(value)
-    return out
+        diagonal.append(complex(value))
+    return np.diag(diagonal)
 
 
-def closed_moments(spec: WeightSpec, n: int):
-    """Closed-form moment matrix M_jk, 0 <= j,k <= n, for the built-in
-    families, or None.  An order whose diagonal moment leaves the range
-    of a double raises NumericalError.
-
-    The shifted gaussian binomially expands z = c + (z - c) on both sides:
-    M = pi amp B diag(a!/scale^(a+1)) B^H with B_ja = binom(j, a) c^(j-a)."""
-    amp, size = spec.amplitude, n + 1
-    if spec.kind == "gaussian":
-        (scale,) = spec.parameters
-        return np.diag([complex(v) for v in _closed_terms(
-            spec, size, lambda k: amp * math.pi * math.gamma(k + 1) / scale ** (k + 1))])
-    if spec.kind == "disk-flat":
-        (radius,) = spec.parameters
-        return np.diag([complex(v) for v in _closed_terms(
-            spec, size, lambda k: amp * math.pi * radius ** (2 * k + 2) / (k + 1))])
-    if spec.kind == "shifted-gaussian":
-        scale, c = spec.parameters[-1], spec.centre
-        lower = np.tril(np.subtract.outer(np.arange(size), np.arange(size)))
-        binom = np.array([[math.comb(j, a) for a in range(size)] for j in range(size)])
-        gains = _closed_terms(spec, size, lambda a: math.gamma(a + 1) / scale ** (a + 1))
-        with np.errstate(over="ignore", invalid="ignore"):   # refused below
-            shifts = binom * c ** lower    # zero above the diagonal, where binom is
-            entries = amp * math.pi * (shifts * gains) @ shifts.conj().T
-        _closed_terms(spec, size, lambda k: entries[k, k].real)
-        return entries
-    return None
-
-
-def weighted_grid(spec: WeightSpec, radius: float, n_r: int,
-                  n_t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Origin-centred grid nodes on |z| <= ``radius`` and w times their weights."""
-    grid = star_grid(0j, radius, n_r, n_t)
+def weighted_grid(spec: WeightSpec, radius: float, n_r: int, n_t: int,
+                  centre: Optional[complex] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Grid nodes on the disk of ``radius`` about ``centre``, the weight's
+    centre by default, and w times their weights."""
+    grid = star_grid(spec.centre if centre is None else centre, radius, n_r, n_t)
     return grid.nodes, spec.evaluate(grid.nodes) * grid.weights
 
 
 def planar_moments(spec: WeightSpec, radius: float, n_r: int, n_t: int,
                    rows: int, cols: int, factor: Optional[Callable] = None) -> np.ndarray:
-    """S_jk = sum of z^j zbar^k v(z) over the ``weighted_grid`` nodes, for
-    j < ``rows`` and k < ``cols``; v is w times the quadrature weights,
-    times ``factor(nodes)`` when a factor is given.
+    """S_jk = sum of zeta^j conj(zeta)^k v(z) over the ``weighted_grid``
+    nodes, zeta = z - c about the weight's centre c, for j < ``rows`` and
+    k < ``cols``; v is w times the quadrature weights, times
+    ``factor(nodes)`` when a factor is given.
 
-    The grid runs ray by ray, z = rho_r e^{i phi_t} with phi_t = 2 pi t/n_t,
-    so z^j zbar^k = rho_r^(j+k) e^{i(j-k) phi_t}.  One FFT along the angle
-    gives, per radial node, every angular harmonic sum_t v e^{i m phi_t},
-    its entry -m mod n_t, and each S_jk is then a sum over the n_r radial
-    nodes: O(n log n_t + n_r rows cols) with no power of the nodes.  The
-    sum is the direct one, regrouped."""
+    The grid runs ray by ray, zeta = rho_r e^{i phi_t} with
+    phi_t = 2 pi t/n_t, so zeta^j conj(zeta)^k = rho_r^(j+k) e^{i(j-k) phi_t}.
+    One FFT along the angle gives, per radial node, every angular harmonic
+    sum_t v e^{i m phi_t}, its entry -m mod n_t, and each S_jk is then a
+    sum over the n_r radial nodes: O(n log n_t + n_r rows cols) with no
+    power of the nodes.  The sum is the direct one, regrouped."""
     nodes, v = weighted_grid(spec, radius, n_r, n_t)
     if factor is not None:
         v = v * factor(nodes)
@@ -410,12 +389,12 @@ def planar_moments(spec: WeightSpec, radius: float, n_r: int, n_t: int,
 
 
 def truncation_radius(spec: WeightSpec, order: int) -> float:
-    """Radius of the disk that holds the moments of order up to ``order``
-    to 1e-16: the domain's radius, or past ``CUTOFF_ORDER`` the gaussian
-    cutoff of ``order`` for a built-in full-plane weight."""
+    """Radius of the disk about the weight's centre that holds the moments
+    of order up to ``order`` to 1e-16: the largest in the domain, or past
+    ``CUTOFF_ORDER`` a built-in full-plane weight's cutoff of ``order``."""
     if spec.domain.kind == DISK or order <= CUTOFF_ORDER or spec.kind == CUSTOM:
-        return spec.domain.quad_radius
-    return gaussian_cutoff(spec.parameters[-1], order) + abs(spec.centre)
+        return spec.domain.quad_radius - abs(spec.centre)
+    return gaussian_cutoff(spec.parameters[-1], order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,7 +431,8 @@ class MomentMatrix:
 
 
 def moment_matrix(spec: WeightSpec, n: int, *, method: str = "auto") -> MomentMatrix:
-    """Moment matrix up to order n, Hermitized by mirroring the upper triangle.
+    """Moment matrix about the weight's centre up to order n, Hermitized by
+    mirroring the upper triangle.
 
     ``method`` is "quadrature", or "auto" for the closed form where the
     family has one and quadrature otherwise.  Quadrature refines to a

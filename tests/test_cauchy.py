@@ -11,7 +11,7 @@ from scipy.special import gammainc
 
 import detratio.cauchy as cauchy_module
 import detratio.weight as weight_module
-from detratio import (ConstraintError, ConvergenceError, NumericalError, Poly,
+from detratio import (ConstraintError, ConvergenceError, MonicPoly, NumericalError, Poly,
                       RatioQuery, cauchy_evaluator, cauchy_quadrature,
                       cauchy_row, cauchy_transform, cauchy_transform_full,
                       custom_weight, disk_flat_weight, expectation_ratio,
@@ -122,23 +122,32 @@ def test_backends_agree_at_complex_eps(disk_ev, disk_ev_quad, gauss_ev,
 
 
 def test_shifted_gaussian_rows_are_translated_gaussian_series(shifted, gauss):
-    # the shifted gaussian is the gaussian moved by c, so pi_n = (z - c)^n
-    # and h_n(ebar) = h_n^gauss(ebar - conj c) exactly: a reference for
-    # the dense-moment quadrature path, which no series backend covers
-    from numpy.polynomial import polynomial as npoly
-    from detratio import ortho_system
+    # the shifted gaussian is the gaussian moved by c, so pi_n = (z - c)^n,
+    # held exactly as the power n of zeta = z - c, and h_n(ebar) =
+    # h_n^gauss(ebar - conj c) exactly: a reference for the quadrature
+    # path off the origin, which no series backend covers
     c = shifted.centre
     sys_ = ortho_system(shifted, 8)
     for n in range(9):
-        expect = npoly.polyfromroots([c] * n)
-        got = np.array(sys_.polys[n].coeffs)
-        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+        assert sys_.polys[n].coeffs == (0,) * n + (1,)
+        assert sys_.polys[n].centre == c
     ev = cauchy_evaluator(sys_, method="quadrature")
     for u in (0.6 + 0.2j, -1.5 + 1j, 2.5 - 2j, 5 + 1j, -7 - 3j):
         row = cauchy_row(ev, range(9), u + np.conj(c))
         for n, res in enumerate(row):
             ref = series_transform(gauss, n, u)
             assert abs(res.value - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("eps", [0.6 + 0.2j, 14.0 + 2.0j])   # centred and far grids
+def test_quadrature_takes_a_polynomial_about_any_centre(shifted, eps):
+    # the levels hold the nodes less the weight's centre; (z - c)^2 given
+    # by its coefficients in z, about 0, is still evaluated at z
+    from numpy.polynomial import polynomial as npoly
+    c = shifted.centre
+    in_zeta = cauchy_quadrature(shifted, MonicPoly((0, 0, 1), c), eps)
+    in_z = cauchy_quadrature(shifted, MonicPoly(tuple(npoly.polyfromroots([c, c]))), eps)
+    assert abs(in_z.value - in_zeta.value) <= 1e-12 * abs(in_zeta.value)
 
 
 def test_shifted_gaussian_far_and_derivative_rows_are_translated_series(shifted,

@@ -544,3 +544,20 @@ def test_cli_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_verify_reports_a_formula_failure_as_such(tmp_path):
+    # at ebar 1e200 the h row underflows and the formula's error estimate
+    # is NaN, so expectation_ratio raises NumericalError: the case fails
+    # as formula-error, no oracle having run, and the sweep goes on
+    cfg = write_config(tmp_path, base_config(
+        weight={"kind": "gaussian", "scale": 1.0},
+        verify={"Ns": [2], "Ls": [0], "Ms": [0, 1],
+                "mus_pool": ["1.3+0.8i"], "eps_pool": [[1e200, 0.0]]}))
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--config", cfg, "--out", str(out)]) == 1
+    report = read_json(out)
+    assert report["summary"]["failing_cases"] == ["N=2 L=0 M=1"]
+    failed = [case for case in report["cases"] if not case["passed"]]
+    assert [case["status"] for case in failed] == ["formula-error"]
+    assert "non-finite evaluation result" in failed[0]["message"]

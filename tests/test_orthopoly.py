@@ -5,11 +5,13 @@ import pytest
 
 from detratio import (ConstraintError, MomentMatrix, MonicPoly, NumericalError,
                       Poly, bordered_coefficients, build_ortho_system,
-                      disk_flat_weight, eval_poly, gaussian_weight,
-                      moment_matrix, ortho_system,
-                      orthogonality_residual_matrix, partition_function,
-                      poly_derivative)
+                      custom_weight, disk_flat_weight, eval_poly,
+                      full_plane_domain, gaussian_weight, moment_matrix,
+                      ortho_system, orthogonality_residual_matrix,
+                      partition_function, poly_derivative,
+                      shifted_gaussian_weight)
 from detratio.orthopoly import lower_inverse
+from detratio.weight import CUTOFF_ORDER, gaussian_cutoff
 
 PI = math.pi
 
@@ -133,14 +135,38 @@ def test_lower_inverse_matches_lapack(gauss, disk, shifted):
 
 
 def test_shifted_gaussian_polys_are_shifted_monomials(shifted):
-    # independent closed form: pi_k(z) = (z - c)^k with norms pi * k!
-    from numpy.polynomial import polynomial as npoly
-    sys_ = ortho_system(shifted, 5)
+    # independent closed form: pi_k(z) = (z - c)^k with the centred
+    # gaussian's norms, pi k! / scale^(k+1); in powers of zeta = z - c
+    # both are exact at every accepted degree
     c = 0.4 + 0.3j
-    for k in (1, 3, 5):
+    for spec in (shifted, shifted_gaussian_weight(c, 0.6, 2.5)):
+        sys_ = ortho_system(spec, 40)
+        scale, amp = spec.parameters[-1], spec.amplitude
+        assert sys_.norms == ortho_system(gaussian_weight(scale, amp), 40).norms
+        for k, poly in enumerate(sys_.polys):
+            assert poly.coeffs == (0,) * k + (1,) and poly.centre == c
+            assert sys_.norms[k] == pytest.approx(
+                amp * PI * math.factorial(k) / scale ** (k + 1), rel=1e-15)
+        z = 1.3 - 0.2j
+        assert eval_poly(sys_.polys[5], z) == (z - c) ** 5
+
+
+def test_dense_moments_give_the_shifted_monomials_in_z():
+    # the shifted gaussian as a custom weight, centred at 0: its quadrature
+    # moments about 0 are dense, and the Cholesky path must still recover
+    # pi_k(z) = (z - c)^k with norms pi * k! in powers of z
+    from numpy.polynomial import polynomial as npoly
+    c = 0.4 + 0.3j
+    spec = custom_weight(lambda z: np.exp(-np.abs(z - c) ** 2),
+                         full_plane_domain(gaussian_cutoff(1.0, CUTOFF_ORDER) + abs(c)))
+    m = moment_matrix(spec, 8)
+    assert abs(m.entries[2, 1]) > 0.1   # genuinely non-diagonal
+    sys_ = build_ortho_system(m, spec)
+    for k, poly in enumerate(sys_.polys):
+        assert poly.centre == 0
         expect = npoly.polyfromroots([c] * k)
-        assert np.max(np.abs(np.array(sys_.polys[k].coeffs) - expect)) < 1e-10
-        assert sys_.norms[k] == pytest.approx(PI * math.factorial(k), rel=1e-10)
+        assert np.max(np.abs(np.array(poly.coeffs) - expect)) <= 1e-12
+        assert sys_.norms[k] == pytest.approx(PI * math.factorial(k), rel=1e-13)
 
 
 def test_conditioning_guard_refuses():

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from detratio import (ConstraintError, DegenerateVariablesError,
                       cauchy_evaluator, deformed_cauchy, disk_flat_weight,
                       eval_poly, expectation_inverses, expectation_products,
                       expectation_ratio, gaussian_weight, oracle_expectation,
-                      ortho_system, partial_fractions)
+                      ortho_system, partial_fractions, shifted_gaussian_weight)
 from detratio.cauchy import ROTINV_SERIES
 from detratio.weight import FAMILIES
 
@@ -416,6 +417,29 @@ def test_telescope_over_a_subnormal_minor():
     assert math.isfinite(telescope.abs_error_estimate)
     for value in (telescope.value, determinant):
         assert value != 0 and abs(value - exact) <= 1e-3 * abs(exact)
+
+
+def test_subnormal_values_carry_a_nonzero_error_estimate():
+    # the value 5.1e-321 - 2.33e-321i has about ten significant bits: its
+    # relative estimate rounds to 0, and the floor of one ulp keeps it
+    sys_ = ortho_system(gaussian_weight(), 7)
+    q = RatioQuery(N=3, mus=(3.3e-107j, 0.5 + 0.2j))
+    for result in (expectation_ratio(q, sys_, None), expectation_products(q, sys_)):
+        assert abs(result.value) < sys.float_info.min
+        assert result.abs_error_estimate >= math.ulp(abs(result.value)) > 0
+
+
+@pytest.mark.parametrize("n_ev", [9, 13, 17, 21])
+def test_shifted_gaussian_characteristic_polynomial_is_exact(n_ev):
+    # E_N[det(mu - J)] = pi_N(mu) = (mu - c)^N on the shifted gaussian:
+    # exact to rounding at any depth, within the reported estimate
+    c, mu = 0.7 + 0.4j, 1 + 1j
+    sys_ = ortho_system(shifted_gaussian_weight(c), n_ev)
+    result = expectation_ratio(RatioQuery(N=n_ev, mus=(mu,)), sys_, None)
+    exact = (mu - c) ** n_ev
+    err = abs(result.value - exact)
+    assert err <= 1e-14 * abs(exact)
+    assert err <= result.abs_error_estimate
 
 
 def test_zero_pi_row_is_refused_by_both_paths():

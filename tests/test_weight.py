@@ -7,11 +7,11 @@ import pytest
 
 import detratio
 from detratio import (MONTE_CARLO, ConstraintError, NumericalError,
-                      OracleConfig, WeightSpec,
+                      OracleConfig, RatioQuery, WeightSpec,
                       cauchy_evaluator, custom_weight, disk_domain,
-                      disk_flat_weight, full_plane_domain, gaussian_weight,
-                      moment_matrix, oracle_partition, ortho_system,
-                      shifted_gaussian_weight)
+                      disk_flat_weight, expectation_ratio, full_plane_domain,
+                      gaussian_weight, moment_matrix, oracle_partition,
+                      ortho_system, shifted_gaussian_weight)
 from detratio.oracle import _ratio_factor
 from detratio.quadrature import adaptive_integral
 from detratio.weight import (CUSTOM, CUTOFF_ORDER, FAMILIES, MOMENT_TOL, _polar_point,
@@ -110,29 +110,17 @@ def test_quadrature_moments_converge_under_doubling(disk):
     assert fine == pytest.approx(PI / 3, rel=1e-12)
 
 
-def _shifted_moment(spec, j: int, k: int) -> complex:
-    """M_jk of a shifted gaussian, summed entry by entry: the binomial
-    expansion of z = c + (z - c) on both sides."""
-    scale, c = spec.parameters[-1], spec.centre
-    return spec.amplitude * PI * sum(
-        math.comb(j, a) * math.comb(k, a) * math.factorial(a) / scale ** (a + 1)
-        * c ** (j - a) * np.conj(c) ** (k - a) for a in range(min(j, k) + 1))
-
-
 def test_shifted_gaussian_closed_moments(shifted):
-    # dense matrix; spot-check one entry against direct quadrature
-    closed = moment_matrix(shifted, 2).entries[2, 1]
-    quad = moment_matrix(shifted, 2, method="quadrature").entries[2, 1]
-    assert closed == pytest.approx(quad, rel=1e-9)
-    assert abs(closed) > 0.1  # genuinely non-diagonal
-    # the matrix form against the entry-by-entry sum
+    # about its centre the shifted gaussian is the centred gaussian: the
+    # same diagonal, which quadrature on the grid about c reproduces
+    closed = moment_matrix(shifted, 4).entries
+    quad = moment_matrix(shifted, 4, method="quadrature").entries
+    assert np.max(np.abs(closed - quad)) <= 1e-9 * np.max(np.abs(closed))
     for spec in (shifted, shifted_gaussian_weight(0.47 + 1.257j, 1.3, 2.0),
                  shifted_gaussian_weight(0.0, 0.6)):
         for n in (8, 16):
-            matrix = closed_moments(spec, n)
-            entries = np.array([[_shifted_moment(spec, j, k) for k in range(n + 1)]
-                                for j in range(n + 1)])
-            assert np.all(np.abs(matrix - entries) <= 2e-15 * np.abs(entries))
+            centred = gaussian_weight(spec.parameters[-1], spec.amplitude)
+            assert np.array_equal(closed_moments(spec, n), closed_moments(centred, n))
 
 
 def test_rotation_invariant_closed_moments_are_the_diagonal_formulas():
@@ -162,12 +150,13 @@ ANISO = custom_weight(AnisoGaussian(0.8, 1.4, 0.6), full_plane_domain(9.0))
 
 
 def _direct_moments(spec, radius, n_r, n_t, rows, cols, factor=None):
-    """sum of z^j zbar^k v over the weighted grid, node by node: the
-    reference of ``planar_moments``."""
+    """sum of zeta^j conj(zeta)^k v over the weighted grid, node by node,
+    zeta = z - c about the weight's centre: the reference of
+    ``planar_moments``."""
     nodes, v = weighted_grid(spec, radius, n_r, n_t)
     if factor is not None:
         v = v * factor(nodes)
-    powers = np.vander(nodes, max(rows, cols), increasing=True).T
+    powers = np.vander(nodes - spec.centre, max(rows, cols), increasing=True).T
     return (powers[:rows] * v) @ powers[:cols].conj().T
 
 
@@ -198,12 +187,31 @@ def test_planar_moments_match_the_direct_sum(request, which, degree):
     (gaussian_weight(0.5), 160, 150),      # pi 150! 2^151 overflows
     (disk_flat_weight(2.0), 520, 511),     # 2.0 ** 1024 overflows
     (disk_flat_weight(0.1), 200, 160),     # pi 0.1^322 / 161 underflows to 0
-    (shifted_gaussian_weight(3 + 4j, 1.0), 150, 150),
+    (shifted_gaussian_weight(3 + 4j, 1.0), 171, 171),   # as the gaussian
 ], ids=["gamma", "scale", "power", "underflow", "shifted"])
 def test_closed_moments_past_the_double_range_name_the_order(spec, degree, order):
     with pytest.raises(NumericalError, match=f"closed-form moment of order {order} "):
         ortho_system(spec, degree)
     assert closed_moments(spec, order - 1) is not None
+
+
+@pytest.mark.parametrize("centre", [5 + 5j, 10, 20, 30j])
+def test_far_off_centre_shifted_gaussians_are_exact(centre):
+    # positivity is sampled about the centre, where the weight lives; at
+    # the origin exp(-|z - c|^2) underflows to 0 for these centres
+    spec = shifted_gaussian_weight(centre)
+    sys_ = ortho_system(spec, 8)
+    mu = centre + 0.9 - 0.3j
+    exact = (mu - centre) ** 8
+    value = expectation_ratio(RatioQuery(N=8, mus=(mu,)), sys_, None).value
+    assert abs(value - exact) <= 2e-15 * abs(exact)
+    # translation invariance: an M = 1 ratio with every variable moved by
+    # the centre (ebar by its conjugate) does not depend on the centre
+    values = []
+    for c, system in ((centre, sys_), (0j, ortho_system(shifted_gaussian_weight(0j), 8))):
+        q = RatioQuery(N=3, mus=(c + 0.5 + 0.2j,), epsbars=(np.conj(c) + 4.0 + 6.5j,))
+        values.append(expectation_ratio(q, system, cauchy_evaluator(system)).value)
+    assert abs(values[0] - values[1]) <= 1e-12 * abs(values[1])
 
 
 def test_positivity_is_checked():
@@ -292,10 +300,13 @@ def test_rotation_invariance_comes_from_the_family():
 @pytest.mark.parametrize("kind", FAMILIES)
 def test_family_centre_sampler_and_norm_agree(kind):
     spec = family_weight(kind, amplitude=1.3)
+    # the centre is the weight's mean: its first moment about it vanishes,
+    # and the mean of w over the grid about the origin finds it
     moments = closed_moments(spec, 1)
     m00 = moments[0, 0]
-    assert spec.centre == pytest.approx(moments[1, 0] / m00,
-                                        rel=1e-14, abs=1e-15)
+    assert moments[1, 0] == 0
+    nodes, v = weighted_grid(spec, spec.domain.quad_radius, 96, 128, 0j)
+    assert np.sum(nodes * v) / np.sum(v) == pytest.approx(spec.centre, abs=1e-14)
     u, v = np.random.default_rng(7).random((2, 20_000))
     z = spec.sample(u, v)
     stderr = math.sqrt((np.var(z.real) + np.var(z.imag)) / z.size)
