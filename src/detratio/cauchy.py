@@ -23,11 +23,12 @@ Two backends:
 
       h_n^(k)(u) = i (-1)^k k! binom(n+k, k) I_n(|u|) / u^(n+k+1).
 
-* ``quadrature``: singularity-aware integration over the disk
-  |z| <= quad_radius (a disk's domain or a full-plane truncation).  A
-  pole in it gets a grid centred on it, rays to the circle, so 1/rho
-  cancels against the rho of the area element; other poles use the
-  origin-centred ``weighted_grid``.  Both are refined adaptively.  A row
+* ``quadrature``: singularity-aware integration over the weight's own
+  disk, |z - c| <= R about its centre c with R = truncation_radius(spec,
+  0) (a disk's domain or a full-plane truncation), the disk its moments
+  are taken on.  A pole in it gets a grid centred on it, rays to the
+  circle, so 1/rho cancels against the rho of the area element; other
+  poles use ``weighted_grid``.  Both are refined adaptively.  A row
   of transforms at one pole and order, over several degrees, is
   integrated in one pass: each refinement level builds its nodes and one
   weighted-kernel vector g (weight values times quadrature weights,
@@ -79,7 +80,8 @@ from .orthopoly import MonicPoly, OrthoSystem, eval_poly
 from .quadrature import (PROBE, adaptive_integral, cauchy_kernel_grid,
                          cauchy_kernel_weights, disk_chord_lengths,
                          require_certifiable)
-from .weight import DISK, WeightSpec, radial_mass, weighted_grid
+from .weight import (DISK, WeightSpec, radial_mass, truncation_radius,
+                     weighted_grid)
 
 ROTINV_SERIES = "rotinv-series"
 QUADRATURE = "quadrature"
@@ -121,8 +123,9 @@ class _Level:
 class _LevelTable:
     """Quadrature levels shared by the rows of one weight.
 
-    ``far`` maps (n_r, n_t) to the origin-centred grid's level, whose
-    weight vector is w * weights; it holds for every far pole.
+    ``far`` maps (n_r, n_t) to the level of the weight's own grid, on
+    its disk about its centre, whose weight vector is w * weights; it
+    holds for every far pole.
     ``centred`` maps (n_r, n_t) to the level of the grid centred on
     ``centred_pole``, whose weight vector is w; a row at another
     centred pole replaces it.
@@ -143,14 +146,15 @@ class CauchyEvaluator:
     N <= max_degree + 1 distinct eps, so its own poles stay while a long
     scan moves on.
     On the quadrature backend ``_levels`` holds the refinement levels
-    its rows built: for the origin-centred grid of far poles, each
-    level's nodes, w * weights and pi_d at the nodes, kept for the
-    evaluator's life; for the grid centred on the most recent centred
-    pole, each level's nodes, w and pi_d values, replaced when a row
-    at another centred pole arrives.  A row visits at most five levels
-    of ``adaptive_integral``, the probe first, so with D degrees
-    requested the table never exceeds 2 x 5 x (2 + D) vectors, the
-    largest of 786,432 nodes, however many poles a scan visits.
+    its rows built: for the weight's own grid, which serves every pole
+    outside its disk, each level's nodes, w * weights and pi_d at the
+    nodes, kept for the evaluator's life; for the grid centred on the
+    most recent pole inside the disk, each level's nodes, w and pi_d
+    values, replaced when a row at another such pole arrives.  A row
+    visits at most five levels of ``adaptive_integral``, the probe
+    first, so with D degrees requested the table never exceeds
+    2 x 5 x (2 + D) vectors, the largest of 786,432 nodes, however many
+    poles a scan visits.
     """
 
     system: OrthoSystem
@@ -229,11 +233,11 @@ def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
     are those of a row holding it alone, on any table."""
     warnings = _check_pole(spec, u, order)
     pole, c = np.conj(u), spec.centre
-    boundary = spec.domain.quad_radius
+    radius = truncation_radius(spec, 0)
 
-    if abs(u) <= boundary:
-        # centred on the pole, rays to |z| = boundary, kernel in the weights
-        rho_max = disk_chord_lengths(pole, boundary)
+    if abs(pole - c) <= radius:
+        # centred on the pole, rays to |z - c| = radius, kernel in the weights
+        rho_max = disk_chord_lengths(pole - c, radius)
         if table.centred_pole != u:
             table.centred_pole, table.centred = u, {}
         levels = table.centred
@@ -252,7 +256,7 @@ def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
         def level(n_r: int, n_t: int):
             lv = levels.get((n_r, n_t))
             if lv is None:
-                nodes, weighted = weighted_grid(spec, boundary, n_r, n_t, 0j)
+                nodes, weighted = weighted_grid(spec, radius, n_r, n_t)
                 lv = levels[n_r, n_t] = _Level(nodes, weighted, c)
             # g = w * weights * order!/(zbar - ebar)^(order+1), one division
             g = lv.weighted

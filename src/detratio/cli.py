@@ -7,8 +7,9 @@ Subcommands:
 * ``eval``    evaluate the ratio expectation for the configured query,
               with the telescope cross-check where one applies;
 * ``verify``  sweep a grid of (N, L, M) cases comparing the determinant
-              formula against the configured oracle; a case that fails or
-              is refused fails, and the sweep goes on;
+              formula against the configured oracle (``oracle.method``;
+              unset, tensor quadrature for N <= 2 and Monte Carlo above);
+              a case that fails or is refused fails, and the sweep goes on;
 * ``scan``    sweep one variable over a grid and tabulate the values.
 
 Exit codes: 0 success (verify: all cases pass), 1 verification failure,
@@ -32,7 +33,7 @@ from .config import (RunConfig, build_oracle_config, build_query, build_weight,
                      complex_out, load_config)
 from .errors import (ConfigError, ConstraintError, DetratioError,
                      NumericalError)
-from .oracle import MAX_N, MONTE_CARLO, TENSOR_QUADRATURE, oracle_expectation
+from .oracle import MONTE_CARLO, TENSOR_QUADRATURE, oracle_expectation
 from .orthopoly import ortho_system, orthogonality_residual_matrix
 from .quadrature import ROUNDING_FLOOR
 from .ratios import (expectation_inverses, expectation_products,
@@ -146,13 +147,10 @@ def cmd_verify(rc: RunConfig) -> int:
     for query in verify.queries():
         name = f"N={query.N} L={query.L_total} M={query.M_total}"
         case = {"case": name, "N": query.N, "L": query.L_total, "M": query.M_total}
-        method = (TENSOR_QUADRATURE if query.N <= MAX_N[TENSOR_QUADRATURE]
-                  else MONTE_CARLO)
-        cfg = build_oracle_config(rc, method=method)
         formula = None
         try:
             formula = expectation_ratio(query, system, cev).value
-            est = oracle_expectation(query, weight, cfg)
+            est = oracle_expectation(query, weight, rc.oracle)
         except (NumericalError, ConstraintError) as exc:
             refused = isinstance(exc, ConstraintError)
             if refused and formula is None:
@@ -165,7 +163,7 @@ def cmd_verify(rc: RunConfig) -> int:
             continue
         dev = abs(formula - est.value)
         ref = max(abs(est.value), 1e-300)
-        if method == TENSOR_QUADRATURE:
+        if est.method == TENSOR_QUADRATURE:
             passed = dev / ref <= verify.tolerance
             criterion = f"rel <= {verify.tolerance:g}"
         else:
@@ -176,7 +174,7 @@ def cmd_verify(rc: RunConfig) -> int:
             criterion = (f"dev <= 3*stderr + {ROUNDING_FLOOR:.2e}"
                          "*max(|formula|, |oracle|)")
         case.update({
-            "method": method,
+            "method": est.method,
             "formula": _complex_dict(formula),
             "oracle": _complex_dict(est.value),
             "oracle_stderr": est.stderr,
@@ -184,8 +182,8 @@ def cmd_verify(rc: RunConfig) -> int:
             "rel_deviation": dev / ref,
             "criterion": criterion,
             "passed": bool(passed),
-            "seed": cfg.seed,
-            "samples": cfg.samples if method == MONTE_CARLO else None,
+            "seed": rc.oracle.seed,
+            "samples": rc.oracle.samples if est.method == MONTE_CARLO else None,
         })
         cases.append(case)
         if not passed:

@@ -11,11 +11,14 @@ Andreief's identity on ``planar_moments`` (N <= 2), or by Monte Carlo
 (N <= 4; the limits are ``MAX_N``): eigenvalues drawn i.i.d. from the
 normalized single-particle weight by inverse-CDF sampling in polar
 coordinates, with |Delta|^2 applied as a reweighting factor and the
-expectation computed as a ratio of sample means.
+expectation computed as a ratio of sample means.  ``OracleConfig.method``
+names the method; left unset, tensor quadrature takes N <= 2 and Monte
+Carlo the larger N.
 
-Monte Carlo error bars come from batch means over independently seeded,
-deterministically derived per-batch RNG streams; the reduction order is
-fixed, so estimates are bit-reproducible for a given (seed, config).
+Monte Carlo error bars come from batch means, at least two, over
+independently seeded, deterministically derived per-batch RNG streams;
+the reduction order is fixed, so estimates are bit-reproducible for a
+given (seed, config).
 Each batch is eigenvalue-major: its (samples, N) draws are transposed
 once into N contiguous rows.  |Delta|^2 multiplies re^2 + im^2 of the
 pair differences, and the ratio factor prod_i F(z_i) is
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -55,7 +59,12 @@ DEFORMED_MOMENT_TOL = 1e-7  # relative to the largest deformed moment
 
 @dataclass(frozen=True)
 class OracleConfig:
-    method: str = TENSOR_QUADRATURE
+    """Oracle settings; ``method`` None picks tensor quadrature up to its
+    N limit and Monte Carlo above it, so a default config runs the
+    ``samples``-point Monte Carlo estimate at N = 3 and 4 where naming
+    tensor quadrature is refused."""
+
+    method: Optional[str] = None
     radial_nodes: int = 48
     angular_nodes: int = 64
     samples: int = 200_000
@@ -63,10 +72,12 @@ class OracleConfig:
     batches: int = 32
 
     def __post_init__(self):
-        if self.method not in (TENSOR_QUADRATURE, MONTE_CARLO):
+        if self.method not in (None, TENSOR_QUADRATURE, MONTE_CARLO):
             raise ConstraintError(f"oracle.method: unknown method {self.method!r}")
+        # batch means need two batches for a spread
+        lows = {"seed": 0, "batches": 2}
         for name in ("radial_nodes", "angular_nodes", "samples", "seed", "batches"):
-            value, low = getattr(self, name), 0 if name == "seed" else 1
+            value, low = getattr(self, name), lows.get(name, 1)
             if not is_integer(value) or value < low:
                 raise ConstraintError(
                     f"oracle.{name}: expected an integer >= {low}, got {value!r}")
@@ -80,10 +91,16 @@ class OracleEstimate:
     method: str
 
 
-def _check_n_limit(method: str, n_ev: int) -> None:
+def _method(cfg: OracleConfig, n_ev: int) -> str:
+    """The configured method, or by default tensor quadrature for
+    N <= ``MAX_N`` of it and Monte Carlo above; refuses an N beyond the
+    method's limit."""
+    method = cfg.method or (TENSOR_QUADRATURE if n_ev <= MAX_N[TENSOR_QUADRATURE]
+                            else MONTE_CARLO)
     if n_ev > MAX_N[method]:
         raise ConstraintError(
             f"{method} oracle supports N <= {MAX_N[method]}, got N = {n_ev}")
+    return method
 
 
 def _ratio_factor(z: np.ndarray, mus, epsbars) -> np.ndarray:
@@ -197,19 +214,15 @@ def _mc_batches(q: RatioQuery, spec: WeightSpec, cfg: OracleConfig):
 
 def _batch_ratio_stats(num_means, den_means) -> tuple[complex, float]:
     value = complex(np.sum(num_means) / np.sum(den_means))
-    ratios = num_means / den_means
-    nb = len(ratios)
-    if nb < 2:
-        return value, float("inf")
+    ratios = num_means / den_means   # OracleConfig holds at least two batches
     var = np.var(ratios.real, ddof=1) + np.var(ratios.imag, ddof=1)
-    return value, float(math.sqrt(var / nb))
+    return value, float(math.sqrt(var / len(ratios)))
 
 
 def oracle_expectation(q: RatioQuery, spec: WeightSpec,
                        cfg: OracleConfig) -> OracleEstimate:
     """Direct estimate of the normalized ratio expectation."""
-    _check_n_limit(cfg.method, q.N)
-    if cfg.method == TENSOR_QUADRATURE:
+    if _method(cfg, q.N) == TENSOR_QUADRATURE:
         return _tensor_estimate(q, spec, cfg, lambda num, den: num / den)
     if q.M_total > 0:
         _check_mc_pole_policy(spec, q.expanded_epsbars())
@@ -225,16 +238,13 @@ def oracle_partition(spec: WeightSpec, n_ev: int, cfg: OracleConfig) -> OracleEs
     """Direct estimate of the partition function Z_N; ``RatioQuery``
     refuses an N that is not an integer >= 1."""
     q = RatioQuery(N=n_ev)
-    _check_n_limit(cfg.method, q.N)
-    if cfg.method == TENSOR_QUADRATURE:
+    if _method(cfg, q.N) == TENSOR_QUADRATURE:
         return _tensor_estimate(q, spec, cfg, lambda num, den: den)
     num_means, den_means, neff, total = _mc_batches(q, spec, cfg)
     # the sampler refused custom weights, so M_00 has a closed form
     norm = closed_moments(spec, 0)[0, 0].real ** n_ev
     value = complex(norm * np.mean(den_means))
-    nb = len(den_means)
-    stderr = float(norm * np.std(den_means, ddof=1) / math.sqrt(nb)) if nb > 1 \
-        else float("inf")
+    stderr = float(norm * np.std(den_means, ddof=1) / math.sqrt(len(den_means)))
     return OracleEstimate(value, stderr, neff, MONTE_CARLO)
 
 

@@ -33,6 +33,10 @@ CUTOFF_ORDER) + |center|`` from the origin, which holds the disk of
 radius ``gaussian_cutoff(scale, CUTOFF_ORDER)`` about the centre.  An
 integral of higher order over such a weight (quadrature moments, the
 orthogonality residual) asks ``truncation_radius`` for a wider disk.
+Every planar integral over a weight runs on such a disk about its
+centre: on ``weighted_grid``, or for a Cauchy pole inside the disk on a
+grid centred on the pole whose rays end on its circle.  No other module
+reads the domain's radius.
 
 Custom weights supply an evaluator callable plus an explicit domain
 (including a cutoff radius for full-plane weights); there is no
@@ -357,11 +361,11 @@ def closed_moments(spec: WeightSpec, n: int):
     return np.diag(diagonal)
 
 
-def weighted_grid(spec: WeightSpec, radius: float, n_r: int, n_t: int,
-                  centre: Optional[complex] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Grid nodes on the disk of ``radius`` about ``centre``, the weight's
-    centre by default, and w times their weights."""
-    grid = star_grid(spec.centre if centre is None else centre, radius, n_r, n_t)
+def weighted_grid(spec: WeightSpec, radius: float, n_r: int,
+                  n_t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid nodes on the disk of ``radius`` about the weight's centre, and
+    w times their weights."""
+    grid = star_grid(spec.centre, radius, n_r, n_t)
     return grid.nodes, spec.evaluate(grid.nodes) * grid.weights
 
 

@@ -22,6 +22,7 @@ from detratio.quadrature import (MAX_DOUBLINGS, PROBE, adaptive_integral,
                                  angular_rule, cauchy_kernel_grid,
                                  disk_chord_lengths, star_grid,
                                  unit_radial_rule)
+from detratio.weight import truncation_radius
 
 EPS_GRID = (1.5, 2.0, 5.0, 20.0)
 
@@ -157,11 +158,14 @@ def test_shifted_gaussian_far_and_derivative_rows_are_translated_series(shifted,
     # below 1e-21, so the two derivative conventions agree far below 1e-10
     c = shifted.centre
     ev = cauchy_evaluator(ortho_system(shifted, 8), method="quadrature")
+    # the pole conj(u) + c lies |u| from the centre, so the grid is centred
+    # on it when |u| is within the truncation radius, the weight's own otherwise
+    radius = truncation_radius(shifted, 0)
     far = 10 + 1j
-    assert abs(far + np.conj(c)) > shifted.domain.quad_radius
+    assert abs(far) > radius
     cases = [(far, 0), (far, 1)]
     for u in (7.0, -5 + 5.5j, 3 - 6.5j, -7 - 2j):
-        assert abs(u) >= 7 and abs(u + np.conj(c)) <= shifted.domain.quad_radius
+        assert 7 <= abs(u) <= radius
         cases.append((u, 1))
     for u, order in cases:
         row = cauchy_row(ev, range(9), u + np.conj(c), order)
@@ -456,10 +460,10 @@ def test_resolved_row_stops_after_one_doubling(monkeypatch, shifted):
     # where every entry's 48x64 and 96x128 values agree, a row builds the
     # probe level and one doubling, and nothing deeper
     sys_ = ortho_system(shifted, 4)
-    boundary = shifted.domain.quad_radius
+    c, radius = shifted.centre, truncation_radius(shifted, 0)
     built = _grid_counter(monkeypatch)
     for eps in (14.0 + 2.0j, 4.6 + 0.5j):   # far, then centred
-        assert (abs(eps) > boundary) == (eps == 14.0 + 2.0j)
+        assert (abs(np.conj(eps) - c) > radius) == (eps == 14.0 + 2.0j)
         before = len(built)
         fresh_row(sys_, range(5), eps)
         assert built[before:] == [48 * 64, 96 * 128]
@@ -481,24 +485,25 @@ def test_confluent_order_one_row_builds_no_nodes(monkeypatch, shifted):
 
 @pytest.mark.parametrize("which", ["gauss", "shifted"])
 def test_centred_rows_stay_inside_the_truncation_disk(monkeypatch, request, which):
-    # a full-plane weight is integrated over |z| <= quad_radius alone:
-    # moments, far rows and centred rows share that one disk, so a
-    # centred grid's rays end on its circle, as a disk weight's do
+    # a full-plane weight is integrated over |z - c| <= truncation_radius
+    # alone: moments, far rows and centred rows share that one disk about
+    # its centre c, so a centred grid's rays end on its circle, as a disk
+    # weight's do
     spec = request.getfixturevalue(which)
-    boundary = spec.domain.quad_radius
+    c, radius = spec.centre, truncation_radius(spec, 0)
     reach = []
 
     def recorded(*args, _build=cauchy_module.cauchy_kernel_grid, **kwargs):
         grid = _build(*args, **kwargs)
-        reach.append(float(np.max(np.abs(grid.nodes))))
+        reach.append(float(np.max(np.abs(grid.nodes - c))))
         return grid
 
     monkeypatch.setattr(cauchy_module, "cauchy_kernel_grid", recorded)
     sys_ = ortho_system(spec, 4)
     for eps, order in ((0.3 + 0.2j, 0), (5.5 + 1.0j, 0), (5.5 + 1.0j, 1),
-                       (0.98 * boundary * np.exp(0.4j), 0)):
+                       (np.conj(c) + 0.98 * radius * np.exp(0.4j), 0)):
         fresh_row(sys_, range(5), eps, 1e-9, order)
-    assert reach and max(reach) <= boundary * (1 + 1e-12)
+    assert reach and max(reach) <= radius * (1 + 1e-12)
 
 
 def test_pole_on_the_truncation_circle_at_order_two(gauss, gauss_sys):
@@ -574,14 +579,14 @@ def _untabled_transform(spec, poly, eps, tol, order) -> tuple[complex, float]:
     from scratch: the algorithm of a quadrature row written out
     with the same operation order, and nothing kept between levels."""
     u = complex(eps)
-    pole, boundary = np.conj(u), spec.domain.quad_radius
+    pole, c, radius = np.conj(u), spec.centre, truncation_radius(spec, 0)
 
     def level(n_r, n_t):
-        if abs(u) <= boundary:
-            grid = cauchy_kernel_grid(pole, disk_chord_lengths(pole, boundary),
+        if abs(pole - c) <= radius:
+            grid = cauchy_kernel_grid(pole, disk_chord_lengths(pole - c, radius),
                                       n_r, n_t, order=order)
             return grid.nodes, spec.evaluate(grid.nodes) * grid.weights
-        grid = star_grid(0j, boundary, n_r, n_t)
+        grid = star_grid(c, radius, n_r, n_t)
         g = spec.evaluate(grid.nodes) * grid.weights
         shift = np.conj(grid.nodes)
         shift -= u
@@ -665,8 +670,10 @@ def test_memo_evicts_the_least_recently_requested_pole(gauss_sys):
 
 def _pole_classes(spec) -> dict:
     """Pole radii inside the effective support, between it and the
-    truncation radius (pole-centred grid), and beyond that radius
-    (origin-centred grid); a disk has no middle class."""
+    truncation radius, and beyond that radius, measured from the origin;
+    a disk has no middle class.  A pole within the truncation radius of
+    the weight's centre gets the pole-centred grid, and every other pole
+    the weight's own grid."""
     support, boundary = spec.effective_support_radius, spec.domain.quad_radius
     return {"inner": (0.1 * support, 0.5 * support, 0.95 * support),
             "mid": (1.05 * support, (support + boundary) / 2, 0.98 * boundary)
@@ -704,7 +711,7 @@ def test_quadrature_rows_match_exact_series_over_pole_classes(request, gauss,
                     for n, res in enumerate(row):
                         exact = series_transform(reference, n, eps - shift, order)
                         # worst error / (tol |exact|) over this sweep: 0.35
-                        # up to degree 5; 569 at degrees 6-8, whose values
+                        # up to degree 5; 320 at degrees 6-8, whose values
                         # fall up to nine orders below their L1 scale, so
                         # the 1e-6 L1 floor decides where they stop
                         bound = 1.0 if n <= 5 else 2e3

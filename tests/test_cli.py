@@ -247,6 +247,77 @@ def test_verify_reports_an_oracle_refusal_and_goes_on(tmp_path, capsys):
     assert "requires system depth 3" in capsys.readouterr().err
 
 
+def test_verify_runs_the_oracle_the_config_names(tmp_path):
+    # Monte Carlo named at N = 2, where the default would take tensor
+    # quadrature, runs Monte Carlo; tensor quadrature named at N = 3,
+    # beyond its limit, is refused case by case
+    def verify(method, n_ev):
+        cfg = write_config(tmp_path, base_config(
+            weight={"kind": "gaussian", "scale": 1.0},
+            system={"max_degree": 6},
+            oracle={"method": method, "samples": 20000, "seed": 5},
+            verify={"Ns": [n_ev], "Ls": [0, 1], "Ms": [0],
+                    "mus_pool": ["1.3+0.8i"], "eps_pool": [[4.6, 0.5]]}))
+        out = tmp_path / "verify.json"
+        return run(["verify", "--config", cfg, "--out", str(out)]), read_json(out)
+
+    code, report = verify("monte-carlo", 2)
+    assert code == 0
+    for case in report["cases"]:
+        assert case["method"] == "monte-carlo" and case["samples"] == 20000
+        assert case["criterion"].startswith("dev <= 3*stderr")
+    code, report = verify("tensor-quadrature", 3)
+    assert code == 1
+    for case in report["cases"]:
+        assert case["status"] == "oracle-refused" and not case["passed"]
+        assert "tensor-quadrature oracle supports N <= 2" in case["message"]
+
+
+def test_verify_reports_a_monte_carlo_blow_up(tmp_path):
+    # two samples a batch at N = 4: the |Delta|^2 weights leave an
+    # effective sample size of 2.8, below the 32 batches, so the oracle
+    # refuses its estimate and the case fails as an oracle error
+    cfg = write_config(tmp_path, base_config(
+        weight={"kind": "gaussian", "scale": 1.0},
+        system={"max_degree": 6},
+        oracle={"method": "monte-carlo", "samples": 64, "batches": 32, "seed": 1},
+        verify={"Ns": [4], "Ls": [0], "Ms": [0],
+                "mus_pool": ["1.3+0.8i"], "eps_pool": [[4.6, 0.5]]}))
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--config", cfg, "--out", str(out)]) == 1
+    (case,) = read_json(out)["cases"]
+    assert case["status"] == "oracle-error" and not case["passed"]
+    assert case["message"] == "Monte Carlo variance blow-up: neff = 2.8 of 64 samples"
+
+
+def test_one_batch_is_refused_naming_the_field(tmp_path, capsys):
+    # a single batch has no spread; it used to fail every Monte Carlo
+    # estimate after sampling, as a variance blow-up
+    cfg = write_config(tmp_path, base_config(
+        oracle={"method": "monte-carlo", "samples": 1000, "batches": 1}))
+    assert run(["eval", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "config error: oracle.batches: expected an integer >= 2, got 1\n")
+
+
+def test_tolerance_flag_sets_the_cauchy_tolerance_of_eval(tmp_path, capsys):
+    cfg = write_config(tmp_path, base_config())
+    assert run(["eval", "--config", cfg, "--tolerance", "1e-20"]) == 3
+    assert "below the rounding floor" in capsys.readouterr().err
+
+
+def test_tolerance_flag_sets_the_pass_tolerance_of_verify(tmp_path):
+    cfg = write_config(tmp_path, base_config(
+        verify={"Ns": [1], "Ls": [0], "Ms": [1], "tolerance": 1e-6,
+                "eps_pool": [[2.0, 0.3]]}))
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--config", cfg, "--out", str(out),
+                "--tolerance", "0.003"]) == 0
+    report = read_json(out)
+    assert report["tolerance"] == 0.003
+    assert [case["criterion"] for case in report["cases"]] == ["rel <= 0.003"]
+
+
 @pytest.mark.parametrize("command, path_in_config", [
     ("eval", False), ("verify", False), ("eval", True)])
 def test_unwritable_output_exits_2(tmp_path, capsys, command, path_in_config):

@@ -209,12 +209,28 @@ def test_quadrature_refinement_consistency(disk):
 
 def test_method_limits(gauss):
     with pytest.raises(ConstraintError):
-        oracle_expectation(RatioQuery(N=3), gauss, CFG)  # quadrature N <= 2
+        oracle_expectation(RatioQuery(N=3), gauss,   # quadrature N <= 2
+                           OracleConfig(method="tensor-quadrature"))
     cfg = OracleConfig(method="monte-carlo", samples=1000)
     with pytest.raises(ConstraintError):
         oracle_expectation(RatioQuery(N=5), gauss, cfg)
     with pytest.raises(ConstraintError):
         OracleConfig(method="importance")
+
+
+def test_unset_method_takes_tensor_quadrature_up_to_its_limit(disk):
+    cfg = OracleConfig(samples=1000, seed=1)
+    assert cfg.method is None
+    assert [oracle_partition(disk, n, cfg).method for n in (1, 2, 3, 4)] == \
+        ["tensor-quadrature"] * 2 + ["monte-carlo"] * 2
+    with pytest.raises(ConstraintError, match="monte-carlo oracle supports N <= 4"):
+        oracle_partition(disk, 5, cfg)
+
+
+@pytest.mark.parametrize("batches", [0, 1])
+def test_fewer_than_two_batches_are_refused(batches):
+    with pytest.raises(ConstraintError, match="oracle.batches: expected an integer >= 2"):
+        OracleConfig(method="monte-carlo", batches=batches)
 
 
 def test_mc_pole_distance_policy(gauss):

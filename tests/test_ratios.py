@@ -451,3 +451,26 @@ def test_zero_pi_row_is_refused_by_both_paths():
         expectation_ratio(q, sys_, None)
     with pytest.raises(NumericalError):
         expectation_products(q, sys_)
+
+
+@pytest.mark.parametrize("n_ev, epsbar", [(8, 25 + 1j), (12, 14 + 3j), (15, 14 + 3j),
+                                          (21, 14 + 3j), (21, 25 + 1j)])
+def test_error_estimates_read_the_transforms_own_errors(n_ev, epsbar):
+    # the shifted gaussian's ratio at ebar is the gaussian's at
+    # ebar - conj(c), exactly.  Far-pole entries far below their row's L1
+    # scale converge only relative to that scale, and their own error
+    # estimates say so; an estimate of M times the quadrature tolerance
+    # alone would report 1e-9 on every case, at observed errors up to
+    # order 1
+    c = 0.7 + 0.4j
+    shifted_sys = ortho_system(shifted_gaussian_weight(c), n_ev)
+    gauss_sys = ortho_system(gaussian_weight(), n_ev)
+    q = RatioQuery(N=n_ev, epsbars=(epsbar,))
+    exact = expectation_ratio(RatioQuery(N=n_ev, epsbars=(epsbar - np.conj(c),)),
+                              gauss_sys, cauchy_evaluator(gauss_sys)).value
+    cev = cauchy_evaluator(shifted_sys)
+    assert cev.method == "quadrature"
+    for result in (expectation_ratio(q, shifted_sys, cev),
+                   expectation_inverses(q, shifted_sys, cev)):
+        observed = abs(result.value - exact)
+        assert result.abs_error_estimate >= observed / 20, (observed, result)

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import math
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from detratio import (MONTE_CARLO, ConstraintError, NumericalError,
                       gaussian_weight, moment_matrix, oracle_partition,
                       ortho_system, shifted_gaussian_weight)
 from detratio.oracle import _ratio_factor
-from detratio.quadrature import adaptive_integral
+from detratio.quadrature import adaptive_integral, star_grid
 from detratio.weight import (CUSTOM, CUTOFF_ORDER, FAMILIES, MOMENT_TOL, _polar_point,
                              closed_moments, gaussian_cutoff, planar_moments,
                              regularized_gamma_p, truncation_radius, weighted_grid)
@@ -98,8 +99,6 @@ def test_moment_scaling_in_amplitude():
 def test_quadrature_moments_converge_under_doubling(disk):
     # the adaptive driver only accepts after a doubling changes the entry
     # by less than the tolerance; cross-check one entry by hand
-    from detratio.quadrature import star_grid
-
     def entry(n_r, n_t):
         grid = star_grid(0j, 1.0, n_r, n_t)
         f = grid.nodes ** 2 * np.conj(grid.nodes) ** 2
@@ -305,8 +304,9 @@ def test_family_centre_sampler_and_norm_agree(kind):
     moments = closed_moments(spec, 1)
     m00 = moments[0, 0]
     assert moments[1, 0] == 0
-    nodes, v = weighted_grid(spec, spec.domain.quad_radius, 96, 128, 0j)
-    assert np.sum(nodes * v) / np.sum(v) == pytest.approx(spec.centre, abs=1e-14)
+    grid = star_grid(0j, spec.domain.quad_radius, 96, 128)
+    v = spec.evaluate(grid.nodes) * grid.weights
+    assert np.sum(grid.nodes * v) / np.sum(v) == pytest.approx(spec.centre, abs=1e-14)
     u, v = np.random.default_rng(7).random((2, 20_000))
     z = spec.sample(u, v)
     stderr = math.sqrt((np.var(z.real) + np.var(z.imag)) / z.size)
@@ -386,9 +386,9 @@ def test_no_other_module_names_a_weight_kind():
 
 
 def test_origin_grids_are_built_in_one_place():
-    # every origin-centred planar integral takes its nodes and weighted
-    # values from weight.weighted_grid; a star_grid call anywhere else is
-    # a second copy of that builder
+    # every planar integral over a weight's own disk takes its nodes and
+    # weighted values from weight.weighted_grid; a star_grid call anywhere
+    # else is a second copy of that builder
     callers = []
     for path in sorted(Path(detratio.__file__).parent.glob("*.py")):
         if path.name == "quadrature.py":
@@ -399,6 +399,23 @@ def test_origin_grids_are_built_in_one_place():
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     callers.append((path.name, getattr(top, "name", None), node.lineno))
     assert [caller[:2] for caller in callers] == [("weight.py", "weighted_grid")], callers
+
+
+def test_one_disk_per_weight():
+    # moments, oracles, residuals and Cauchy rows integrate a weight on
+    # the disk of truncation_radius about its centre: a module outside
+    # weight.py that reads the domain's radius about the origin, or a
+    # weighted_grid that takes another centre, is a second disk
+    assert list(inspect.signature(weighted_grid).parameters) == \
+        ["spec", "radius", "n_r", "n_t"]
+    found = []
+    for path in sorted(Path(detratio.__file__).parent.glob("*.py")):
+        if path.name == "weight.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "quad_radius":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
 
 
 def test_planar_power_tables_are_summed_in_one_place():
