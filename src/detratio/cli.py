@@ -183,7 +183,7 @@ def cmd_verify(rc: RunConfig) -> int:
             "criterion": criterion,
             "passed": bool(passed),
             "seed": rc.oracle.seed,
-            "samples": rc.oracle.samples if est.method == MONTE_CARLO else None,
+            "samples": rc.oracle.samples_drawn if est.method == MONTE_CARLO else None,
         })
         cases.append(case)
         if not passed:

@@ -186,6 +186,9 @@ def _scan(block: dict, mus: tuple, epsbars: tuple) -> ScanSpec:
             f"scan.axis: {axis} names no configured variable; "
             f"query.{target} has {configured}")
     if block.get("values") is not None:
+        for key in ("start", "stop", "count"):
+            if block.get(key) is not None:
+                raise ConfigError(f"scan.{key}: not read when scan.values is given")
         values = _field(block, "values", "scan", _list(parse_complex))
     else:
         start = _field(block, "start", "scan", _real)

@@ -9,10 +9,12 @@ One engine builds every such determinant, and the ratio determinant of
 ``ratios`` as well: ``determinant_rows`` lays out, over columns of
 consecutive degrees d, first the h rows h_d^(t)(ebar_k)/t! for each
 ebar and each t below its multiplicity, then the pi rows
-pi_d^(t)(mu_j)/t! likewise.  A deformed quantity is the determinant of
-such rows bordered by one last row, divided by its top-left minor (the
-same rows without the last column), both from ``scaled_lu_det``, as a
-ratio of mantissas times 2 to the difference of the exponents:
+pi_d^(t)(mu_j)/t! likewise, and reports the h rows' relative error
+with them, the one place it is formed.  A deformed quantity is the
+determinant of such rows bordered by one last row, divided by its
+top-left minor (the same rows without the last column), both from
+``scaled_lu_det``, as a ratio of mantissas times 2 to the difference of
+the exponents:
 
 * multiplication only (Christoffel): pi rows at the mu's bordered by the
   pi row at z, divided by prod_j (z - mu_j)^(m_j); repeated mu's give
@@ -87,16 +89,26 @@ class DeformedPolyResult:
 
 
 def determinant_rows(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, eps_mults,
-                     mus, mu_mults, degrees) -> tuple[np.ndarray, tuple]:
+                     mus, mu_mults, degrees) -> tuple[np.ndarray, tuple, float]:
     """Rows of the ratio determinant over the columns d in ``degrees``.
 
     One row h_d^(t)(ebar)/t! for each ebar and each t below its
     multiplicity, then one row pi_d^(t)(mu)/t! for each mu and t.  Each h
     row is one ``cauchy_row`` request, so its missing transforms are
-    computed in one pass.  Returns the matrix and the transform warnings,
-    each listed once.  ``cev`` may be None only when there are no ebars;
-    an evaluator built for another system is refused, since its h rows
-    would not belong to the pi rows of ``sys``.
+    computed in one pass.  Returns the matrix, the transform warnings,
+    each listed once, and the h rows' relative error: per row, the
+    largest error estimate of its transforms over their largest
+    magnitude, the worst row floored at ``cev.relative_error``; 0 with
+    no ebars.  A far-pole entry far below its row's L1 scale converges
+    only relative to that scale, so the tolerance alone can understate
+    the row's error.  The estimate is a heuristic, not a bound: on deep
+    far-pole rows each entry's own doubling change can understate its
+    error about tenfold (N = 21 at ebar = 25+1i on a shifted gaussian
+    reports 0.45 against an observed 4.4).
+
+    ``cev`` may be None only when there are no ebars; an evaluator built
+    for another system is refused, since its h rows would not belong to
+    the pi rows of ``sys``.
     """
     if cev is None and epsbars:
         raise ConstraintError(
@@ -107,7 +119,7 @@ def determinant_rows(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, eps_mults,
             f"({cev.weight.label()} to degree {cev.system.max_degree}), not for "
             f"{sys.weight.label()} to degree {sys.max_degree}")
     degrees = tuple(degrees)
-    rows, warnings = [], []
+    rows, warnings, h_error = [], [], 0.0
     for eps, mult in zip(epsbars, eps_mults):
         for t in range(mult):
             scale = 1.0 / math.factorial(t)
@@ -117,13 +129,18 @@ def determinant_rows(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, eps_mults,
                 for w in res.warnings:
                     if w not in warnings:
                         warnings.append(w)
+            magnitude = max(abs(res.value) for res in results)
+            if magnitude > 0:   # a row of zeros makes the determinant 0
+                h_error = max(h_error, max(res.error for res in results) / magnitude)
+    if epsbars:
+        h_error = max(cev.relative_error, h_error)
     for mu, mult in zip(mus, mu_mults):
         for t in range(mult):
             scale = 1.0 / math.factorial(t)
             rows.append([eval_poly(poly_derivative(sys.poly(d), t), mu) * scale
                          for d in degrees])
     matrix = np.array(rows, dtype=complex).reshape(len(rows), len(degrees))
-    return matrix, tuple(warnings)
+    return matrix, tuple(warnings), h_error
 
 
 def _ldexp(mantissa: complex, exponent: int, what: str) -> complex:
@@ -167,8 +184,8 @@ def _bordered_matrix(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, mus,
         mus, mu_mults = mus + (complex(z),), mu_mults + (1,)
     else:
         epsbars = epsbars + (complex(eps),)
-    matrix, _ = determinant_rows(sys, cev, epsbars, (1,) * len(epsbars), mus,
-                                 mu_mults, range(n - m, n + ell + 1))
+    matrix, _, _ = determinant_rows(sys, cev, epsbars, (1,) * len(epsbars), mus,
+                                    mu_mults, range(n - m, n + ell + 1))
     return matrix
 
 

@@ -82,6 +82,12 @@ class OracleConfig:
                 raise ConstraintError(
                     f"oracle.{name}: expected an integer >= {low}, got {value!r}")
 
+    @property
+    def samples_drawn(self) -> int:
+        """The Monte Carlo samples drawn: ``batches`` equal batches of
+        samples // batches each, at least one."""
+        return self.batches * max(1, self.samples // self.batches)
+
 
 @dataclass(frozen=True)
 class OracleEstimate:
@@ -179,7 +185,7 @@ def _mc_batches(q: RatioQuery, spec: WeightSpec, cfg: OracleConfig):
     The empty query (no mus, no epsbars) has f = 1 and returns the float
     means of |Delta|^2 on both sides, so that its ratio is exactly 1.
     """
-    per_batch = max(1, cfg.samples // cfg.batches)
+    per_batch = cfg.samples_drawn // cfg.batches
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.batches)
     mus, epsbars = q.expanded_mus(), q.expanded_epsbars()
     num_means = np.empty(cfg.batches, dtype=complex)
@@ -209,7 +215,7 @@ def _mc_batches(q: RatioQuery, spec: WeightSpec, cfg: OracleConfig):
     if not (mus or epsbars):
         num_means = den_means
     neff = w_sum ** 2 / w_sq_sum if w_sq_sum > 0 else 0.0
-    return num_means, den_means, neff, per_batch * cfg.batches
+    return num_means, den_means, neff, cfg.samples_drawn
 
 
 def _batch_ratio_stats(num_means, den_means) -> tuple[complex, float]:

@@ -18,7 +18,9 @@ where repeated rows become derivative rows scaled by 1/t! and the
 Vandermonde factors become products over distinct pairs raised to the
 product of multiplicities.  The rows come from
 ``deformed.determinant_rows``, which builds every determinant of the
-package.
+package and returns the h rows' relative error with them; the error
+estimates add M times that error to the rounding of the determinant,
+and nothing here reads the Cauchy evaluator but its method.
 
 The prefactor 2 pi/(i r_j) is evaluated as -2 pi i / r_j exactly, and
 determinants, norm products and Vandermonde factors are combined in
@@ -122,29 +124,6 @@ def _result(value: complex, rel_err: float, diagnostics: Diagnostics) -> EvalRes
     return EvalResult(complex(value), error, diagnostics)
 
 
-def _transform_error(q: RatioQuery, cev: CauchyEvaluator, degrees) -> float:
-    """The worst relative error of the query's h rows over ``degrees``,
-    read straight from the evaluator's memo, where the evaluation has
-    just put them: per row, the largest error estimate of its transforms
-    over their largest magnitude.  A far-pole entry far below its row's
-    L1 scale converges only relative to that scale, so the tolerance
-    alone can understate the row's error.
-
-    The estimate is a heuristic, not a bound: on deep far-pole rows each
-    entry's own doubling change can understate its error about tenfold
-    (N = 21 at ebar = 25+1i on a shifted gaussian reports 0.45 against an
-    observed 4.4)."""
-    worst = 0.0
-    for eps, mult in zip(q.epsbars, q.eps_multiplicities):
-        entries = cev._memo[complex(eps)]
-        for t in range(mult):
-            row = [entries[d, t] for d in degrees]
-            scale = max(abs(res.value) for res in row)
-            if scale > 0:   # a row of zeros makes the determinant 0
-                worst = max(worst, max(res.error for res in row) / scale)
-    return worst
-
-
 def _require_depth(sys: OrthoSystem, q: RatioQuery) -> None:
     need = max(q.N + q.L_total - 1, q.N - 1)
     if need > sys.max_degree:
@@ -165,7 +144,7 @@ def expectation_ratio(q: RatioQuery, sys: OrthoSystem,
                           Diagnostics(1.0, "empty-product", ()))
     n_ev = q.N
     degrees = range(n_ev - M, n_ev + L)
-    matrix, warnings = determinant_rows(
+    matrix, warnings, h_error = determinant_rows(
         sys, cev, q.epsbars, q.eps_multiplicities, q.mus, q.mu_multiplicities,
         degrees)
     mant, exponent, cond = scaled_lu_det(matrix)
@@ -178,9 +157,7 @@ def expectation_ratio(q: RatioQuery, sys: OrthoSystem,
     value = mant * cmath.exp(complex(log_pref + exponent * LOG_TWO - log_mu - log_eps,
                                      phase_pref - phase_mu - phase_eps))
 
-    rel_err = cond * (M + L) * 1e-15
-    if M > 0:
-        rel_err += M * max(cev.relative_error, _transform_error(q, cev, degrees))
+    rel_err = cond * (M + L) * 1e-15 + M * h_error
     backend = cev.method if M > 0 else "polynomial"
     return _result(value, rel_err, Diagnostics(cond, backend, warnings))
 
@@ -223,9 +200,10 @@ def expectation_inverses(q: RatioQuery, sys: OrthoSystem,
         h = deformed_cauchy(sys, cev, q.epsbars[:m_total - j], q.N - j,
                             q.epsbars[m_total - j])
         value *= (-2j * math.pi / r) * h
-    transform_err = max(cev.relative_error,
-                        _transform_error(q, cev, range(q.N - m_total, q.N)))
-    return _result(value, m_total * transform_err + m_total * 1e-14,
+    # every h row of the query is in the memo: the first factor read them
+    _, _, h_error = determinant_rows(sys, cev, q.epsbars, q.eps_multiplicities,
+                                     (), (), range(q.N - m_total, q.N))
+    return _result(value, m_total * h_error + m_total * 1e-14,
                    Diagnostics(1.0, "telescope-inverses", ()))
 
 

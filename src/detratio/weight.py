@@ -47,6 +47,7 @@ Cauchy transforms come from quadrature, and they have no sampler.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -296,10 +297,22 @@ def custom_weight(evaluator: Callable, domain: DomainSpec, *,
                       amplitude=float(amplitude), evaluator=evaluator)
 
 
+def _log_poisson(k: int, x: float) -> float:
+    """log(x^k e^-x / k!) for x > 0.  From k = 100 on, log k! is
+    Stirling's series, whose next term is below 1e-17 there, so that no
+    two logarithms of size k log x cancel."""
+    if k < 100:
+        return k * math.log(x) - x - math.lgamma(k + 1)
+    return (k * math.log(x / k) + (k - x) - 0.5 * math.log(2.0 * math.pi * k)
+            - (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * k * k)) / (k * k)) / k)
+
+
 def regularized_gamma_p(a: int, x: float) -> float:
     """Regularised lower incomplete gamma P(a, x) for an integer a >= 1."""
     if x <= 0.0:
         return 0.0
+    if x == math.inf:
+        return 1.0
     if x < a + 1:
         # x^a e^-x / a! * sum_k x^k / ((a+1)...(a+k)); the terms fall
         # geometrically once a + k > x
@@ -311,12 +324,20 @@ def regularized_gamma_p(a: int, x: float) -> float:
             k += 1
         if a <= 170 and a * math.log(x) < 700.0:
             return x ** a * math.exp(-x) / math.factorial(a) * total
-        return math.exp(a * math.log(x) - x - math.lgamma(a + 1)) * total
+        return math.exp(_log_poisson(a, x)) * total
     # 1 - Q(a, x), Q = e^-x sum_{k<a} x^k / k!, summed from e^-x so that
-    # no term overflows; Q has underflowed once e^-x has
+    # no term overflows
     term = math.exp(-x)
-    if term == 0.0:
-        return 1.0
+    if term < sys.float_info.min:
+        # e^-x is subnormal: Q from its largest term, k = a - 1, down;
+        # the terms fall since x > a
+        term = total = 1.0
+        for k in range(a - 1, 0, -1):
+            term *= k / x
+            total += term
+            if term < total * 1e-17:
+                break
+        return 1.0 - math.exp(_log_poisson(a - 1, x)) * total
     total = term
     for k in range(1, a):
         term *= x / k

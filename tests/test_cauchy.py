@@ -1,7 +1,9 @@
+import ast
 import cmath
 import functools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc
 
+import detratio
 import detratio.cauchy as cauchy_module
 import detratio.weight as weight_module
 from detratio import (ConstraintError, ConvergenceError, MonicPoly, NumericalError, Poly,
@@ -666,6 +669,21 @@ def test_memo_evicts_the_least_recently_requested_pole(gauss_sys):
     cauchy_row(ev, (0, 1), poles[-1])          # evicts poles[1]
     assert list(ev._memo) == poles[2:-1] + [poles[0], poles[-1]]
     assert all(a is b for a, b in zip(first, cauchy_row(ev, (0, 1), poles[0])))
+
+
+def test_no_other_module_reads_the_evaluators_memo():
+    # the memo's layout (pole, then degree and order) and the level table
+    # are known to cauchy.py alone: deformed.determinant_rows takes each
+    # h row, and its error, through cauchy_row, so a second reading of the
+    # rows from the memo would be a second copy of that layout
+    found = []
+    for path in sorted(Path(detratio.__file__).parent.glob("*.py")):
+        if path.name == "cauchy.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_memo", "_levels"):
+                found.append(f"{path.name}:{node.lineno}: {node.attr}")
+    assert not found
 
 
 def _pole_classes(spec) -> dict:

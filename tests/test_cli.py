@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from detratio import disk_flat_weight, gaussian_weight, shifted_gaussian_weight
-from detratio import cli
+from detratio import cli, oracle
 from detratio.cli import main
 from detratio.config import VerifySpec, build_weight, parse_complex, parse_config
 from detratio.errors import ConfigError
@@ -273,6 +273,28 @@ def test_verify_runs_the_oracle_the_config_names(tmp_path):
         assert "tensor-quadrature oracle supports N <= 2" in case["message"]
 
 
+@pytest.mark.parametrize("samples, batches, drawn", [(10, 4, 8), (3, 4, 4), (12, 4, 12)])
+def test_verify_reports_the_samples_drawn(tmp_path, monkeypatch, samples, batches, drawn):
+    # batches of samples // batches draws, at least one each: the report
+    # used to give the configured count instead
+    sample = oracle._sample_eigenvalues
+    rows = []
+
+    def counted(spec, rng, shape):
+        rows.append(shape[0])
+        return sample(spec, rng, shape)
+
+    monkeypatch.setattr(oracle, "_sample_eigenvalues", counted)
+    cfg = write_config(tmp_path, base_config(
+        weight={"kind": "gaussian", "scale": 1.0},
+        oracle={"method": "monte-carlo", "samples": samples, "batches": batches},
+        verify={"Ns": [1], "Ls": [0], "Ms": [0]}))
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--config", cfg, "--out", str(out)]) == 0
+    (case,) = read_json(out)["cases"]
+    assert case["samples"] == sum(rows) == drawn
+
+
 def test_verify_reports_a_monte_carlo_blow_up(tmp_path):
     # two samples a batch at N = 4: the |Delta|^2 weights leave an
     # effective sample size of 2.8, below the 32 batches, so the oracle
@@ -438,7 +460,12 @@ def test_shifted_gaussian_config(tmp_path):
     ("query", "mu_multiplicities", ["x"]),
     ("query", "mus", 5),
     ("query", "mus", ["nan"]),
+    ("query", "mus", [{"re": 1.0, "im": 0.0}]),
     ("query", "epsbars", [True]),
+    (None, "tolerance", 0),
+    (None, "system", [4]),
+    ("output", "path", 5),
+    ("scan", "axis", "mus[x]"),
 ])
 def test_malformed_value_exits_2_naming_the_field(tmp_path, capsys, block, key, value):
     # a malformed verify or scan block fails every command when the
@@ -548,6 +575,37 @@ def test_scan_row_keeps_multiplicities(tmp_path):
     assert row["status"] == "ok"
     assert (row["value_re"], row["value_im"]) == (value["re"], value["im"])
     assert value["re"] == pytest.approx(1.5 ** 6, rel=1e-12)
+
+
+@pytest.mark.parametrize("key, value", [("start", 1.5), ("stop", 5.0), ("count", 15)])
+def test_scan_values_exclude_start_stop_and_count(tmp_path, capsys, key, value):
+    # the grid fields used to be dropped without a word when values was given
+    cfg = write_config(tmp_path, base_config(
+        scan={"axis": "epsbars[0]", "values": [[3, 0]], key: value}))
+    assert run(["scan", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: scan.{key}: not read when scan.values is given\n")
+
+
+def test_scan_without_a_scan_block_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, base_config())
+    assert run(["scan", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "config error: scan: block is missing\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "configuration root must be an object"),
+    ("{\"weight\": ", "is not valid JSON"),
+    (None, "cannot read config"),
+], ids=["root-not-an-object", "invalid-json", "unreadable-path"])
+def test_unloadable_config_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert run(["eval", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_scan_axis_naming_no_variable_exits_2(tmp_path, capsys):

@@ -7,7 +7,8 @@ tolerance by ``quadrature.require_certifiable`` and the eigenvalue count
 by ``orthopoly.require_eigenvalue_count``; every integer input takes the
 test ``errors.is_integer``.  The behavioural tests
 send the same malformed inputs down every path; the AST guards keep the
-copies of a check from coming back.
+copies of a check from coming back.  ``REFUSALS`` reaches each remaining
+refusal of the public API once.
 """
 
 import ast
@@ -17,10 +18,15 @@ import numpy as np
 import pytest
 
 import detratio
-from detratio import (ConstraintError, DegenerateVariablesError, OracleConfig,
-                      RatioQuery, cauchy_evaluator, cauchy_row, christoffel_poly,
-                      christoffel_q, combined_poly, deformed_cauchy,
-                      oracle_partition, partition_function, uvarov_poly, uvarov_q)
+from detratio import (ConstraintError, DegenerateVariablesError, MomentMatrix,
+                      NumericalError, OracleConfig, RatioQuery, bordered_coefficients,
+                      cauchy_evaluator, cauchy_row, christoffel_poly, christoffel_q,
+                      combined_poly, custom_weight, deformed_cauchy, disk_domain,
+                      gaussian_weight, moment_matrix, oracle_deformed_op,
+                      oracle_partition, ortho_system, partial_fractions,
+                      partition_function, poly_derivative, shifted_gaussian_weight,
+                      uvarov_poly, uvarov_q)
+from detratio.weight import radial_mass
 
 # each formula as f(sys, cev, mus, epsbars, n); the christoffel formulas
 # take no inverse factors and no evaluator
@@ -166,3 +172,64 @@ def test_determinants_are_taken_in_one_place():
     assert _sites(calls("lu_det")) == [("determinants.py", "scaled_lu_det")]
     assert set(_sites(calls("det"))) == {("oracle.py", "_tensor_sums"),
                                          ("orthopoly.py", "bordered_coefficients")}
+
+
+
+def _lopsided_moments():
+    entries = moment_matrix(gaussian_weight(), 2).entries.copy()
+    entries[0, 1] = 0.5
+    return MomentMatrix(2, entries)
+
+
+SHIFTED = shifted_gaussian_weight(0.4 + 0.3j)
+FLAT_CUSTOM = custom_weight(lambda z: np.ones_like(z, dtype=float), disk_domain(1.0))
+
+# each refusal a library caller can reach outside the formulas above
+REFUSALS = [
+    pytest.param(lambda: cauchy_row(cauchy_evaluator(ortho_system(SHIFTED, 3)), (0, 1),
+                                    5.0, order=-1),
+                 ConstraintError, "derivative order must be non-negative",
+                 id="cauchy_row-order"),
+    pytest.param(lambda: cauchy_evaluator(ortho_system(SHIFTED, 3), method="spline"),
+                 ConstraintError, "unknown Cauchy method 'spline'", id="cauchy-method"),
+    pytest.param(lambda: cauchy_evaluator(ortho_system(SHIFTED, 3), method="rotinv-series"),
+                 ConstraintError, "the series backend requires a rotation-invariant weight",
+                 id="series-off-centre"),
+    pytest.param(lambda: poly_derivative(ortho_system(SHIFTED, 3).poly(2), -1),
+                 ConstraintError, "derivative order must be non-negative",
+                 id="poly_derivative-order"),
+    pytest.param(lambda: bordered_coefficients(moment_matrix(gaussian_weight(), 2), 3),
+                 ConstraintError, "degree exceeds moment matrix order",
+                 id="bordered_coefficients-degree"),
+    pytest.param(lambda: partial_fractions(-1, (2.0,)),
+                 ConstraintError, "the monomial power must be non-negative",
+                 id="partial_fractions-power"),
+    pytest.param(lambda: oracle_deformed_op(SHIFTED, (), (), -1),
+                 ConstraintError, "polynomial degree must be non-negative",
+                 id="oracle_deformed_op-negative"),
+    pytest.param(lambda: oracle_deformed_op(SHIFTED, (), (), 5),
+                 ConstraintError, "the deformed-measure solver is desk-scale: n <= 4",
+                 id="oracle_deformed_op-deep"),
+    pytest.param(lambda: gaussian_weight(amplitude=0.0),
+                 ConstraintError, "weight amplitude must be positive", id="amplitude"),
+    pytest.param(lambda: FLAT_CUSTOM.sample(np.zeros(2), np.zeros(2)),
+                 ConstraintError, "no Monte Carlo sampler for weight kind",
+                 id="custom-sampler"),
+    pytest.param(lambda: radial_mass(SHIFTED, 1, 2.0),
+                 ConstraintError, "radial mass is defined for rotation-invariant weights",
+                 id="radial_mass-off-centre"),
+    pytest.param(_lopsided_moments, NumericalError, "moment matrix is not Hermitian",
+                 id="moments-not-hermitian"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", REFUSALS)
+def test_library_refusals_name_their_rule(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc and message in str(info.value)
+
+
+def test_deformed_op_of_degree_zero_is_one_about_the_centre():
+    op = oracle_deformed_op(SHIFTED, (1.5,), (3.0,), 0)
+    assert op.coeffs == (1.0 + 0j,) and op.centre == SHIFTED.centre

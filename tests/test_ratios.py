@@ -15,7 +15,8 @@ from detratio import (ConstraintError, DegenerateVariablesError,
                       eval_poly, expectation_inverses, expectation_products,
                       expectation_ratio, gaussian_weight, oracle_expectation,
                       ortho_system, partial_fractions, shifted_gaussian_weight)
-from detratio.cauchy import ROTINV_SERIES
+from detratio.cauchy import ROTINV_SERIES, cauchy_row
+from detratio.deformed import determinant_rows
 from detratio.weight import FAMILIES
 
 from conftest import EPS_DISK, EPS_GAUSS, MUS_DISK, MUS_GAUSS, family_weight
@@ -474,3 +475,28 @@ def test_error_estimates_read_the_transforms_own_errors(n_ev, epsbar):
                    expectation_inverses(q, shifted_sys, cev)):
         observed = abs(result.value - exact)
         assert result.abs_error_estimate >= observed / 20, (observed, result)
+
+
+@pytest.mark.parametrize("which", ["shifted", "gauss"])
+def test_determinant_rows_return_the_h_rows_error(which):
+    # per h row, its largest transform error over its largest |h|; the
+    # worst row, floored at the evaluator's relative error, which binds
+    # on the series backend
+    weight = shifted_gaussian_weight(0.7 + 0.4j) if which == "shifted" else gaussian_weight()
+    sys_ = ortho_system(weight, 12)
+    cev = cauchy_evaluator(sys_)
+    epsbars, degrees = (14 + 3j, -9 + 2j), range(10, 12)
+    matrix, _, h_error = determinant_rows(sys_, cev, epsbars, (1, 1), (), (), degrees)
+    rows = [cauchy_row(cev, degrees, eps) for eps in epsbars]
+    assert matrix.tolist() == [[res.value for res in row] for row in rows]
+    worst = max(max(res.error for res in row) / max(abs(res.value) for res in row)
+                for row in rows)
+    assert h_error == max(worst, cev.relative_error)
+    assert (h_error > cev.relative_error) == (which == "shifted")
+    assert determinant_rows(sys_, None, (), (), (1.5,), (1,), degrees)[2] == 0.0
+
+
+def test_inverse_path_without_ebars_needs_no_evaluator(gauss_sys):
+    # as on the determinant path, a query with no ebars reads no transform
+    res = expectation_inverses(RatioQuery(N=2), gauss_sys, None)
+    assert res.value == 1.0 and res.abs_error_estimate == math.ulp(1.0)

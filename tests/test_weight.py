@@ -345,6 +345,27 @@ def test_incomplete_gamma_matches_mpmath():
     assert np.max(errors) <= 2e-15  # a NaN fails too
 
 
+def test_incomplete_gamma_for_large_a_past_the_underflow_of_e_to_the_minus_x():
+    # once e^-x is subnormal (x > 708) Q(a, x) has not underflowed for
+    # large a: P(700, 770) and P(1000, 1001.01) used to read exactly 1.0.
+    # The reference is mpmath at 40 digits: scipy's gammainc is itself off
+    # by up to 1.35e-12 relative at a = 1000 (x near 300)
+    mpmath = pytest.importorskip("mpmath")
+    special = pytest.importorskip("scipy.special")
+    for a, x in [(700, 770.0), (1000, 1001.01)]:
+        assert regularized_gamma_p(a, x) == pytest.approx(special.gammainc(a, x),
+                                                          rel=1e-12, abs=0)
+    errors = []
+    with mpmath.workdps(40):
+        for a in (1, 50, 171, 400, 700, 1000):
+            for x in np.geomspace(1e-3, 5 * a + 50, 120):
+                ref = mpmath.gammainc(a, 0, mpmath.mpf(float(x)), regularized=True)
+                if ref > 2.3e-308:   # a subnormal P has too few bits to compare
+                    errors.append(float(abs(regularized_gamma_p(a, float(x)) - ref)
+                                        / ref))
+    assert np.max(errors) <= 1e-12
+
+
 # inverse CDF of each family's radial distribution
 SAMPLE_RADIUS = {
     "gaussian": lambda p, u: np.sqrt(-np.log1p(-u) / p[0]),
