@@ -23,28 +23,33 @@ Two backends:
 
       h_n^(k)(u) = i (-1)^k k! binom(n+k, k) I_n(|u|) / u^(n+k+1).
 
-* ``quadrature``: singularity-aware integration over the weight's own
-  disk, |z - c| <= R about its centre c with R = truncation_radius(spec,
-  0) (a disk's domain or a full-plane truncation), the disk its moments
-  are taken on.  A pole in it gets a grid centred on it, rays to the
-  circle, so 1/rho cancels against the rho of the area element; other
-  poles use ``weighted_grid``.  Both are refined adaptively.  A row
-  of transforms at one pole and order, over several degrees, is
-  integrated in one pass: each refinement level builds its nodes and one
-  weighted-kernel vector g (weight values times quadrature weights,
-  times the kernel on the plain grid) once for the whole row, so an
-  entry's value at that level is the dot product of pi_n at the nodes
-  with g, over 2 pi i.  Each entry still converges on its own, over at
-  most five levels of ``adaptive_integral``, the probe first: the 48x64
-  probe sets the entry's scale and is also its first value, so an entry
-  whose 48x64 and 96x128 values agree stops at 96x128.  An evaluator
-  keeps the levels in a table that its later rows read.  The plain grid
-  (Gauss-Legendre in the radius, the periodic trapezoid rule in the
-  angle; Trefethen & Weideman, SIAM Rev. 56 (2014)) does not depend on
-  the pole, so its nodes, w * weights and pi_n values serve every far
-  row, and only the kernel and the dot products are per row.  A centred
-  grid's nodes, w values and pi_n values serve the rows at the same
-  pole, such as the order-1 row of a confluent pole, until a row at
+* ``quadrature``: singularity-aware integration over a disk about the
+  weight's centre c, |z - c| <= R with R = row_radius(spec, max_degree)
+  for the evaluator's system: on a built-in full-plane weight the
+  gaussian cutoff that holds rows up to its depth, narrower than the
+  disk the moments are taken on below depth 32 and wider past it; on a
+  disk or a custom weight the domain.  ``cauchy_quadrature`` sizes its
+  disk from its one polynomial's degree.  So on the gaussians a
+  quadrature transform depends on the system's depth, at rounding level
+  and well within the tolerance.  A pole in the disk gets a grid centred
+  on it, rays to the circle, so 1/rho cancels against the rho of the
+  area element; other poles use ``weighted_grid``.  Both are refined
+  adaptively.  A row of transforms at one pole and order, over several
+  degrees, is integrated in one pass: each refinement level builds its
+  nodes and one weighted-kernel vector g (weight values times quadrature
+  weights, times the kernel on the plain grid) once for the whole row,
+  so an entry's value at that level is the dot product of pi_n at the
+  nodes with g, over 2 pi i.  Each entry still converges on its own,
+  over at most five levels of ``adaptive_integral``, the probe first:
+  the 48x64 probe sets the entry's scale and is also its first value, so
+  an entry whose 48x64 and 96x128 values agree stops at 96x128.  An
+  evaluator keeps the levels in a table that its later rows read.  The
+  plain grid (Gauss-Legendre in the radius, the periodic trapezoid rule
+  in the angle; Trefethen & Weideman, SIAM Rev. 56 (2014)) does not
+  depend on the pole, so its nodes, w * weights and pi_n values serve
+  every far row, and only the kernel and the dot products are per row.
+  A centred grid's nodes, w values and pi_n values serve the rows at the
+  same pole, such as the order-1 row of a confluent pole, until a row at
   another centred pole replaces them; only its kernel weights, which
   depend on the order, are formed per row.
 
@@ -80,8 +85,7 @@ from .orthopoly import MonicPoly, OrthoSystem, eval_poly
 from .quadrature import (PROBE, adaptive_integral, cauchy_kernel_grid,
                          cauchy_kernel_weights, disk_chord_lengths,
                          require_certifiable)
-from .weight import (DISK, WeightSpec, radial_mass, truncation_radius,
-                     weighted_grid)
+from .weight import DISK, WeightSpec, radial_mass, row_radius, weighted_grid
 
 ROTINV_SERIES = "rotinv-series"
 QUADRATURE = "quadrature"
@@ -123,14 +127,18 @@ class _Level:
 class _LevelTable:
     """Quadrature levels shared by the rows of one weight.
 
-    ``far`` maps (n_r, n_t) to the level of the weight's own grid, on
-    its disk about its centre, whose weight vector is w * weights; it
-    holds for every far pole.
+    ``radius`` is that of the disk about the weight's centre that every
+    row on the table integrates over, ``row_radius`` of the deepest
+    degree it serves; an evaluator sets it on its first quadrature row.
+    ``far`` maps (n_r, n_t) to the level of the weight's own grid on
+    that disk, whose weight vector is w * weights; it holds for every
+    pole outside the disk.
     ``centred`` maps (n_r, n_t) to the level of the grid centred on
     ``centred_pole``, whose weight vector is w; a row at another
     centred pole replaces it.
     """
 
+    radius: Optional[float] = None
     far: dict = field(default_factory=dict)
     centred_pole: Optional[complex] = None
     centred: dict = field(default_factory=dict)
@@ -145,13 +153,17 @@ class CauchyEvaluator:
     evicts the least recently requested first: a query has at most
     N <= max_degree + 1 distinct eps, so its own poles stay while a long
     scan moves on.
-    On the quadrature backend ``_levels`` holds the refinement levels
-    its rows built: for the weight's own grid, which serves every pole
-    outside its disk, each level's nodes, w * weights and pi_d at the
-    nodes, kept for the evaluator's life; for the grid centred on the
-    most recent pole inside the disk, each level's nodes, w and pi_d
-    values, replaced when a row at another such pole arrives.  A row
-    visits at most five levels of ``adaptive_integral``, the probe
+    On the quadrature backend every row integrates on the disk of
+    ``row_radius(weight, max_degree)`` about the weight's centre, which
+    the first quadrature row computes, so that setting an evaluator up
+    runs no bisection; on a built-in gaussian it is narrower than the
+    moments' disk below depth 32.  ``_levels`` holds that radius and the
+    refinement levels its rows built: for the weight's own grid, which
+    serves every pole outside the disk, each level's nodes, w * weights
+    and pi_d at the nodes, kept for the evaluator's life; for the grid
+    centred on the most recent pole inside the disk, each level's nodes,
+    w and pi_d values, replaced when a row at another such pole arrives.
+    A row visits at most five levels of ``adaptive_integral``, the probe
     first, so with D degrees requested the table never exceeds
     2 x 5 x (2 + D) vectors, the largest of 786,432 nodes, however many
     poles a scan visits.
@@ -229,11 +241,11 @@ def series_transform(spec: WeightSpec, n: int, eps: complex, order: int = 0) -> 
 def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
                     order: int, table: _LevelTable) -> tuple[CauchyResult, ...]:
     """Transforms of ``polys`` at the ebar ``u`` (pole z = conj(u)) on the
-    levels of ``table``; each entry stops at its own level, so its bits
-    are those of a row holding it alone, on any table."""
+    levels of ``table``, over its disk; each entry stops at its own
+    level, so its bits are those of a row holding it alone, on any table
+    of the same radius."""
     warnings = _check_pole(spec, u, order)
-    pole, c = np.conj(u), spec.centre
-    radius = truncation_radius(spec, 0)
+    pole, c, radius = np.conj(u), spec.centre, table.radius
 
     if abs(pole - c) <= radius:
         # centred on the pole, rays to |z - c| = radius, kernel in the weights
@@ -293,9 +305,9 @@ def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
 def cauchy_quadrature(spec: WeightSpec, poly: MonicPoly, eps: complex,
                       tolerance: float = 1e-9, order: int = 0) -> CauchyResult:
     """Quadrature transform of one polynomial: a row of one entry, on a
-    level table of its own."""
+    level table of its own, whose disk holds the polynomial's degree."""
     return _quadrature_row(spec, (poly,), complex(eps), tolerance, order,
-                           _LevelTable())[0]
+                           _LevelTable(radius=row_radius(spec, poly.degree)))[0]
 
 
 def cauchy_row(ev: CauchyEvaluator, degrees, eps: complex,
@@ -305,7 +317,7 @@ def cauchy_row(ev: CauchyEvaluator, degrees, eps: complex,
 
     The degrees missing from the memo are computed together; on the
     quadrature backend that is one ``_quadrature_row`` pass on the
-    evaluator's level table.
+    evaluator's level table, whose disk the first such pass sizes.
     """
     degrees = tuple(degrees)
     polys = {n: ev.system.poly(n) for n in degrees}
@@ -322,8 +334,11 @@ def cauchy_row(ev: CauchyEvaluator, degrees, eps: complex,
             computed = [CauchyResult(value=v, error=abs(v) * 1e-15, warnings=warnings)
                         for v in values]
         else:
+            table = ev._levels
+            if table.radius is None:
+                table.radius = row_radius(ev.weight, ev.system.max_degree)
             computed = _quadrature_row(ev.weight, [polys[n] for n in missing], u,
-                                       ev.tolerance, order, ev._levels)
+                                       ev.tolerance, order, table)
         for n, result in zip(missing, computed):
             entries[n, order] = result
     memo.pop(u, None)

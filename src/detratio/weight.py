@@ -30,13 +30,21 @@ removing a family touches this module alone.
 One rule truncates the built-in full-plane weights, however deep the
 system built on them: the plane is cut at ``gaussian_cutoff(scale,
 CUTOFF_ORDER) + |center|`` from the origin, which holds the disk of
-radius ``gaussian_cutoff(scale, CUTOFF_ORDER)`` about the centre.  An
-integral of higher order over such a weight (quadrature moments, the
-orthogonality residual) asks ``truncation_radius`` for a wider disk.
-Every planar integral over a weight runs on such a disk about its
-centre: on ``weighted_grid``, or for a Cauchy pole inside the disk on a
-grid centred on the pole whose rays end on its circle.  No other module
-reads the domain's radius.
+radius ``gaussian_cutoff(scale, CUTOFF_ORDER)`` about the centre.
+Every planar integral over a weight runs on a disk about its centre,
+on ``weighted_grid``, or for a Cauchy pole inside the disk on a grid
+centred on the pole whose rays end on its circle.  Two functions here
+size that disk, and no other module reads the domain's radius or a
+gaussian's cutoff:
+
+* ``truncation_radius(spec, order)``, for moments and everything built
+  on them (quadrature moments, the orthogonality residual, the oracles,
+  the deformed integrals): the domain's radius about the centre, wider
+  past ``CUTOFF_ORDER`` on a built-in full-plane weight;
+* ``row_radius(spec, max_degree)``, for the Cauchy rows of a system of
+  depth ``max_degree``: on a built-in full-plane weight the cutoff of
+  order ceil(max_degree / 2), smaller than the domain's below depth 32
+  and wider past it; on a disk or a custom weight the domain's radius.
 
 Custom weights supply an evaluator callable plus an explicit domain
 (including a cutoff radius for full-plane weights); there is no
@@ -59,7 +67,8 @@ from .quadrature import adaptive_integral, star_grid, unit_radial_rule
 MOMENT_TOL = 1e-10
 # moment order whose gaussian cutoff truncates every built-in full-plane
 # weight: it bounds the tail of r^33 exp(-scale r^2), so it holds Cauchy
-# rows up to degree 32
+# rows up to degree 32.  Moments take this disk; Cauchy rows take the
+# smaller one their system's depth needs (``row_radius``)
 CUTOFF_ORDER = 16
 
 FULL_PLANE = "full-plane"
@@ -420,6 +429,20 @@ def truncation_radius(spec: WeightSpec, order: int) -> float:
     if spec.domain.kind == DISK or order <= CUTOFF_ORDER or spec.kind == CUSTOM:
         return spec.domain.quad_radius - abs(spec.centre)
     return gaussian_cutoff(spec.parameters[-1], order)
+
+
+def row_radius(spec: WeightSpec, max_degree: int) -> float:
+    """Radius of the disk about the weight's centre that holds the Cauchy
+    rows of degree up to ``max_degree`` to 1e-16.
+
+    A row of degree d integrates r^(d+1) w(r) against the area element,
+    which the tail bound of order ceil(d / 2) on r^(2n+1) exp(-scale r^2)
+    covers; so a built-in full-plane weight takes its cutoff of order
+    ceil(max_degree / 2), the domain's at depth 2 ``CUTOFF_ORDER`` and
+    wider past it.  A disk or a custom weight takes its domain's."""
+    if spec.domain.kind == DISK or spec.kind == CUSTOM:
+        return truncation_radius(spec, 0)
+    return gaussian_cutoff(spec.parameters[-1], (max_degree + 1) // 2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,9 +23,9 @@ from detratio import (ConstraintError, ConvergenceError, MonicPoly, NumericalErr
 from detratio.orthopoly import eval_poly
 from detratio.quadrature import (MAX_DOUBLINGS, PROBE, adaptive_integral,
                                  angular_rule, cauchy_kernel_grid,
-                                 disk_chord_lengths, star_grid,
-                                 unit_radial_rule)
-from detratio.weight import truncation_radius
+                                 cauchy_kernel_weights, disk_chord_lengths,
+                                 star_grid, unit_radial_rule)
+from detratio.weight import row_radius, truncation_radius
 
 EPS_GRID = (1.5, 2.0, 5.0, 20.0)
 
@@ -45,11 +45,15 @@ def fresh_row(system, degrees, eps, tol=1e-9, order=0):
     return cauchy_row(cauchy_evaluator(system, "quadrature", tol), degrees, eps, order)
 
 
-def loose_row(spec, polys, eps, tol=1e-9, order=0):
+def loose_row(spec, polys, eps, tol=1e-9, order=0, radius=None):
     """A quadrature row of polynomials that belong to no system, on an
-    empty level table: the pass ``cauchy_row`` makes."""
+    empty level table of ``radius``: the pass ``cauchy_row`` makes.  The
+    radius defaults to the disk of the deepest polynomial, which a
+    one-entry row shares with ``cauchy_quadrature``."""
+    if radius is None:
+        radius = row_radius(spec, max(poly.degree for poly in polys))
     return cauchy_module._quadrature_row(spec, polys, complex(eps), tol, order,
-                                         cauchy_module._LevelTable())
+                                         cauchy_module._LevelTable(radius=radius))
 
 
 def test_disk_closed_form(disk_ev):
@@ -162,8 +166,8 @@ def test_shifted_gaussian_far_and_derivative_rows_are_translated_series(shifted,
     c = shifted.centre
     ev = cauchy_evaluator(ortho_system(shifted, 8), method="quadrature")
     # the pole conj(u) + c lies |u| from the centre, so the grid is centred
-    # on it when |u| is within the truncation radius, the weight's own otherwise
-    radius = truncation_radius(shifted, 0)
+    # on it when |u| is within the rows' disk, the weight's own otherwise
+    radius = row_radius(shifted, 8)
     far = 10 + 1j
     assert abs(far) > radius
     cases = [(far, 0), (far, 1)]
@@ -197,6 +201,24 @@ def test_kernel_grid_matches_direct_formula(order):
                             (grid.weights, weights.ravel())):
             assert got.shape == expect.shape
             assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_kernel_grid_forms_its_rays_once_with_the_same_bits(order):
+    # the nodes from the ray lengths and angles, and the weights of
+    # cauchy_kernel_weights, which forms them again: one call gives both,
+    # bit for bit, a centre on the chord circle (zero-length rays) too
+    n_r, n_t = 24, 32
+    for center, rho_max in ((0.3 - 0.2j, 2.5),
+                            (0.3 - 0.2j, disk_chord_lengths(0.3 - 0.2j, 1.0)),
+                            (1j, disk_chord_lengths(1j, 1.0))):
+        phis, _ = angular_rule(n_t)
+        lengths = rho_max(phis) if callable(rho_max) else np.full(n_t, rho_max)
+        x, _ = unit_radial_rule(n_r)
+        nodes = center + (lengths * np.exp(1j * phis))[:, None] * x[None, :]
+        grid = cauchy_kernel_grid(center, rho_max, n_r, n_t, order=order)
+        assert np.array_equal(grid.nodes, nodes.ravel())
+        assert np.array_equal(grid.weights, cauchy_kernel_weights(rho_max, n_r, n_t, order))
 
 
 def test_eps_inside_disk_finite_and_flagged(disk, disk_sys, disk_ev_quad):
@@ -412,12 +434,15 @@ def _grid_counter(monkeypatch) -> list:
     ("gauss", 12.0, 1),
 ])
 def test_row_entries_equal_single_entries(request, which, eps, order):
+    # the single entries integrate on the row's disk, that of the system's
+    # depth, on a table of their own
     spec, sys_ = request.getfixturevalue(which), request.getfixturevalue(which + "_sys")
     polys = sys_.polys[:6]
     row = fresh_row(sys_, range(6), eps, 1e-9, order)
     assert len(row) == len(polys)
+    radius = row_radius(spec, sys_.max_degree)
     for poly, res in zip(polys, row):
-        single = cauchy_quadrature(spec, poly, eps, 1e-9, order)
+        (single,) = loose_row(spec, (poly,), eps, 1e-9, order, radius)
         assert (res.value, res.error, res.warnings) == \
             (single.value, single.error, single.warnings)
 
@@ -463,7 +488,7 @@ def test_resolved_row_stops_after_one_doubling(monkeypatch, shifted):
     # where every entry's 48x64 and 96x128 values agree, a row builds the
     # probe level and one doubling, and nothing deeper
     sys_ = ortho_system(shifted, 4)
-    c, radius = shifted.centre, truncation_radius(shifted, 0)
+    c, radius = shifted.centre, row_radius(shifted, 4)
     built = _grid_counter(monkeypatch)
     for eps in (14.0 + 2.0j, 4.6 + 0.5j):   # far, then centred
         assert (abs(np.conj(eps) - c) > radius) == (eps == 14.0 + 2.0j)
@@ -488,12 +513,13 @@ def test_confluent_order_one_row_builds_no_nodes(monkeypatch, shifted):
 
 @pytest.mark.parametrize("which", ["gauss", "shifted"])
 def test_centred_rows_stay_inside_the_truncation_disk(monkeypatch, request, which):
-    # a full-plane weight is integrated over |z - c| <= truncation_radius
-    # alone: moments, far rows and centred rows share that one disk about
-    # its centre c, so a centred grid's rays end on its circle, as a disk
-    # weight's do
+    # a full-plane weight's Cauchy rows are integrated over
+    # |z - c| <= row_radius alone, inside the moments' disk below depth
+    # 32: far rows and centred rows share that one disk about its centre
+    # c, so a centred grid's rays end on its circle, as a disk weight's do
     spec = request.getfixturevalue(which)
-    c, radius = spec.centre, truncation_radius(spec, 0)
+    c, radius = spec.centre, row_radius(spec, 4)
+    assert radius < truncation_radius(spec, 0)
     reach = []
 
     def recorded(*args, _build=cauchy_module.cauchy_kernel_grid, **kwargs):
@@ -510,9 +536,11 @@ def test_centred_rows_stay_inside_the_truncation_disk(monkeypatch, request, whic
 
 
 def test_pole_on_the_truncation_circle_at_order_two(gauss, gauss_sys):
-    # half the rays of the centred chord grid have zero length there;
-    # they cover no area and must not divide by zero
+    # a depth-8 system's rows take the far grid there, the domain's circle
+    # lying outside their disk; on a chord grid centred on its circle
+    # half the rays would have zero length
     boundary = gauss.domain.quad_radius
+    assert boundary > row_radius(gauss, gauss_sys.max_degree)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for eps in (boundary, 1j * boundary):
@@ -520,6 +548,22 @@ def test_pole_on_the_truncation_circle_at_order_two(gauss, gauss_sys):
             for n, res in enumerate(row):
                 exact = series_transform(gauss, n, eps, 2)
                 assert abs(res.value - exact) <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_pole_on_the_rows_circle(gauss, gauss_sys, order):
+    # half the rays of the centred chord grid have zero length there;
+    # they cover no area and must not divide by zero.  Worst error seen
+    # 2.2e-12, at degree 7.  (At order 2 and above a pole on this circle
+    # does not converge, as one on the domain's does not at degree 8)
+    edge = row_radius(gauss, gauss_sys.max_degree)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps in (edge, 1j * edge, -edge):
+            row = fresh_row(gauss_sys, range(9), eps, 1e-9, order)
+            for n, res in enumerate(row):
+                exact = series_transform(gauss, n, eps, order)
+                assert abs(res.value - exact) <= 1e-11 * abs(exact), (eps, n)
 
 
 def test_row_fills_memo_with_single_entry_bits(gauss_sys):
@@ -577,12 +621,13 @@ INTERLEAVED_ROWS = {
 }
 
 
-def _untabled_transform(spec, poly, eps, tol, order) -> tuple[complex, float]:
-    """Value and error of one quadrature transform, each level built
-    from scratch: the algorithm of a quadrature row written out
-    with the same operation order, and nothing kept between levels."""
+def _untabled_transform(spec, poly, eps, tol, order, radius) -> tuple[complex, float]:
+    """Value and error of one quadrature transform on the disk of
+    ``radius`` about the weight's centre, each level built from scratch:
+    the algorithm of a quadrature row written out with the same
+    operation order, and nothing kept between levels."""
     u = complex(eps)
-    pole, c, radius = np.conj(u), spec.centre, truncation_radius(spec, 0)
+    pole, c = np.conj(u), spec.centre
 
     def level(n_r, n_t):
         if abs(pole - c) <= radius:
@@ -612,6 +657,7 @@ def test_evaluator_rows_equal_fresh_rows_whatever_came_before(request, which):
     spec = ANISO if which == "aniso" else request.getfixturevalue(which)
     sys_ = ortho_system(spec, 6)
     ev = cauchy_evaluator(sys_, method="quadrature")
+    radius = row_radius(spec, sys_.max_degree)
     for degrees, eps, order in INTERLEAVED_ROWS[which]:
         row = cauchy_row(ev, degrees, eps, order)
         polys = [sys_.poly(d) for d in degrees]
@@ -619,7 +665,7 @@ def test_evaluator_rows_equal_fresh_rows_whatever_came_before(request, which):
         assert repr(row) == repr(fresh), (degrees, eps, order)
         for poly, res in zip(polys, row):
             assert repr((res.value, res.error)) == repr(_untabled_transform(
-                spec, poly, eps, ev.tolerance, order)), (poly.degree, eps, order)
+                spec, poly, eps, ev.tolerance, order, radius)), (poly.degree, eps, order)
 
 
 def test_far_levels_are_built_once_per_evaluator(monkeypatch, shifted):
@@ -631,6 +677,26 @@ def test_far_levels_are_built_once_per_evaluator(monkeypatch, shifted):
     cauchy_row(ev, range(3), -13.0 + 5.0j, 1)
     cauchy_row(ev, range(3), 11.0 - 6.0j)
     assert first == len(ev._levels.far) and len(built) == first
+
+
+def test_poles_outside_the_rows_disk_share_the_far_levels(monkeypatch, shifted):
+    # a depth-8 system's rows integrate on the cutoff of order 4 about c,
+    # inside the domain's of order 16: poles between the two circles take
+    # the weight's own grid, which a first far row has built already
+    sys_ = ortho_system(shifted, 8)
+    c, edge = shifted.centre, row_radius(shifted, 8)
+    domain = truncation_radius(shifted, 0)
+    assert edge < 0.85 * domain
+    ev = cauchy_evaluator(sys_, method="quadrature")
+    built = _grid_counter(monkeypatch)
+    cauchy_row(ev, range(9), np.conj(c) + 1.2 * domain)
+    first = len(built)
+    assert first == len(ev._levels.far) > 0
+    for k, f in enumerate((1.001, 1.05, 1.1, 1.15)):
+        cauchy_row(ev, range(9), np.conj(c) + f * edge * np.exp(1.3j * k))
+    assert f * edge < domain
+    assert ev._levels.centred_pole is None and not ev._levels.centred
+    assert len(built) == first == len(ev._levels.far)
 
 
 def test_level_table_stays_bounded_over_long_scans(shifted):
@@ -686,17 +752,24 @@ def test_no_other_module_reads_the_evaluators_memo():
     assert not found
 
 
-def _pole_classes(spec) -> dict:
-    """Pole radii inside the effective support, between it and the
-    truncation radius, and beyond that radius, measured from the origin;
-    a disk has no middle class.  A pole within the truncation radius of
-    the weight's centre gets the pole-centred grid, and every other pole
-    the weight's own grid."""
+def _pole_classes(system) -> dict:
+    """Per class, the origin its pole radii are measured from and the
+    radii: inside the effective support, between it and the truncation
+    radius, and beyond that radius, from the origin; and on either side
+    of the rows' disk edge, from the weight's centre.  A disk has no
+    middle class, and no edge class: its rows' disk is the disk itself.
+    A pole within ``row_radius`` of the weight's centre gets the
+    pole-centred grid, and every other pole the weight's own grid."""
+    spec = system.weight
     support, boundary = spec.effective_support_radius, spec.domain.quad_radius
-    return {"inner": (0.1 * support, 0.5 * support, 0.95 * support),
-            "mid": (1.05 * support, (support + boundary) / 2, 0.98 * boundary)
-            if boundary > support else (),
-            "far": (1.02 * boundary, 1.5 * boundary, 4 * boundary)}
+    edge = row_radius(spec, system.max_degree)
+    full_plane = boundary > support
+    return {"inner": (0j, (0.1 * support, 0.5 * support, 0.95 * support)),
+            "mid": (0j, (1.05 * support, (support + boundary) / 2, 0.98 * boundary)
+                    if full_plane else ()),
+            "edge": (np.conj(spec.centre), tuple(f * edge for f in (0.99, 1.001, 1.01, 1.1))
+                     if full_plane else ()),
+            "far": (0j, (1.02 * boundary, 1.5 * boundary, 4 * boundary))}
 
 
 @pytest.mark.parametrize("which", ["gauss", "disk", "shifted"])
@@ -715,11 +788,11 @@ def test_quadrature_rows_match_exact_series_over_pole_classes(request, gauss,
     shift = np.conj(spec.centre)
     tol = 1e-9
     failed = []
-    for cls, radii in _pole_classes(spec).items():
+    for cls, (origin, radii) in _pole_classes(sys_).items():
         orders = (0, 1) if cls == "far" else (0,)
         for r in radii:
             for angle in (0.3, 2.0, 4.0):
-                eps = r * np.exp(1j * angle)
+                eps = origin + r * np.exp(1j * angle)
                 for order in orders:
                     try:
                         row = fresh_row(sys_, range(len(polys)), eps, tol, order)

@@ -485,7 +485,9 @@ def test_determinant_rows_return_the_h_rows_error(which):
     weight = shifted_gaussian_weight(0.7 + 0.4j) if which == "shifted" else gaussian_weight()
     sys_ = ortho_system(weight, 12)
     cev = cauchy_evaluator(sys_)
-    epsbars, degrees = (14 + 3j, -9 + 2j), range(10, 12)
+    # at 15+3i the shifted gaussian's degree-10 and 11 transforms carry
+    # 1.5e-9 of their row's largest |h|, above the evaluator's 1e-9
+    epsbars, degrees = (15 + 3j, -9 + 2j), range(10, 12)
     matrix, _, h_error = determinant_rows(sys_, cev, epsbars, (1, 1), (), (), degrees)
     rows = [cauchy_row(cev, degrees, eps) for eps in epsbars]
     assert matrix.tolist() == [[res.value for res in row] for row in rows]

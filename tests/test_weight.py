@@ -17,7 +17,8 @@ from detratio.oracle import _ratio_factor
 from detratio.quadrature import adaptive_integral, star_grid
 from detratio.weight import (CUSTOM, CUTOFF_ORDER, FAMILIES, MOMENT_TOL, _polar_point,
                              closed_moments, gaussian_cutoff, planar_moments,
-                             regularized_gamma_p, truncation_radius, weighted_grid)
+                             regularized_gamma_p, row_radius, truncation_radius,
+                             weighted_grid)
 
 from conftest import family_weight
 
@@ -286,6 +287,31 @@ def test_gaussian_cutoff_grows_with_the_order(scale):
         assert log_tail - log_full <= math.log(1e-16) + 1e-12, (n, radius)
 
 
+@pytest.mark.parametrize("spec", [gaussian_weight(), gaussian_weight(scale=0.5),
+                                  shifted_gaussian_weight(0.4 + 0.3j, 0.82)],
+                         ids=["gauss", "gauss05", "shifted"])
+def test_row_radius_grows_with_the_depth_and_meets_the_domain_at_32(spec):
+    # degrees 2k - 1 and 2k share the cutoff of order k; depth 32 takes
+    # the domain's order, CUTOFF_ORDER, and a deeper system a wider disk
+    scale, domain = spec.parameters[-1], truncation_radius(spec, 0)
+    radii = [row_radius(spec, d) for d in range(41)]
+    assert radii[0] == gaussian_cutoff(scale, 0)
+    for d in range(1, 41):
+        assert radii[d] == gaussian_cutoff(scale, (d + 1) // 2)
+        assert (radii[d] > radii[d - 1]) == (d % 2 == 1), d
+    assert 2 * CUTOFF_ORDER == 32
+    assert radii[32] == gaussian_cutoff(scale, CUTOFF_ORDER)
+    # the domain adds |c| to the cutoff and takes it off again
+    assert radii[32] == pytest.approx(domain, rel=4 * np.finfo(float).eps)
+    assert max(radii[:31]) < domain < min(radii[33:])
+
+
+def test_row_radius_of_a_disk_or_custom_weight_is_its_domain():
+    custom = custom_weight(lambda z: np.exp(-np.abs(z - 1.0)), full_plane_domain(40.0))
+    for spec in (disk_flat_weight(1.5), custom):
+        assert {row_radius(spec, d) for d in range(41)} == {truncation_radius(spec, 0)}
+
+
 def test_rotation_invariance_comes_from_the_family():
     radial = custom_weight(lambda z: np.exp(-np.abs(z) ** 2), full_plane_domain(6.0))
     assert gaussian_weight().rotation_invariant
@@ -423,9 +449,10 @@ def test_origin_grids_are_built_in_one_place():
 
 
 def test_one_disk_per_weight():
-    # moments, oracles, residuals and Cauchy rows integrate a weight on
-    # the disk of truncation_radius about its centre: a module outside
-    # weight.py that reads the domain's radius about the origin, or a
+    # moments, oracles and residuals integrate a weight on the disk of
+    # truncation_radius about its centre, Cauchy rows on that of
+    # row_radius: a module outside weight.py that reads the domain's
+    # radius about the origin or calls gaussian_cutoff, or a
     # weighted_grid that takes another centre, is a second disk
     assert list(inspect.signature(weighted_grid).parameters) == \
         ["spec", "radius", "n_r", "n_t"]
@@ -436,6 +463,9 @@ def test_one_disk_per_weight():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Attribute) and node.attr == "quad_radius":
                 found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Call) and "gaussian_cutoff" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.append(f"{path.name}:{node.lineno}: gaussian_cutoff")
     assert not found
 
 
