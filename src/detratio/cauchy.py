@@ -33,7 +33,12 @@ Two backends:
   quadrature transform depends on the system's depth, at rounding level
   and well within the tolerance.  A pole in the disk gets a grid centred
   on it, rays to the circle, so 1/rho cancels against the rho of the
-  area element; other poles use ``weighted_grid``.  Both are refined
+  area element; other poles use ``weighted_grid``.  On the gaussians a
+  pole within ``row_margin(spec, R)`` (1% of R) of the circle, on either
+  side, gets a centred grid whose circle lies that margin past it, where
+  the weight is below 1e-16 of its peak: near-tangent rays, or a near
+  pole on the plain grid, keep derivative rows of order 2 and 3 from
+  converging on the circle itself.  Both are refined
   adaptively.  A row of transforms at one pole and order, over several
   degrees, is integrated in one pass: each refinement level builds its
   nodes and one weighted-kernel vector g (weight values times quadrature
@@ -85,7 +90,8 @@ from .orthopoly import MonicPoly, OrthoSystem, eval_poly
 from .quadrature import (PROBE, adaptive_integral, cauchy_kernel_grid,
                          cauchy_kernel_weights, disk_chord_lengths,
                          require_certifiable)
-from .weight import DISK, WeightSpec, radial_mass, row_radius, weighted_grid
+from .weight import (DISK, WeightSpec, radial_mass, row_margin, row_radius,
+                     weighted_grid)
 
 ROTINV_SERIES = "rotinv-series"
 QUADRATURE = "quadrature"
@@ -104,22 +110,20 @@ class CauchyResult:
 
 @dataclass(eq=False)
 class _Level:
-    """One refinement level: its nodes, a weight vector on them, and each
-    polynomial's values on them in z - ``centre``, evaluated on first use."""
+    """One refinement level: its nodes as zeta = z - ``centre``, a weight
+    vector on them, and each polynomial's values on them, evaluated on
+    first use."""
 
-    nodes: np.ndarray
+    zeta: np.ndarray
     weighted: np.ndarray
     centre: complex
     poly_values: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.zeta = self.nodes - self.centre if self.centre else self.nodes
 
     def values(self, poly) -> np.ndarray:
         vals = self.poly_values.get(poly)
         if vals is None:
             vals = self.poly_values[poly] = eval_poly(poly.coeffs, self.zeta) \
-                if poly.centre == self.centre else eval_poly(poly, self.nodes)
+                if poly.centre == self.centre else eval_poly(poly, self.zeta + self.centre)
         return vals
 
 
@@ -129,16 +133,19 @@ class _LevelTable:
 
     ``radius`` is that of the disk about the weight's centre that every
     row on the table integrates over, ``row_radius`` of the deepest
-    degree it serves; an evaluator sets it on its first quadrature row.
+    degree it serves, and ``margin`` its ``row_margin``; an evaluator
+    sets both on its first quadrature row.
     ``far`` maps (n_r, n_t) to the level of the weight's own grid on
     that disk, whose weight vector is w * weights; it holds for every
-    pole outside the disk.
+    pole more than ``margin`` outside the disk.
     ``centred`` maps (n_r, n_t) to the level of the grid centred on
-    ``centred_pole``, whose weight vector is w; a row at another
-    centred pole replaces it.
+    ``centred_pole``, whose weight vector is w, with rays to the disk's
+    circle or, for a pole within ``margin`` of it, to the circle
+    ``margin`` past the pole; a row at another centred pole replaces it.
     """
 
     radius: Optional[float] = None
+    margin: float = 0.0
     far: dict = field(default_factory=dict)
     centred_pole: Optional[complex] = None
     centred: dict = field(default_factory=dict)
@@ -155,14 +162,16 @@ class CauchyEvaluator:
     scan moves on.
     On the quadrature backend every row integrates on the disk of
     ``row_radius(weight, max_degree)`` about the weight's centre, which
-    the first quadrature row computes, so that setting an evaluator up
-    runs no bisection; on a built-in gaussian it is narrower than the
-    moments' disk below depth 32.  ``_levels`` holds that radius and the
-    refinement levels its rows built: for the weight's own grid, which
-    serves every pole outside the disk, each level's nodes, w * weights
-    and pi_d at the nodes, kept for the evaluator's life; for the grid
-    centred on the most recent pole inside the disk, each level's nodes,
-    w and pi_d values, replaced when a row at another such pole arrives.
+    the first quadrature row computes with its ``row_margin``, so that
+    setting an evaluator up runs no bisection; on a built-in gaussian it
+    is narrower than the moments' disk below depth 32.  ``_levels``
+    holds that radius and margin and the refinement levels its rows
+    built: for the weight's own grid, which serves every pole past the
+    margin outside the disk, each level's nodes (held as z - c),
+    w * weights and pi_d at the nodes, kept for the evaluator's life;
+    for the grid centred on the most recent pole inside the disk or its
+    margin, each level's nodes, w and pi_d values, replaced when a row
+    at another such pole arrives.
     A row visits at most five levels of ``adaptive_integral``, the probe
     first, so with D degrees requested the table never exceeds
     2 x 5 x (2 + D) vectors, the largest of 786,432 nodes, however many
@@ -245,11 +254,13 @@ def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
     level, so its bits are those of a row holding it alone, on any table
     of the same radius."""
     warnings = _check_pole(spec, u, order)
-    pole, c, radius = np.conj(u), spec.centre, table.radius
+    pole, c, radius, margin = np.conj(u), spec.centre, table.radius, table.margin
 
-    if abs(pole - c) <= radius:
-        # centred on the pole, rays to |z - c| = radius, kernel in the weights
-        rho_max = disk_chord_lengths(pole - c, radius)
+    if abs(pole - c) <= radius + margin:
+        # centred on the pole, rays to a circle about c at least ``margin``
+        # past it (the disk's own unless the pole lies next to it), kernel
+        # in the weights
+        rho_max = disk_chord_lengths(pole - c, max(radius, abs(pole - c) + margin))
         if table.centred_pole != u:
             table.centred_pole, table.centred = u, {}
         levels = table.centred
@@ -258,7 +269,8 @@ def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
             lv = levels.get((n_r, n_t))
             if lv is None:
                 grid = cauchy_kernel_grid(pole, rho_max, n_r, n_t, order=order)
-                lv = levels[n_r, n_t] = _Level(grid.nodes, spec.evaluate(grid.nodes), c)
+                lv = levels[n_r, n_t] = _Level(grid.nodes - c if c else grid.nodes,
+                                               spec.evaluate(grid.nodes), c)
                 return lv, lv.weighted * grid.weights
             # the weights depend on the order, the nodes do not
             return lv, lv.weighted * cauchy_kernel_weights(rho_max, n_r, n_t, order)
@@ -269,11 +281,12 @@ def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
             lv = levels.get((n_r, n_t))
             if lv is None:
                 nodes, weighted = weighted_grid(spec, radius, n_r, n_t)
-                lv = levels[n_r, n_t] = _Level(nodes, weighted, c)
-            # g = w * weights * order!/(zbar - ebar)^(order+1), one division
+                lv = levels[n_r, n_t] = _Level(nodes - c if c else nodes, weighted, c)
+            # g = w * weights * order!/(zbar - ebar)^(order+1), one division,
+            # with zbar - ebar = conj(zeta) - (ebar - conj(c))
             g = lv.weighted
-            shift = np.conj(lv.nodes)
-            shift -= u
+            shift = np.conj(lv.zeta)
+            shift -= u - np.conj(c) if c else u
             if order:
                 g = g * math.factorial(order)
                 shift **= order + 1
@@ -306,8 +319,9 @@ def cauchy_quadrature(spec: WeightSpec, poly: MonicPoly, eps: complex,
                       tolerance: float = 1e-9, order: int = 0) -> CauchyResult:
     """Quadrature transform of one polynomial: a row of one entry, on a
     level table of its own, whose disk holds the polynomial's degree."""
+    radius = row_radius(spec, poly.degree)
     return _quadrature_row(spec, (poly,), complex(eps), tolerance, order,
-                           _LevelTable(radius=row_radius(spec, poly.degree)))[0]
+                           _LevelTable(radius, row_margin(spec, radius)))[0]
 
 
 def cauchy_row(ev: CauchyEvaluator, degrees, eps: complex,
@@ -336,7 +350,8 @@ def cauchy_row(ev: CauchyEvaluator, degrees, eps: complex,
         else:
             table = ev._levels
             if table.radius is None:
-                table.radius = row_radius(ev.weight, ev.system.max_degree)
+                radius = row_radius(ev.weight, ev.system.max_degree)
+                table.radius, table.margin = radius, row_margin(ev.weight, radius)
             computed = _quadrature_row(ev.weight, [polys[n] for n in missing], u,
                                        ev.tolerance, order, table)
         for n, result in zip(missing, computed):

@@ -84,14 +84,13 @@ def cauchy_kernel_grid(center: complex, rho_max, n_r: int, n_t: int,
 
     With rho = length * x on a ray, every factor depends on the ray or on
     the radial node alone, so nodes and weights are each one outer
-    product of a ray vector and a radial vector.  The ray lengths and
-    angles are formed once, for both.
+    product of a ray vector and a radial vector.
     """
-    rays = _ray_lengths(rho_max, n_t)
-    phis, lengths, _ = rays
+    phis, lengths, _ = _ray_lengths(rho_max, n_t)
     x, _ = unit_radial_rule(n_r)
     nodes = center + (lengths * np.exp(1j * phis))[:, None] * x[None, :]
-    return PolarGrid(nodes=nodes.ravel(), weights=_kernel_weights(rays, n_r, order))
+    return PolarGrid(nodes=nodes.ravel(),
+                     weights=cauchy_kernel_weights(rho_max, n_r, n_t, order))
 
 
 def cauchy_kernel_weights(rho_max, n_r: int, n_t: int,
@@ -101,15 +100,10 @@ def cauchy_kernel_weights(rho_max, n_r: int, n_t: int,
     They depend on the centre only through ``rho_max``, so grids of one
     centre and size that differ in ``order`` share their nodes.
     """
-    return _kernel_weights(_ray_lengths(rho_max, n_t), n_r, order)
-
-
-def _kernel_weights(rays, n_r: int, order: int) -> np.ndarray:
-    phis, lengths, w_phi = rays
+    phis, lengths, w_phi = _ray_lengths(rho_max, n_t)
     x, w_x = unit_radial_rule(n_r)
     # a zero-length ray (a centre on the chord circle) covers no area
-    ray_weights = np.power(lengths, 1 - order, out=np.zeros_like(lengths),
-                           where=lengths > 0) \
+    ray_weights = np.power(lengths, 1 - order, out=np.zeros(n_t), where=lengths > 0) \
         * (w_phi * math.factorial(order)) * np.exp(1j * (order + 1) * phis)
     return (ray_weights[:, None] * (w_x / x ** order)[None, :]).ravel()
 

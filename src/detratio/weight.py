@@ -45,6 +45,9 @@ gaussian's cutoff:
   depth ``max_degree``: on a built-in full-plane weight the cutoff of
   order ceil(max_degree / 2), smaller than the domain's below depth 32
   and wider past it; on a disk or a custom weight the domain's radius.
+  ``row_margin`` keeps a Cauchy pole that far from the rows' circle: a
+  pole within it gets a pole-centred grid whose circle lies that far
+  past the pole.
 
 Custom weights supply an evaluator callable plus an explicit domain
 (including a cutoff radius for full-plane weights); there is no
@@ -70,6 +73,10 @@ MOMENT_TOL = 1e-10
 # rows up to degree 32.  Moments take this disk; Cauchy rows take the
 # smaller one their system's depth needs (``row_radius``)
 CUTOFF_ORDER = 16
+# share of a gaussian's row radius that keeps a Cauchy pole off the row
+# disk's circle (``row_margin``): there derivative rows of order >= 2 see
+# a near-tangent ray, or a near pole on the plain grid, and do not converge
+ROW_SHELL = 0.01
 
 FULL_PLANE = "full-plane"
 DISK = "disk"
@@ -443,6 +450,16 @@ def row_radius(spec: WeightSpec, max_degree: int) -> float:
     if spec.domain.kind == DISK or spec.kind == CUSTOM:
         return truncation_radius(spec, 0)
     return gaussian_cutoff(spec.parameters[-1], (max_degree + 1) // 2)
+
+
+def row_margin(spec: WeightSpec, radius: float) -> float:
+    """Least distance between a Cauchy pole and the circle of a row disk
+    of ``radius``: ``ROW_SHELL`` of it on a built-in full-plane weight,
+    whose w there is below 1e-16 of its peak, and 0 on a disk or a
+    custom weight, whose circle is the domain's own edge."""
+    if spec.domain.kind == DISK or spec.kind == CUSTOM:
+        return 0.0
+    return ROW_SHELL * radius
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,9 +23,9 @@ from detratio import (ConstraintError, ConvergenceError, MonicPoly, NumericalErr
 from detratio.orthopoly import eval_poly
 from detratio.quadrature import (MAX_DOUBLINGS, PROBE, adaptive_integral,
                                  angular_rule, cauchy_kernel_grid,
-                                 cauchy_kernel_weights, disk_chord_lengths,
-                                 star_grid, unit_radial_rule)
-from detratio.weight import row_radius, truncation_radius
+                                 disk_chord_lengths, star_grid,
+                                 unit_radial_rule)
+from detratio.weight import ROW_SHELL, row_margin, row_radius, truncation_radius
 
 EPS_GRID = (1.5, 2.0, 5.0, 20.0)
 
@@ -47,13 +47,14 @@ def fresh_row(system, degrees, eps, tol=1e-9, order=0):
 
 def loose_row(spec, polys, eps, tol=1e-9, order=0, radius=None):
     """A quadrature row of polynomials that belong to no system, on an
-    empty level table of ``radius``: the pass ``cauchy_row`` makes.  The
+    empty level table of ``radius`` and its margin: the pass ``cauchy_row``
+    makes.  The
     radius defaults to the disk of the deepest polynomial, which a
     one-entry row shares with ``cauchy_quadrature``."""
     if radius is None:
         radius = row_radius(spec, max(poly.degree for poly in polys))
-    return cauchy_module._quadrature_row(spec, polys, complex(eps), tol, order,
-                                         cauchy_module._LevelTable(radius=radius))
+    table = cauchy_module._LevelTable(radius=radius, margin=row_margin(spec, radius))
+    return cauchy_module._quadrature_row(spec, polys, complex(eps), tol, order, table)
 
 
 def test_disk_closed_form(disk_ev):
@@ -201,24 +202,6 @@ def test_kernel_grid_matches_direct_formula(order):
                             (grid.weights, weights.ravel())):
             assert got.shape == expect.shape
             assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(expect))
-
-
-@pytest.mark.parametrize("order", [0, 1, 2])
-def test_kernel_grid_forms_its_rays_once_with_the_same_bits(order):
-    # the nodes from the ray lengths and angles, and the weights of
-    # cauchy_kernel_weights, which forms them again: one call gives both,
-    # bit for bit, a centre on the chord circle (zero-length rays) too
-    n_r, n_t = 24, 32
-    for center, rho_max in ((0.3 - 0.2j, 2.5),
-                            (0.3 - 0.2j, disk_chord_lengths(0.3 - 0.2j, 1.0)),
-                            (1j, disk_chord_lengths(1j, 1.0))):
-        phis, _ = angular_rule(n_t)
-        lengths = rho_max(phis) if callable(rho_max) else np.full(n_t, rho_max)
-        x, _ = unit_radial_rule(n_r)
-        nodes = center + (lengths * np.exp(1j * phis))[:, None] * x[None, :]
-        grid = cauchy_kernel_grid(center, rho_max, n_r, n_t, order=order)
-        assert np.array_equal(grid.nodes, nodes.ravel())
-        assert np.array_equal(grid.weights, cauchy_kernel_weights(rho_max, n_r, n_t, order))
 
 
 def test_eps_inside_disk_finite_and_flagged(disk, disk_sys, disk_ev_quad):
@@ -514,9 +497,10 @@ def test_confluent_order_one_row_builds_no_nodes(monkeypatch, shifted):
 @pytest.mark.parametrize("which", ["gauss", "shifted"])
 def test_centred_rows_stay_inside_the_truncation_disk(monkeypatch, request, which):
     # a full-plane weight's Cauchy rows are integrated over
-    # |z - c| <= row_radius alone, inside the moments' disk below depth
-    # 32: far rows and centred rows share that one disk about its centre
-    # c, so a centred grid's rays end on its circle, as a disk weight's do
+    # |z - c| <= row_radius, inside the moments' disk below depth 32: far
+    # rows and centred rows share that one disk about its centre c, so a
+    # centred grid's rays end on its circle, as a disk weight's do, unless
+    # its pole lies within row_margin of that circle
     spec = request.getfixturevalue(which)
     c, radius = spec.centre, row_radius(spec, 4)
     assert radius < truncation_radius(spec, 0)
@@ -535,35 +519,72 @@ def test_centred_rows_stay_inside_the_truncation_disk(monkeypatch, request, whic
     assert reach and max(reach) <= radius * (1 + 1e-12)
 
 
-def test_pole_on_the_truncation_circle_at_order_two(gauss, gauss_sys):
-    # a depth-8 system's rows take the far grid there, the domain's circle
-    # lying outside their disk; on a chord grid centred on its circle
-    # half the rays would have zero length
+def test_pole_on_the_domain_circle_takes_the_far_grid_at_order_two(gauss, gauss_sys):
+    # the domain's circle lies outside a depth-8 system's rows' disk and
+    # its margin, so an order-2 row there takes the weight's own grid and
+    # builds no grid centred on the pole
     boundary = gauss.domain.quad_radius
-    assert boundary > row_radius(gauss, gauss_sys.max_degree)
+    edge = row_radius(gauss, gauss_sys.max_degree)
+    assert boundary > edge + row_margin(gauss, edge)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for eps in (boundary, 1j * boundary):
-            row = fresh_row(gauss_sys, range(3), eps, 1e-9, 2)
+            ev = cauchy_evaluator(gauss_sys, "quadrature")
+            row = cauchy_row(ev, range(3), eps, 2)
+            assert ev._levels.far and ev._levels.centred_pole is None
             for n, res in enumerate(row):
                 exact = series_transform(gauss, n, eps, 2)
                 assert abs(res.value - exact) <= 1e-12 * abs(exact)
 
 
-@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_pole_on_the_rows_circle(gauss, gauss_sys, order):
-    # half the rays of the centred chord grid have zero length there;
-    # they cover no area and must not divide by zero.  Worst error seen
-    # 2.2e-12, at degree 7.  (At order 2 and above a pole on this circle
-    # does not converge, as one on the domain's does not at degree 8)
+    # poles on and next to the rows' circle: without the margin half the
+    # rays of a chord grid centred on the circle would have zero length,
+    # and from order 2 on near-tangent rays and the plain grid's near
+    # pole keep such rows from converging.  Within the margin a pole's
+    # chord disk reaches that far past it, and beyond it the pole is that
+    # far outside the plain grid.  Worst error seen 2.2e-12, at degree 7
     edge = row_radius(gauss, gauss_sys.max_degree)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for eps in (edge, 1j * edge, -edge):
-            row = fresh_row(gauss_sys, range(9), eps, 1e-9, order)
-            for n, res in enumerate(row):
-                exact = series_transform(gauss, n, eps, order)
-                assert abs(res.value - exact) <= 1e-11 * abs(exact), (eps, n)
+        for delta in (-1e-2, -1e-4, -1e-6, -1e-12, 0.0, 1e-6, 1e-4, 1e-2, 2e-2):
+            for angle in (0.0, 0.7, np.pi / 2):
+                eps = edge * (1 + delta) * np.exp(-1j * angle)
+                row = fresh_row(gauss_sys, range(9), eps, 1e-9, order)
+                for n, res in enumerate(row):
+                    exact = series_transform(gauss, n, eps, order)
+                    assert abs(res.value - exact) <= 1e-11 * abs(exact), (delta, angle, n)
+
+
+@pytest.mark.parametrize("which", ["gauss", "shifted"])
+def test_pole_within_the_margin_gets_a_chord_disk_past_it(monkeypatch, request, which):
+    # a pole within row_margin of the rows' circle, on either side, gets
+    # a grid centred on it whose rays end that far past it; one inside
+    # the disk by more keeps the rows' disk, and one beyond the margin
+    # takes the weight's own grid
+    spec = request.getfixturevalue(which)
+    sys_ = ortho_system(spec, 8)
+    c, edge = spec.centre, row_radius(spec, 8)
+    margin = row_margin(spec, edge)
+    assert margin == ROW_SHELL * edge > 0
+    reach = []
+
+    def recorded(*args, _build=cauchy_module.cauchy_kernel_grid, **kwargs):
+        grid = _build(*args, **kwargs)
+        reach.append(float(np.max(np.abs(grid.nodes - c))))
+        return grid
+
+    monkeypatch.setattr(cauchy_module, "cauchy_kernel_grid", recorded)
+    for f, centred in ((0.98, True), (0.995, True), (1.0, True), (1.005, True),
+                       (1.02, False)):
+        rho = f * edge
+        ev = cauchy_evaluator(sys_, "quadrature")
+        reach.clear()
+        cauchy_row(ev, range(9), np.conj(c) + rho * np.exp(-0.9j))
+        assert bool(reach) == centred and bool(ev._levels.far) != centred, f
+        if centred:
+            assert max(reach) == pytest.approx(max(edge, rho + margin), rel=1e-3), f
 
 
 def test_row_fills_memo_with_single_entry_bits(gauss_sys):
@@ -628,16 +649,18 @@ def _untabled_transform(spec, poly, eps, tol, order, radius) -> tuple[complex, f
     operation order, and nothing kept between levels."""
     u = complex(eps)
     pole, c = np.conj(u), spec.centre
+    margin = row_margin(spec, radius)
 
     def level(n_r, n_t):
-        if abs(pole - c) <= radius:
-            grid = cauchy_kernel_grid(pole, disk_chord_lengths(pole - c, radius),
+        if abs(pole - c) <= radius + margin:
+            chord = max(radius, abs(pole - c) + margin)
+            grid = cauchy_kernel_grid(pole, disk_chord_lengths(pole - c, chord),
                                       n_r, n_t, order=order)
             return grid.nodes, spec.evaluate(grid.nodes) * grid.weights
         grid = star_grid(c, radius, n_r, n_t)
         g = spec.evaluate(grid.nodes) * grid.weights
-        shift = np.conj(grid.nodes)
-        shift -= u
+        shift = np.conj(grid.nodes - c if c else grid.nodes)
+        shift -= u - np.conj(c) if c else u
         if order:
             g *= math.factorial(order)
             shift **= order + 1
@@ -681,8 +704,9 @@ def test_far_levels_are_built_once_per_evaluator(monkeypatch, shifted):
 
 def test_poles_outside_the_rows_disk_share_the_far_levels(monkeypatch, shifted):
     # a depth-8 system's rows integrate on the cutoff of order 4 about c,
-    # inside the domain's of order 16: poles between the two circles take
-    # the weight's own grid, which a first far row has built already
+    # inside the domain's of order 16: poles between the two circles,
+    # past the rows' margin, take the weight's own grid, which a first
+    # far row has built already
     sys_ = ortho_system(shifted, 8)
     c, edge = shifted.centre, row_radius(shifted, 8)
     domain = truncation_radius(shifted, 0)
@@ -692,7 +716,8 @@ def test_poles_outside_the_rows_disk_share_the_far_levels(monkeypatch, shifted):
     cauchy_row(ev, range(9), np.conj(c) + 1.2 * domain)
     first = len(built)
     assert first == len(ev._levels.far) > 0
-    for k, f in enumerate((1.001, 1.05, 1.1, 1.15)):
+    assert 1.02 * edge > edge + row_margin(shifted, edge)
+    for k, f in enumerate((1.02, 1.05, 1.1, 1.15)):
         cauchy_row(ev, range(9), np.conj(c) + f * edge * np.exp(1.3j * k))
     assert f * edge < domain
     assert ev._levels.centred_pole is None and not ev._levels.centred
@@ -758,8 +783,9 @@ def _pole_classes(system) -> dict:
     radius, and beyond that radius, from the origin; and on either side
     of the rows' disk edge, from the weight's centre.  A disk has no
     middle class, and no edge class: its rows' disk is the disk itself.
-    A pole within ``row_radius`` of the weight's centre gets the
-    pole-centred grid, and every other pole the weight's own grid."""
+    A pole within ``row_radius`` of the weight's centre, plus its
+    ``row_margin``, gets the pole-centred grid, and every other pole the
+    weight's own grid."""
     spec = system.weight
     support, boundary = spec.effective_support_radius, spec.domain.quad_radius
     edge = row_radius(spec, system.max_degree)

@@ -15,9 +15,9 @@ from detratio import (MONTE_CARLO, ConstraintError, NumericalError,
                       ortho_system, shifted_gaussian_weight)
 from detratio.oracle import _ratio_factor
 from detratio.quadrature import adaptive_integral, star_grid
-from detratio.weight import (CUSTOM, CUTOFF_ORDER, FAMILIES, MOMENT_TOL, _polar_point,
+from detratio.weight import (CUSTOM, CUTOFF_ORDER, FAMILIES, MOMENT_TOL, ROW_SHELL, _polar_point,
                              closed_moments, gaussian_cutoff, planar_moments,
-                             regularized_gamma_p, row_radius, truncation_radius,
+                             regularized_gamma_p, row_margin, row_radius, truncation_radius,
                              weighted_grid)
 
 from conftest import family_weight
@@ -304,12 +304,19 @@ def test_row_radius_grows_with_the_depth_and_meets_the_domain_at_32(spec):
     # the domain adds |c| to the cutoff and takes it off again
     assert radii[32] == pytest.approx(domain, rel=4 * np.finfo(float).eps)
     assert max(radii[:31]) < domain < min(radii[33:])
+    # a pole keeps ROW_SHELL of the radius from the rows' circle, where
+    # the weight is below 1e-16 of its peak
+    for radius in radii:
+        assert row_margin(spec, radius) == ROW_SHELL * radius
+        assert spec.evaluate(spec.centre + radius) < 1e-16 * spec.evaluate(spec.centre)
 
 
 def test_row_radius_of_a_disk_or_custom_weight_is_its_domain():
+    # with no margin: the circle is the domain's own edge
     custom = custom_weight(lambda z: np.exp(-np.abs(z - 1.0)), full_plane_domain(40.0))
     for spec in (disk_flat_weight(1.5), custom):
         assert {row_radius(spec, d) for d in range(41)} == {truncation_radius(spec, 0)}
+        assert row_margin(spec, truncation_radius(spec, 0)) == 0.0
 
 
 def test_rotation_invariance_comes_from_the_family():
