@@ -19,44 +19,32 @@ Two backends:
 
   exact for any u != 0 (the shell |z| > |u| integrates to zero angle by
   angle).  Derivatives of the transform, in the differentiate-under-the-
-  integral sense d^k: k!/(zbar-u)^(k+1), follow term by term:
+  integral sense d^k: k!/(zbar-u)^(k+1), follow term by term with I_n
+  held fixed:
 
       h_n^(k)(u) = i (-1)^k k! binom(n+k, k) I_n(|u|) / u^(n+k+1).
 
-* ``quadrature``: singularity-aware integration over a disk about the
-  weight's centre c, |z - c| <= R with R = row_radius(spec, max_degree)
-  for the evaluator's system: on a built-in full-plane weight the
-  gaussian cutoff that holds rows up to its depth, narrower than the
-  disk the moments are taken on below depth 32 and wider past it; on a
-  disk or a custom weight the domain.  ``cauchy_quadrature`` sizes its
-  disk from its one polynomial's degree.  So on the gaussians a
-  quadrature transform depends on the system's depth, at rounding level
-  and well within the tolerance.  A pole in the disk gets a grid centred
-  on it, rays to the circle, so 1/rho cancels against the rho of the
-  area element; other poles use ``weighted_grid``.  On the gaussians a
-  pole within ``row_margin(spec, R)`` (1% of R) of the circle, on either
-  side, gets a centred grid whose circle lies that margin past it, where
-  the weight is below 1e-16 of its peak: near-tangent rays, or a near
-  pole on the plain grid, keep derivative rows of order 2 and 3 from
-  converging on the circle itself.  Both are refined
-  adaptively.  A row of transforms at one pole and order, over several
-  degrees, is integrated in one pass: each refinement level builds its
-  nodes and one weighted-kernel vector g (weight values times quadrature
-  weights, times the kernel on the plain grid) once for the whole row,
-  so an entry's value at that level is the dot product of pi_n at the
-  nodes with g, over 2 pi i.  Each entry still converges on its own,
-  over at most five levels of ``adaptive_integral``, the probe first:
-  the 48x64 probe sets the entry's scale and is also its first value, so
-  an entry whose 48x64 and 96x128 values agree stops at 96x128.  An
-  evaluator keeps the levels in a table that its later rows read.  The
-  plain grid (Gauss-Legendre in the radius, the periodic trapezoid rule
-  in the angle; Trefethen & Weideman, SIAM Rev. 56 (2014)) does not
-  depend on the pole, so its nodes, w * weights and pi_n values serve
-  every far row, and only the kernel and the dot products are per row.
-  A centred grid's nodes, w values and pi_n values serve the rows at the
-  same pole, such as the order-1 row of a confluent pole, until a row at
-  another centred pole replaces them; only its kernel weights, which
-  depend on the order, are formed per row.
+* ``quadrature``: the same expansion about the weight's centre c, for
+  any weight (the split of Daripa's fast Cauchy transform, SIAM J. Sci.
+  Stat. Comput. 13 (1992) 1418).  With zeta = z - c = rho e^{i phi},
+  b = ebar - conj(c), s = |b| and w_m(rho) the angular harmonics of w
+  about c, the kernel expands in conj(zeta)/b for rho < s and in
+  b/conj(zeta) for rho > s, and the angle keeps one harmonic per power:
+
+      h_n = i sum_j a_j sum_m integral_0^R rho^j (rho/b)^(m+j+1) w_m e drho,
+
+  pi_n = sum_j a_j zeta^j, with e = 1 where rho < s and m + j >= 0,
+  e = -1 where rho > s and m + j < 0, and e = 0 otherwise, so that no
+  power exceeds 1.  R = ``row_radius(spec, depth)`` holds every row of
+  the system.  One table per system and tolerance, built by the first
+  quadrature row and kept with the system, holds those integrals up to
+  each edge of fixed radial panels (``weight.harmonic_moments``); a row
+  reads the panels below and above s from it and integrates the panel
+  holding s, split there, on rings of its own.  Past the disk (s >= R)
+  a row is the far expansion h_n = i sum_k P_k / b^(k+1), where
+  orthogonality sets P_k = 0 for k < n and P_n = r_n / 2 pi exactly, so
+  deep far rows do not cancel.  An entry's error estimate is the table's
+  relative doubling change times the L1 norm of the row's terms.
 
 Derivative transforms deserve a caveat: for k >= 1 the kernel is only
 conditionally integrable in 2D, and with the pole inside the weight's
@@ -64,13 +52,17 @@ effective support differently foliated iterated integrals disagree by
 an O(w at the pole) ambiguity, mirroring the fact that the coinciding-
 variable limit they feed diverges there.  Both backends therefore
 refuse poles on or inside the effective support at k >= 1, with the
-same check, ``_check_pole``.  Outside it the conventions coincide exactly only where the
-weight vanishes at the pole, as outside a disk.  A full-plane weight is
-positive everywhere, so the ambiguity persists beyond its effective
-support and shrinks with the weight at the pole: on ``gaussian_weight()``
-the order-1 quadrature transform differs from the series one by 1.7e-2,
-3.1e-4, 2.3e-7 and 1.6e-11 relative at |ebar| = 3.2, 4, 5 and 6, while
-the quadrature error estimate stays near 2e-14 and does not see it.
+same check, ``_check_pole``.  Beyond it the quadrature backend
+integrates by parts: the order-k row of pi_n is the order-0 row of
+pi_n d^k w/dzbar^k, on a gaussian (-scale)^k times the row of
+zeta^k pi_n (``weight.conj_derivative_factor``), so a gaussian's table
+holds degree 2 max_degree; a disk or a custom weight admits k >= 1 only
+past its domain, where the far expansion's term-by-term derivative is
+exact.  The two conventions coincide only where the weight vanishes at
+the pole, as outside a disk.  At order 1 the quadrature row less the
+series row is (i/2) (conj(b)/b) pi_n(conj(ebar)) w(conj(ebar)): on
+``gaussian_weight()`` 1.7e-2, 3.1e-4, 2.3e-7 and 1.6e-11 relative at
+|ebar| = 3.2, 4, 5 and 6, which neither error estimate reports.
 
 The transform obtained by dividing by (z - eps) instead is intentionally
 not provided; it reduces to the lower-degree polynomials and h_0.
@@ -78,26 +70,22 @@ not provided; it reduces to the lower-degree polynomials and h_0.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from numpy.polynomial import Polynomial
 
 from .errors import ConstraintError, NumericalError
-from .orthopoly import MonicPoly, OrthoSystem, eval_poly
-from .quadrature import (PROBE, adaptive_integral, cauchy_kernel_grid,
-                         cauchy_kernel_weights, disk_chord_lengths,
-                         require_certifiable)
-from .weight import (DISK, WeightSpec, radial_mass, row_margin, row_radius,
-                     weighted_grid)
+from .orthopoly import MonicPoly, OrthoSystem
+from .quadrature import PROBE, adaptive_integral, require_certifiable
+from .weight import (DISK, WeightSpec, conj_derivative_factor, harmonic_moments,
+                     panel_nodes, radial_mass, ring_harmonics, row_radius)
 
 ROTINV_SERIES = "rotinv-series"
 QUADRATURE = "quadrature"
-
-_TWO_PI_I = 2j * math.pi
-
 
 @dataclass(frozen=True)
 class CauchyResult:
@@ -108,47 +96,17 @@ class CauchyResult:
     warnings: tuple = ()
 
 
-@dataclass(eq=False)
-class _Level:
-    """One refinement level: its nodes as zeta = z - ``centre``, a weight
-    vector on them, and each polynomial's values on them, evaluated on
-    first use."""
+@dataclass(frozen=True, eq=False)
+class _HarmonicTable:
+    """``weight.harmonic_moments`` on the disk of ``radius`` from ``n_t`` angles,
+    its relative doubling ``change``, and its rows' coefficients in zeta and far."""
 
-    zeta: np.ndarray
-    weighted: np.ndarray
-    centre: complex
-    poly_values: dict = field(default_factory=dict)
-
-    def values(self, poly) -> np.ndarray:
-        vals = self.poly_values.get(poly)
-        if vals is None:
-            vals = self.poly_values[poly] = eval_poly(poly.coeffs, self.zeta) \
-                if poly.centre == self.centre else eval_poly(poly, self.zeta + self.centre)
-        return vals
-
-
-@dataclass(eq=False)
-class _LevelTable:
-    """Quadrature levels shared by the rows of one weight.
-
-    ``radius`` is that of the disk about the weight's centre that every
-    row on the table integrates over, ``row_radius`` of the deepest
-    degree it serves, and ``margin`` its ``row_margin``; an evaluator
-    sets both on its first quadrature row.
-    ``far`` maps (n_r, n_t) to the level of the weight's own grid on
-    that disk, whose weight vector is w * weights; it holds for every
-    pole more than ``margin`` outside the disk.
-    ``centred`` maps (n_r, n_t) to the level of the grid centred on
-    ``centred_pole``, whose weight vector is w, with rays to the disk's
-    circle or, for a pole within ``margin`` of it, to the circle
-    ``margin`` past the pole; a row at another centred pole replaces it.
-    """
-
-    radius: Optional[float] = None
-    margin: float = 0.0
-    far: dict = field(default_factory=dict)
-    centred_pole: Optional[complex] = None
-    centred: dict = field(default_factory=dict)
+    radius: float
+    n_t: int
+    moments: np.ndarray
+    change: float
+    coeffs: np.ndarray
+    far: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,30 +118,17 @@ class CauchyEvaluator:
     evicts the least recently requested first: a query has at most
     N <= max_degree + 1 distinct eps, so its own poles stay while a long
     scan moves on.
-    On the quadrature backend every row integrates on the disk of
-    ``row_radius(weight, max_degree)`` about the weight's centre, which
-    the first quadrature row computes with its ``row_margin``, so that
-    setting an evaluator up runs no bisection; on a built-in gaussian it
-    is narrower than the moments' disk below depth 32.  ``_levels``
-    holds that radius and margin and the refinement levels its rows
-    built: for the weight's own grid, which serves every pole past the
-    margin outside the disk, each level's nodes (held as z - c),
-    w * weights and pi_d at the nodes, kept for the evaluator's life;
-    for the grid centred on the most recent pole inside the disk or its
-    margin, each level's nodes, w and pi_d values, replaced when a row
-    at another such pole arrives.
-    A row visits at most five levels of ``adaptive_integral``, the probe
-    first, so with D degrees requested the table never exceeds
-    2 x 5 x (2 + D) vectors, the largest of 786,432 nodes, however many
-    poles a scan visits.
+    On the quadrature backend every row reads the system's harmonic
+    table at the evaluator's tolerance, which the first quadrature row of
+    any evaluator of the system builds into its ``_cauchy_tables``: one
+    table however many poles a scan visits, and none while an evaluator
+    is set up.
     """
 
     system: OrthoSystem
     method: str
     tolerance: float = 1e-9
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
-    _levels: _LevelTable = field(default_factory=_LevelTable, repr=False,
-                                 compare=False)
 
     def __post_init__(self):
         if self.method not in (ROTINV_SERIES, QUADRATURE):
@@ -217,8 +162,7 @@ def _check_pole(spec: WeightSpec, eps: complex, order: int) -> tuple:
 
     A pole on or inside the effective support (on a disk, the disk) is
     flagged at order 0 and refused with NumericalError at order >= 1.
-    Each backend calls this once per row before computing anything, so a
-    pole on a disk's boundary is refused before any grid is built;
+    Each backend calls this once per row before computing it;
     ``series_transform``, callable alone, checks its own entry too.
     """
     if abs(eps) <= spec.effective_support_radius:
@@ -247,81 +191,113 @@ def series_transform(spec: WeightSpec, n: int, eps: complex, order: int = 0) -> 
         return coeff * mass * (1 / u) ** k
 
 
-def _quadrature_row(spec: WeightSpec, polys, u: complex, tolerance: float,
-                    order: int, table: _LevelTable) -> tuple[CauchyResult, ...]:
-    """Transforms of ``polys`` at the ebar ``u`` (pole z = conj(u)) on the
-    levels of ``table``, over its disk; each entry stops at its own
-    level, so its bits are those of a row holding it alone, on any table
-    of the same radius."""
+def _harmonic_table(spec: WeightSpec, polys, depth: int, tolerance: float,
+                    norms=None) -> _HarmonicTable:
+    """The harmonic table of degrees up to ``depth`` on the disk of
+    ``row_radius(spec, depth)``, for the rows of ``polys``; with their
+    ``norms``, orthogonality sets P_k = 0 below each degree n and
+    P_n = r_n / 2 pi.
+
+    ``adaptive_integral``'s sizes (n_r, n_t) stand for n_r / 6 panels and
+    n_t angles: its 48x64 probe is the table of 8 panels and 64 angles,
+    and each doubling doubles both.  Successive tables are compared on
+    the moments at the probe's panel edges and the plain moments of its
+    panels, each over its degree's L1 moment integral_0^R rho^j w_0 and
+    summed over the m of each residue modulo 63, so that a harmonic one
+    table lacks still counts; the finer table is kept."""
+    radius, built, fold = row_radius(spec, depth), {}, PROBE[1] - 1
+
+    def evaluate(n_r: int, n_t: int) -> np.ndarray:
+        moments, plain = built[n_t] = harmonic_moments(spec, radius, depth, n_r // 6, n_t)
+        step, band = n_r // PROBE[0], (moments.shape[2] - 1) // 2
+        both = np.concatenate([moments[step::step],
+                               plain.reshape(-1, step, *plain.shape[1:]).sum(axis=1)])
+        return both @ (np.arange(-band, band + 1)[:, None] % fold == np.arange(fold)) \
+            / plain[:, :, band].real.sum(axis=0)[:, None]
+
+    compared, err = adaptive_integral(
+        evaluate, tolerance, what=f"harmonic table of {spec.label()} to degree {depth}")
+    n_t = max(built)
+    moments, width = built[n_t][0], built[n_t][0].shape[2]       # width 2 band + 1
+    coeffs = np.zeros((len(polys), depth + 1), dtype=complex)
+    for row, poly in zip(coeffs, polys):
+        row[:poly.degree + 1] = poly.coeffs if poly.centre == spec.centre else \
+            Polynomial(poly.coeffs)(Polynomial([spec.centre - poly.centre, 1.0])).coef
+    # G[n, k] = P_k / R^(k+1) on the whole disk, k = m + j, so that a far
+    # row is i sum_k (R/b)^(k+1) G[n, k]; the suffix part is 0 at R
+    far = np.zeros((len(polys), depth + width), dtype=complex)
+    for j in range(depth + 1):
+        far[:, j:j + width] += coeffs[:, j, None] * moments[-1, j]
+    far = far[:, width // 2:]
+    for d, norm in enumerate(norms or ()):
+        far[d, :d] = 0.0
+        far[d, d] = norm / (2 * math.pi * radius ** (d + 1))
+    return _HarmonicTable(radius, n_t, moments, err / float(np.max(np.abs(compared))),
+                          coeffs[:, :max(p.degree for p in polys) + 1], far)
+
+
+def _split_sums(spec: WeightSpec, table: _HarmonicTable, b: complex) -> tuple:
+    """u_j = i sum_m of the terms of zeta^j at b inside the disk, j <= depth,
+    and the L1 norm of those terms: the panels below the one holding
+    s = |b| from the table's prefix, those above from its suffix, and that
+    panel split at s on rings of its own."""
+    radius, (panels, depth, width), s = table.radius, table.moments.shape, abs(b)
+    panels, depth, band = panels - 1, depth - 1, width // 2
+    a = min(int(s / radius * panels), panels - 1)
+    low, high = radius * a / panels, radius * (a + 1) / panels
+    p = np.arange(-band + 1, band + depth + 2)       # p = m + j + 1 along the window
+    inner = p >= 1
+    # (rho/b)^p = (rho/s)^p (b/s)^-p, outer terms negated
+    phase = np.exp(-1j * math.atan2(b.imag, b.real) * p) * np.where(inner, 1.0, -1.0)
+    factor = np.where(inner, low / s if s else 0.0, s / high) ** np.abs(p) * phase
+    terms = sliding_window_view(factor, 2 * band + 1) * np.where(
+        sliding_window_view(inner, 2 * band + 1), table.moments[a], table.moments[a + 1])
+    rho, weights = panel_nodes(np.array([low, s, high]))
+    below = np.arange(rho.size) < rho.size // 2
+    ratio = np.divide(np.minimum(rho, s), np.maximum(rho, s), out=np.zeros_like(rho),
+                      where=rho + s > 0)      # rho/s below s, s/rho above
+    ring = np.where(below[:, None] == inner, ratio[:, None] ** np.abs(p), 0.0) * phase
+    terms += np.einsum("jr,rm,rjm->jm", rho ** np.arange(depth + 1)[:, None],
+                       ring_harmonics(spec, rho, table.n_t, band),
+                       sliding_window_view(weights[:, None] * ring, 2 * band + 1, axis=1))
+    return 1j * terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
+def _quadrature_row(spec: WeightSpec, table: _HarmonicTable, rows, u: complex,
+                    order: int) -> tuple[CauchyResult, ...]:
+    """Transforms at the ebar ``u`` (pole z = conj(u)) of the ``rows`` of ``table``."""
     warnings = _check_pole(spec, u, order)
-    pole, c, radius, margin = np.conj(u), spec.centre, table.radius, table.margin
-
-    if abs(pole - c) <= radius + margin:
-        # centred on the pole, rays to a circle about c at least ``margin``
-        # past it (the disk's own unless the pole lies next to it), kernel
-        # in the weights
-        rho_max = disk_chord_lengths(pole - c, max(radius, abs(pole - c) + margin))
-        if table.centred_pole != u:
-            table.centred_pole, table.centred = u, {}
-        levels = table.centred
-
-        def level(n_r: int, n_t: int):
-            lv = levels.get((n_r, n_t))
-            if lv is None:
-                grid = cauchy_kernel_grid(pole, rho_max, n_r, n_t, order=order)
-                lv = levels[n_r, n_t] = _Level(grid.nodes - c if c else grid.nodes,
-                                               spec.evaluate(grid.nodes), c)
-                return lv, lv.weighted * grid.weights
-            # the weights depend on the order, the nodes do not
-            return lv, lv.weighted * cauchy_kernel_weights(rho_max, n_r, n_t, order)
+    b = u - np.conj(spec.centre)
+    if abs(b) >= table.radius:
+        # the far expansion, differentiated term by term in b
+        k = np.arange(table.far.shape[1])
+        rising = np.prod(k[:, None] + np.arange(1.0, order + 1), axis=1)
+        terms = table.far[rows] * rising * (table.radius / b) ** (k + 1)
+        values = 1j * (-1 / b) ** order * terms.sum(axis=1)
+        l1 = abs(1 / b) ** order * np.abs(terms).sum(axis=1)
     else:
-        levels = table.far
-
-        def level(n_r: int, n_t: int):
-            lv = levels.get((n_r, n_t))
-            if lv is None:
-                nodes, weighted = weighted_grid(spec, radius, n_r, n_t)
-                lv = levels[n_r, n_t] = _Level(nodes - c if c else nodes, weighted, c)
-            # g = w * weights * order!/(zbar - ebar)^(order+1), one division,
-            # with zbar - ebar = conj(zeta) - (ebar - conj(c))
-            g = lv.weighted
-            shift = np.conj(lv.zeta)
-            shift -= u - np.conj(c) if c else u
-            if order:
-                g = g * math.factorial(order)
-                shift **= order + 1
-            return lv, g / shift
-
-    probe, probe_g = level(*PROBE)
-    probe_scale = np.abs(probe_g)
-
-    row_levels = {PROBE: (probe, probe_g)}
-
-    def integrate(poly, n_r: int, n_t: int) -> complex:
-        if (n_r, n_t) not in row_levels:
-            row_levels[n_r, n_t] = level(n_r, n_t)
-        lv, g = row_levels[n_r, n_t]
-        return complex(np.dot(lv.values(poly), g)) / _TWO_PI_I
-
-    results = []
-    for poly in polys:
-        l1 = float(np.dot(np.abs(probe.values(poly)), probe_scale)) \
-            / (2 * math.pi)
-        value, err = adaptive_integral(
-            functools.partial(integrate, poly), tolerance, scale=1e-6 * max(l1, 1e-300),
-            what=f"cauchy transform of degree {poly.degree} at eps={u:.6g} "
-                 f"(order {order})")
-        results.append(CauchyResult(value=value, error=err, warnings=warnings))
-    return tuple(results)
+        # by parts: the order-t row of pi_n is a^t times the row of zeta^t pi_n
+        a, coeffs = conj_derivative_factor(spec) if order else 1.0, table.coeffs[rows]
+        width, depth = coeffs.shape[1], table.moments.shape[1] - 1
+        if width + order > depth + 1:
+            raise ConstraintError(f"a derivative row of order {order} inside the disk needs "
+                                  f"degree {width - 1 + order}; the harmonic table holds {depth}")
+        sums, l1 = _split_sums(spec, table, b)
+        # summed per entry over the table's full width, so that an entry's
+        # bits do not depend on the other degrees of its row
+        values = a ** order * (coeffs * sums[order:order + width]).sum(axis=1)
+        l1 = abs(a) ** order * (np.abs(coeffs) * l1[order:order + width]).sum(axis=1)
+    return tuple(CauchyResult(value=complex(v), error=float(table.change * e),
+                              warnings=warnings) for v, e in zip(values, l1))
 
 
 def cauchy_quadrature(spec: WeightSpec, poly: MonicPoly, eps: complex,
                       tolerance: float = 1e-9, order: int = 0) -> CauchyResult:
-    """Quadrature transform of one polynomial: a row of one entry, on a
-    level table of its own, whose disk holds the polynomial's degree."""
-    radius = row_radius(spec, poly.degree)
-    return _quadrature_row(spec, (poly,), complex(eps), tolerance, order,
-                           _LevelTable(radius, row_margin(spec, radius)))[0]
+    """Quadrature transform of one polynomial, on a harmonic table of its
+    own to its degree (plus ``order`` on a gaussian), with no orthogonality."""
+    depth = poly.degree + (order if conj_derivative_factor(spec) is not None else 0)
+    return _quadrature_row(spec, _harmonic_table(spec, (poly,), depth, tolerance), [0],
+                           complex(eps), order)[0]
 
 
 def cauchy_row(ev: CauchyEvaluator, degrees, eps: complex,
@@ -330,8 +306,8 @@ def cauchy_row(ev: CauchyEvaluator, degrees, eps: complex,
     evaluator under eps and then (d, order).
 
     The degrees missing from the memo are computed together; on the
-    quadrature backend that is one ``_quadrature_row`` pass on the
-    evaluator's level table, whose disk the first such pass sizes.
+    quadrature backend that is one ``_quadrature_row`` on the system's
+    harmonic table.
     """
     degrees = tuple(degrees)
     polys = {n: ev.system.poly(n) for n in degrees}
@@ -348,12 +324,12 @@ def cauchy_row(ev: CauchyEvaluator, degrees, eps: complex,
             computed = [CauchyResult(value=v, error=abs(v) * 1e-15, warnings=warnings)
                         for v in values]
         else:
-            table = ev._levels
-            if table.radius is None:
-                radius = row_radius(ev.weight, ev.system.max_degree)
-                table.radius, table.margin = radius, row_margin(ev.weight, radius)
-            computed = _quadrature_row(ev.weight, [polys[n] for n in missing], u,
-                                       ev.tolerance, order, table)
+            sys_, tables = ev.system, ev.system._cauchy_tables
+            if ev.tolerance not in tables:   # the system's first row at this tolerance
+                depth = sys_.max_degree * (1 if conj_derivative_factor(ev.weight) is None else 2)
+                tables[ev.tolerance] = _harmonic_table(ev.weight, sys_.polys, depth,
+                                                       ev.tolerance, sys_.norms)
+            computed = _quadrature_row(ev.weight, tables[ev.tolerance], missing, u, order)
         for n, result in zip(missing, computed):
             entries[n, order] = result
     memo.pop(u, None)

@@ -99,12 +99,8 @@ def determinant_rows(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, eps_mults,
     each listed once, and the h rows' relative error: per row, the
     largest error estimate of its transforms over their largest
     magnitude, the worst row floored at ``cev.relative_error``; 0 with
-    no ebars.  A far-pole entry far below its row's L1 scale converges
-    only relative to that scale, so the tolerance alone can understate
-    the row's error.  The estimate is a heuristic, not a bound: on deep
-    far-pole rows each entry's own doubling change can understate its
-    error about tenfold (N = 21 at ebar = 25+1i on a shifted gaussian
-    reports 0.45 against an observed 4.4).
+    no ebars.  An entry far below its row's L1 scale carries that
+    scale's error, so the tolerance alone can understate the row's.
 
     ``cev`` may be None only when there are no ebars; an evaluator built
     for another system is refused, since its h rows would not belong to

@@ -23,7 +23,7 @@ Christoffel-Darboux identity is assumed anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -102,13 +102,15 @@ def poly_derivative(p: Poly, order: int = 1) -> Poly:
 
 @dataclass(frozen=True, eq=False)
 class OrthoSystem:
-    """Monic orthogonal polynomials pi_0..pi_n with norms r_0..r_n."""
+    """Monic orthogonal polynomials pi_0..pi_n with norms r_0..r_n, and the
+    quadrature Cauchy rows' harmonic table per tolerance (``cauchy``)."""
 
     weight: WeightSpec
     max_degree: int
     polys: tuple
     norms: tuple
     conditioning: float = 1.0
+    _cauchy_tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.polys) != self.max_degree + 1 or len(self.norms) != self.max_degree + 1:

@@ -9,10 +9,8 @@ radial extent of each ray varies with its angle.
 
 A grid is just a flat list of complex nodes with matching quadrature
 weights.  Weights are real for plain area integrals but may be complex:
-integrals against the kernel k!/(zbar - cbar)^(k+1) are done on a grid
-centered at c, where the 1/rho singularity cancels against the rho of
-the area element and the leftover angular phase is folded into the
-weights.
+on ``cauchy_kernel_grid``, centred at c, the kernel k!/(zbar - cbar)^(k+1)
+is folded into them.
 """
 
 from __future__ import annotations
@@ -80,46 +78,18 @@ def cauchy_kernel_grid(center: complex, rho_max, n_r: int, n_t: int,
     Summing F(nodes) * weights evaluates the area integral of
     F(z) * order!/(zbar - conj(center))^(order+1) over the star-shaped
     region: with z = center + rho e^{i phi} the kernel times the area
-    element equals order! e^{i(order+1)phi} rho^(-order) drho dphi.
-
-    With rho = length * x on a ray, every factor depends on the ray or on
-    the radial node alone, so nodes and weights are each one outer
-    product of a ray vector and a radial vector.
-    """
-    phis, lengths, _ = _ray_lengths(rho_max, n_t)
-    x, _ = unit_radial_rule(n_r)
-    nodes = center + (lengths * np.exp(1j * phis))[:, None] * x[None, :]
-    return PolarGrid(nodes=nodes.ravel(),
-                     weights=cauchy_kernel_weights(rho_max, n_r, n_t, order))
-
-
-def cauchy_kernel_weights(rho_max, n_r: int, n_t: int,
-                          order: int = 0) -> np.ndarray:
-    """The weights of ``cauchy_kernel_grid`` alone, without its nodes.
-
-    They depend on the centre only through ``rho_max``, so grids of one
-    centre and size that differ in ``order`` share their nodes.
+    element equals order! e^{i(order+1)phi} rho^(-order) drho dphi.  No
+    Cauchy row uses this grid: it is the tests' independent reference for
+    the rows of the harmonic table.
     """
     phis, lengths, w_phi = _ray_lengths(rho_max, n_t)
     x, w_x = unit_radial_rule(n_r)
+    nodes = center + (lengths * np.exp(1j * phis))[:, None] * x[None, :]
     # a zero-length ray (a centre on the chord circle) covers no area
     ray_weights = np.power(lengths, 1 - order, out=np.zeros(n_t), where=lengths > 0) \
         * (w_phi * math.factorial(order)) * np.exp(1j * (order + 1) * phis)
-    return (ray_weights[:, None] * (w_x / x ** order)[None, :]).ravel()
-
-
-def disk_chord_lengths(center: complex, radius: float):
-    """Ray lengths from an interior point ``center`` to the circle |z| = radius."""
-    c = complex(center)
-    if abs(c) > radius:
-        raise ValueError("chord grid requires the center inside the disk")
-
-    def rho_max(phis: np.ndarray) -> np.ndarray:
-        t = np.real(np.conj(c) * np.exp(1j * phis))
-        disc = t * t + radius * radius - abs(c) ** 2
-        return -t + np.sqrt(np.maximum(disc, 0.0))
-
-    return rho_max
+    return PolarGrid(nodes=nodes.ravel(),
+                     weights=(ray_weights[:, None] * (w_x / x ** order)[None, :]).ravel())
 
 
 # Smallest relative tolerance a doubling can certify.  Two refinement

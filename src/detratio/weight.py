@@ -31,23 +31,19 @@ One rule truncates the built-in full-plane weights, however deep the
 system built on them: the plane is cut at ``gaussian_cutoff(scale,
 CUTOFF_ORDER) + |center|`` from the origin, which holds the disk of
 radius ``gaussian_cutoff(scale, CUTOFF_ORDER)`` about the centre.
-Every planar integral over a weight runs on a disk about its centre,
-on ``weighted_grid``, or for a Cauchy pole inside the disk on a grid
-centred on the pole whose rays end on its circle.  Two functions here
-size that disk, and no other module reads the domain's radius or a
-gaussian's cutoff:
+Every planar integral over a weight runs on a disk about its centre:
+on ``weighted_grid``, or for Cauchy rows on the rings of a harmonic
+table (``harmonic_moments``).  Two functions here size that disk, and
+no other module reads the domain's radius or a gaussian's cutoff:
 
 * ``truncation_radius(spec, order)``, for moments and everything built
   on them (quadrature moments, the orthogonality residual, the oracles,
   the deformed integrals): the domain's radius about the centre, wider
   past ``CUTOFF_ORDER`` on a built-in full-plane weight;
-* ``row_radius(spec, max_degree)``, for the Cauchy rows of a system of
-  depth ``max_degree``: on a built-in full-plane weight the cutoff of
-  order ceil(max_degree / 2), smaller than the domain's below depth 32
-  and wider past it; on a disk or a custom weight the domain's radius.
-  ``row_margin`` keeps a Cauchy pole that far from the rows' circle: a
-  pole within it gets a pole-centred grid whose circle lies that far
-  past the pole.
+* ``row_radius(spec, degree)``, for Cauchy rows up to ``degree``: on a
+  built-in full-plane weight the cutoff of order ceil(degree / 2),
+  smaller than the domain's below degree 32 and wider past it; on a
+  disk or a custom weight the domain's radius.
 
 Custom weights supply an evaluator callable plus an explicit domain
 (including a cutoff radius for full-plane weights); there is no
@@ -65,18 +61,20 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConstraintError, NumericalError, SingularMatrixError
-from .quadrature import adaptive_integral, star_grid, unit_radial_rule
+from .quadrature import adaptive_integral, angular_rule, star_grid, unit_radial_rule
 
 MOMENT_TOL = 1e-10
 # moment order whose gaussian cutoff truncates every built-in full-plane
 # weight: it bounds the tail of r^33 exp(-scale r^2), so it holds Cauchy
 # rows up to degree 32.  Moments take this disk; Cauchy rows take the
-# smaller one their system's depth needs (``row_radius``)
+# one their system's depth needs (``row_radius``)
 CUTOFF_ORDER = 16
-# share of a gaussian's row radius that keeps a Cauchy pole off the row
-# disk's circle (``row_margin``): there derivative rows of order >= 2 see
-# a near-tangent ray, or a near pole on the plain grid, and do not converge
-ROW_SHELL = 0.01
+# Gauss-Legendre nodes on each radial panel of a harmonic table
+PANEL_NODES = 16
+# share of every degree's L1 moment below which a harmonic table drops a
+# harmonic: ten times the rounding noise of a ring's FFT, which reaches
+# 6.4e-16 on a shifted gaussian as far off as c = 30i
+HARMONIC_FLOOR = 1e-14
 
 FULL_PLANE = "full-plane"
 DISK = "disk"
@@ -429,6 +427,72 @@ def planar_moments(spec: WeightSpec, radius: float, n_r: int, n_t: int,
     return np.sum(harmonics * radial[j + k], axis=-1)
 
 
+def ring_harmonics(spec: WeightSpec, rho: np.ndarray, n_t: int, band: int) -> np.ndarray:
+    """Angular harmonics w_m(rho) of w about its centre, one FFT of n_t angles
+    per ring: a row per radius in ``rho``, columns m = -band..band."""
+    values = spec.evaluate(spec.centre + rho[:, None] * np.exp(1j * angular_rule(n_t)[0]))
+    upper = np.fft.rfft(values, axis=1)[:, :band + 1] / n_t     # w_-m = conj(w_m), w real
+    return np.concatenate([upper[:, :0:-1].conj(), upper], axis=1)
+
+
+def panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights, ``PANEL_NODES`` between successive ``edges``."""
+    x, w_x = unit_radial_rule(PANEL_NODES)
+    width = np.diff(edges)[:, None]
+    return (edges[:-1, None] + width * x).ravel(), (width * w_x).ravel()
+
+
+def harmonic_moments(spec: WeightSpec, radius: float, depth: int, panels: int,
+                     n_t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Partial moments of the angular harmonics of w about its centre, split
+    at each panel edge rho_J = J radius / ``panels``: for j <= ``depth``,
+    p = m + j + 1,
+
+        T[J, j, m] = integral_0^rho_J  rho^j (rho/rho_J)^p w_m(rho) drho   (p >= 1),
+        T[J, j, m] = integral_rho_J^R  rho^j (rho/rho_J)^p w_m(rho) drho   (p <= 0),
+
+    so that no power exceeds 1.  The harmonics come from ``ring_harmonics``
+    on n_t angles; those adding less than HARMONIC_FLOOR of every degree's
+    L1 moment are dropped, so the last axis holds m = -band..band, the
+    weight's own band (0 for a weight rotation invariant about c).
+    Prefix sums over the panels give the first kind and suffix sums the
+    second, each scaled from one edge to the next by (rho_J/rho_J+1)^|p|.
+    Returns T and the plain moments integral rho^j w_m drho of each panel."""
+    edges = radius * np.arange(panels + 1) / panels
+    rho, weights = panel_nodes(edges)
+    half = n_t // 2 - 1
+    # a panel's rings at a time, so that one panel's ring array is held
+    harmonics = np.concatenate([ring_harmonics(spec, r, n_t, half) for r in np.split(rho, panels)])
+    moment = weights * rho ** np.arange(depth + 1)[:, None]        # [j, r]
+    l1 = moment @ np.abs(harmonics)
+    kept = np.max(l1 / l1[:, half:half + 1], axis=0) > HARMONIC_FLOOR
+    band = int(np.max(np.abs(np.flatnonzero(kept) - half)))
+    harmonics = harmonics[:, half - band:half + band + 1]
+    p = np.arange(-band, band + 1) + np.arange(depth + 1)[:, None] + 1   # [j, m]
+    inner = p >= 1
+    # rho over its panel's upper edge (p >= 1), its lower edge over rho (p <= 0)
+    upper = rho / np.repeat(edges[1:], PANEL_NODES)
+    lower = np.repeat(edges[:-1], PANEL_NODES) / rho
+    sums = np.stack([(moment[j, :, None] * harmonics * np.where(
+        inner[j], upper[:, None], lower[:, None]) ** np.abs(p[j])).reshape(
+            panels, PANEL_NODES, -1).sum(axis=1) for j in range(depth + 1)], axis=1)
+    step = (edges[:-1] / edges[1:])[:, None, None] ** np.abs(p)    # rho_J -> rho_J+1
+    table = np.zeros((panels + 1, depth + 1, 2 * band + 1), dtype=complex)
+    for J in range(panels):
+        table[J + 1] = np.where(inner, step[J] * table[J] + sums[J], 0)
+    for J in range(panels - 1, -1, -1):
+        table[J] = np.where(inner, table[J], step[J] * table[J + 1] + sums[J])
+    return table, np.einsum("jpk,pkm->pjm", moment.reshape(depth + 1, panels, -1),
+                            harmonics.reshape(panels, PANEL_NODES, -1))
+
+
+def conj_derivative_factor(spec: WeightSpec) -> Optional[float]:
+    """The a with dw/dzbar = a (z - c) w, so that the derivative of order
+    t is (a (z - c))^t w: -scale on a gaussian, shifted or centred at 0;
+    None for a weight with no such rule (a disk's edge, a custom weight)."""
+    return -spec.parameters[-1] if spec.kind in ("gaussian", "shifted-gaussian") else None
+
+
 def truncation_radius(spec: WeightSpec, order: int) -> float:
     """Radius of the disk about the weight's centre that holds the moments
     of order up to ``order`` to 1e-16: the largest in the domain, or past
@@ -450,16 +514,6 @@ def row_radius(spec: WeightSpec, max_degree: int) -> float:
     if spec.domain.kind == DISK or spec.kind == CUSTOM:
         return truncation_radius(spec, 0)
     return gaussian_cutoff(spec.parameters[-1], (max_degree + 1) // 2)
-
-
-def row_margin(spec: WeightSpec, radius: float) -> float:
-    """Least distance between a Cauchy pole and the circle of a row disk
-    of ``radius``: ``ROW_SHELL`` of it on a built-in full-plane weight,
-    whose w there is below 1e-16 of its peak, and 0 on a disk or a
-    custom weight, whose circle is the domain's own edge."""
-    if spec.domain.kind == DISK or spec.kind == CUSTOM:
-        return 0.0
-    return ROW_SHELL * radius
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,19 +21,27 @@ from detratio import (ConstraintError, ConvergenceError, MonicPoly, NumericalErr
                       full_plane_domain, gaussian_weight, ortho_system,
                       series_transform, shifted_gaussian_weight)
 from detratio.orthopoly import eval_poly
-from detratio.quadrature import (MAX_DOUBLINGS, PROBE, adaptive_integral,
-                                 angular_rule, cauchy_kernel_grid,
-                                 disk_chord_lengths, star_grid,
-                                 unit_radial_rule)
-from detratio.weight import ROW_SHELL, row_margin, row_radius, truncation_radius
+from detratio.quadrature import (PROBE, adaptive_integral, angular_rule,
+                                 cauchy_kernel_grid, star_grid, unit_radial_rule)
+from detratio.weight import row_radius, truncation_radius
 
 EPS_GRID = (1.5, 2.0, 5.0, 20.0)
 
-# a weight with a cusp at z = 1; (z - 1)^d vanishes there to order d, so
-# the transforms of higher d converge in fewer refinement levels
+# a weight with a cusp at z = 1, whose angular harmonics decay slowly
 CUSP = custom_weight(lambda z: np.exp(-np.abs(z - 1.0)), full_plane_domain(40.0))
-CUSP_POLYS = tuple(Poly(tuple(math.comb(d, k) * (-1.0) ** (d - k)
-                              for k in range(d + 1))) for d in range(5))
+
+
+def disk_chord_lengths(center: complex, radius: float):
+    """Ray lengths from an interior point ``center`` to the circle |z| = radius,
+    a callable of the angles for ``cauchy_kernel_grid``."""
+    c = complex(center)
+    assert abs(c) <= radius
+
+    def rho_max(phis: np.ndarray) -> np.ndarray:
+        t = np.real(np.conj(c) * np.exp(1j * phis))
+        return -t + np.sqrt(np.maximum(t * t + radius * radius - abs(c) ** 2, 0.0))
+
+    return rho_max
 
 
 def lower_gamma(a, x):
@@ -41,20 +49,16 @@ def lower_gamma(a, x):
 
 
 def fresh_row(system, degrees, eps, tol=1e-9, order=0):
-    """A quadrature row of a system's polynomials on an empty level table."""
+    """A quadrature row of a system's polynomials on a fresh evaluator."""
     return cauchy_row(cauchy_evaluator(system, "quadrature", tol), degrees, eps, order)
 
 
-def loose_row(spec, polys, eps, tol=1e-9, order=0, radius=None):
-    """A quadrature row of polynomials that belong to no system, on an
-    empty level table of ``radius`` and its margin: the pass ``cauchy_row``
-    makes.  The
-    radius defaults to the disk of the deepest polynomial, which a
-    one-entry row shares with ``cauchy_quadrature``."""
-    if radius is None:
-        radius = row_radius(spec, max(poly.degree for poly in polys))
-    table = cauchy_module._LevelTable(radius=radius, margin=row_margin(spec, radius))
-    return cauchy_module._quadrature_row(spec, polys, complex(eps), tol, order, table)
+def table_radius(spec, max_degree):
+    """The disk of a system's harmonic table: degree 2 max_degree on a
+    gaussian, whose derivative rows integrate zeta^t pi_n, max_degree
+    otherwise."""
+    gaussian = spec.kind in ("gaussian", "shifted-gaussian")
+    return row_radius(spec, 2 * max_degree if gaussian else max_degree)
 
 
 def test_disk_closed_form(disk_ev):
@@ -161,14 +165,15 @@ def test_quadrature_takes_a_polynomial_about_any_centre(shifted, eps):
 
 def test_shifted_gaussian_far_and_derivative_rows_are_translated_series(shifted,
                                                                         gauss):
-    # the translation identity of the test above, on the far-pole grid and
-    # for order-1 kernels; at |u| >= 7 the gaussian weight at the pole is
+    # the translation identity of the test above, past the table's disk
+    # and for order-1 rows; at |u| >= 7 the gaussian weight at the pole is
     # below 1e-21, so the two derivative conventions agree far below 1e-10
     c = shifted.centre
     ev = cauchy_evaluator(ortho_system(shifted, 8), method="quadrature")
-    # the pole conj(u) + c lies |u| from the centre, so the grid is centred
-    # on it when |u| is within the rows' disk, the weight's own otherwise
-    radius = row_radius(shifted, 8)
+    # the pole conj(u) + c lies |u| from the centre, so the row splits the
+    # table at |u| when |u| is within its disk, and is the far expansion
+    # otherwise
+    radius = table_radius(shifted, 8)
     far = 10 + 1j
     assert abs(far) > radius
     cases = [(far, 0), (far, 1)]
@@ -377,8 +382,8 @@ def test_interior_derivative_pole_refused_by_both_backends(gauss_sys, method):
 
 @pytest.mark.parametrize("method", ["rotinv-series", "quadrature"])
 def test_derivative_pole_on_disk_boundary_refused_by_both_backends(disk_sys, method):
-    # on the boundary the chord grid has zero-length rays; the refusal
-    # must come before any grid is built, so nothing warns
+    # the pole rule takes the boundary as inside; the refusal comes
+    # before the row is computed, so nothing warns
     ev = cauchy_evaluator(disk_sys, method=method)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -390,162 +395,100 @@ def test_derivative_pole_on_disk_boundary_refused_by_both_backends(disk_sys, met
                               disk_sys, ev)
 
 
-def _grid_counter(monkeypatch) -> list:
-    """Record every grid the quadrature backend builds."""
+def _table_sizes(monkeypatch) -> list:
+    """Record the (panels, angles) of every harmonic table built."""
     built = []
-    # far grids come from weight.weighted_grid, centred ones from cauchy
-    for module, name in ((weight_module, "star_grid"),
-                         (cauchy_module, "cauchy_kernel_grid")):
-        def counted(*args, _build=getattr(module, name), **kwargs):
-            grid = _build(*args, **kwargs)
-            built.append(grid.size)
-            return grid
-        monkeypatch.setattr(module, name, counted)
+
+    def counted(spec, radius, depth, panels, n_t, _build=cauchy_module.harmonic_moments):
+        built.append((panels, n_t))
+        return _build(spec, radius, depth, panels, n_t)
+
+    monkeypatch.setattr(cauchy_module, "harmonic_moments", counted)
     return built
 
 
 @pytest.mark.parametrize("which, eps, order", [
-    ("disk", 0.3 + 0.2j, 0),      # chord grid centred on an interior pole
-    ("disk", 1j, 0),              # chord grid, pole on the boundary
-    ("disk", 2.0 + 0.5j, 0),      # far-pole grid
+    ("disk", 0.3 + 0.2j, 0),      # split inside the disk
+    ("disk", 1j, 0),              # pole on the boundary
+    ("disk", 2.0 + 0.5j, 0),      # far expansion
     ("disk", 2.0 + 0.5j, 1),
-    ("disk", 20.0, 0),            # far; high degrees fall below the probe scale
-    ("gauss", 0.3 + 0.2j, 0),     # centred full-plane grid
-    ("gauss", 5.5 + 1.0j, 0),     # centred, pole outside the support
-    ("gauss", 5.5 + 1.0j, 1),
-    ("gauss", 12.0, 0),           # far-pole grid beyond the cutoff
+    ("disk", 20.0, 0),
+    ("gauss", 0.3 + 0.2j, 0),     # split inside the table's disk
+    ("gauss", 5.5 + 1.0j, 0),     # split, pole outside the support
+    ("gauss", 5.5 + 1.0j, 1),     # by parts
+    ("gauss", 12.0, 0),           # far expansion beyond the table's disk
     ("gauss", 12.0, 1),
 ])
 def test_row_entries_equal_single_entries(request, which, eps, order):
-    # the single entries integrate on the row's disk, that of the system's
-    # depth, on a table of their own
-    spec, sys_ = request.getfixturevalue(which), request.getfixturevalue(which + "_sys")
-    polys = sys_.polys[:6]
+    # an entry's bits do not depend on the other degrees of its row
+    sys_ = request.getfixturevalue(which + "_sys")
     row = fresh_row(sys_, range(6), eps, 1e-9, order)
-    assert len(row) == len(polys)
-    radius = row_radius(spec, sys_.max_degree)
-    for poly, res in zip(polys, row):
-        (single,) = loose_row(spec, (poly,), eps, 1e-9, order, radius)
+    assert len(row) == 6
+    for d, res in enumerate(row):
+        (single,) = fresh_row(sys_, (d,), eps, 1e-9, order)
         assert (res.value, res.error, res.warnings) == \
             (single.value, single.error, single.warnings)
 
 
-def test_row_entries_stop_at_their_own_levels(monkeypatch):
-    built = _grid_counter(monkeypatch)
-    eps, tol = 0.5 + 0.5j, 1e-5
-    # highest degree first, and a last entry a billion times smaller than
-    # the others: each entry must keep its own probe scale
-    polys = CUSP_POLYS[::-1] + (Poly((1e-9,)),)
-    singles, grids = [], []
-    for poly in polys:
-        before = len(built)
-        singles.append(cauchy_quadrature(CUSP, poly, eps, tol))
-        grids.append(len(built) - before)
-    assert len(set(grids)) == 3   # the entries stop at three different levels
-    before = len(built)
-    row = loose_row(CUSP, polys, eps, tol)
-    assert len(built) - before == max(grids)
-    assert row == tuple(singles)
+def test_resolved_table_stops_after_one_doubling(monkeypatch, shifted):
+    # the probe's table of 8 panels and 64 angles and its doubling agree on
+    # a shifted gaussian, whose one harmonic is w_0: two tables, no third
+    built = _table_sizes(monkeypatch)
+    fresh_row(ortho_system(shifted, 4), range(5), 4.6 + 0.5j)
+    assert built == [(8, 64), (16, 128)]
 
 
-def test_row_builds_the_grids_of_its_deepest_entry(monkeypatch, shifted):
-    from detratio import ortho_system
-    sys_ = ortho_system(shifted, 6)
-    built = _grid_counter(monkeypatch)
-    alone = []
-    for d in range(4):
-        before = len(built)
-        cauchy_quadrature(shifted, sys_.poly(d), 4.6 + 0.5j)
-        alone.append(len(built) - before)
-    ev = cauchy_evaluator(sys_, method="quadrature")
-    before = len(built)
-    cauchy_row(ev, range(4), 4.6 + 0.5j)
-    assert len(built) - before == max(alone) < sum(alone)
-    # a row already in the memo builds nothing
-    before = len(built)
-    cauchy_row(ev, range(4), 4.6 + 0.5j)
-    assert len(built) == before
-
-
-def test_resolved_row_stops_after_one_doubling(monkeypatch, shifted):
-    # where every entry's 48x64 and 96x128 values agree, a row builds the
-    # probe level and one doubling, and nothing deeper
+def test_table_is_built_once_per_system_and_tolerance(monkeypatch, shifted):
+    # every row of every evaluator of a system reads one table: rows at
+    # other poles, orders and degrees, far or split, build nothing more
     sys_ = ortho_system(shifted, 4)
-    c, radius = shifted.centre, row_radius(shifted, 4)
-    built = _grid_counter(monkeypatch)
-    for eps in (14.0 + 2.0j, 4.6 + 0.5j):   # far, then centred
-        assert (abs(np.conj(eps) - c) > radius) == (eps == 14.0 + 2.0j)
-        before = len(built)
-        fresh_row(sys_, range(5), eps)
-        assert built[before:] == [48 * 64, 96 * 128]
+    built = _table_sizes(monkeypatch)
+    cauchy_row(cauchy_evaluator(sys_, "quadrature"), range(3), 14.0 + 2.0j)
+    first = len(built)
+    for eps, order in ((-13.0 + 5.0j, 1), (5.5 + 0.5j, 0), (5.5 + 0.5j, 1), (0.6 + 0.2j, 0)):
+        cauchy_row(cauchy_evaluator(sys_, "quadrature"), range(5), eps, order)
+    assert len(built) == first and list(sys_._cauchy_tables) == [1e-9]
+    # another tolerance is another table, another system another again
+    fresh_row(sys_, range(3), 14.0 + 2.0j, 1e-7)
+    fresh_row(ortho_system(shifted, 4), range(3), 14.0 + 2.0j)
+    assert len(built) == 3 * first and list(sys_._cauchy_tables) == [1e-9, 1e-7]
 
 
-def test_confluent_order_one_row_builds_no_nodes(monkeypatch, shifted):
-    # the order-1 row at a centred pole reads the nodes, weight values and
-    # pi_d values of the order-0 row before it; only its kernel weights,
-    # which depend on the order, are formed anew
-    ev = cauchy_evaluator(ortho_system(shifted, 4), method="quadrature")
-    eps = 5.5 + 0.5j
-    built = _grid_counter(monkeypatch)
-    cauchy_row(ev, range(4), eps, 0)
-    assert len(built) == len(ev._levels.centred) == 3
-    cauchy_row(ev, range(4), eps, 1)
-    assert len(built) == len(ev._levels.centred) == 3
-
-
-
-@pytest.mark.parametrize("which", ["gauss", "shifted"])
-def test_centred_rows_stay_inside_the_truncation_disk(monkeypatch, request, which):
-    # a full-plane weight's Cauchy rows are integrated over
-    # |z - c| <= row_radius, inside the moments' disk below depth 32: far
-    # rows and centred rows share that one disk about its centre c, so a
-    # centred grid's rays end on its circle, as a disk weight's do, unless
-    # its pole lies within row_margin of that circle
+@pytest.mark.parametrize("which", ["gauss", "shifted", "disk"])
+def test_table_disk_holds_the_derivative_rows(which, request):
+    # a gaussian's order-t row integrates zeta^t pi_n, of degree up to
+    # 2 max_degree, so its table takes that degree's disk, which the
+    # moments' disk holds below depth 16; a disk's table takes the disk
     spec = request.getfixturevalue(which)
-    c, radius = spec.centre, row_radius(spec, 4)
-    assert radius < truncation_radius(spec, 0)
-    reach = []
-
-    def recorded(*args, _build=cauchy_module.cauchy_kernel_grid, **kwargs):
-        grid = _build(*args, **kwargs)
-        reach.append(float(np.max(np.abs(grid.nodes - c))))
-        return grid
-
-    monkeypatch.setattr(cauchy_module, "cauchy_kernel_grid", recorded)
     sys_ = ortho_system(spec, 4)
-    for eps, order in ((0.3 + 0.2j, 0), (5.5 + 1.0j, 0), (5.5 + 1.0j, 1),
-                       (np.conj(c) + 0.98 * radius * np.exp(0.4j), 0)):
-        fresh_row(sys_, range(5), eps, 1e-9, order)
-    assert reach and max(reach) <= radius * (1 + 1e-12)
+    fresh_row(sys_, range(5), 30.0)
+    table = sys_._cauchy_tables[1e-9]
+    assert table.radius == table_radius(spec, 4)
+    assert table.moments.shape[1] == (5 if which == "disk" else 9)
+    if which != "disk":
+        assert table.radius < truncation_radius(spec, 0)
+        assert spec.evaluate(spec.centre + table.radius) < 1e-16 * spec.evaluate(spec.centre)
 
 
-def test_pole_on_the_domain_circle_takes_the_far_grid_at_order_two(gauss, gauss_sys):
-    # the domain's circle lies outside a depth-8 system's rows' disk and
-    # its margin, so an order-2 row there takes the weight's own grid and
-    # builds no grid centred on the pole
+def test_pole_on_the_domain_circle_takes_the_far_expansion_at_order_two(gauss, gauss_sys):
+    # the domain's circle lies outside a depth-8 system's table, so an
+    # order-2 row there is the far expansion, differentiated term by term
     boundary = gauss.domain.quad_radius
-    edge = row_radius(gauss, gauss_sys.max_degree)
-    assert boundary > edge + row_margin(gauss, edge)
+    assert boundary > table_radius(gauss, gauss_sys.max_degree)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for eps in (boundary, 1j * boundary):
-            ev = cauchy_evaluator(gauss_sys, "quadrature")
-            row = cauchy_row(ev, range(3), eps, 2)
-            assert ev._levels.far and ev._levels.centred_pole is None
+            row = fresh_row(gauss_sys, range(3), eps, 1e-9, 2)
             for n, res in enumerate(row):
                 exact = series_transform(gauss, n, eps, 2)
                 assert abs(res.value - exact) <= 1e-12 * abs(exact)
 
 
-@pytest.mark.parametrize("order", [0, 1, 2, 3])
-def test_pole_on_the_rows_circle(gauss, gauss_sys, order):
-    # poles on and next to the rows' circle: without the margin half the
-    # rays of a chord grid centred on the circle would have zero length,
-    # and from order 2 on near-tangent rays and the plain grid's near
-    # pole keep such rows from converging.  Within the margin a pole's
-    # chord disk reaches that far past it, and beyond it the pole is that
-    # far outside the plain grid.  Worst error seen 2.2e-12, at degree 7
-    edge = row_radius(gauss, gauss_sys.max_degree)
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 5])
+def test_pole_on_the_tables_circle(gauss, gauss_sys, order):
+    # poles on and next to the table's circle, where a row turns from the
+    # split to the far expansion.  Worst error seen 4.4e-15
+    edge = table_radius(gauss, gauss_sys.max_degree)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for delta in (-1e-2, -1e-4, -1e-6, -1e-12, 0.0, 1e-6, 1e-4, 1e-2, 2e-2):
@@ -554,37 +497,47 @@ def test_pole_on_the_rows_circle(gauss, gauss_sys, order):
                 row = fresh_row(gauss_sys, range(9), eps, 1e-9, order)
                 for n, res in enumerate(row):
                     exact = series_transform(gauss, n, eps, order)
-                    assert abs(res.value - exact) <= 1e-11 * abs(exact), (delta, angle, n)
+                    assert abs(res.value - exact) <= 1e-13 * abs(exact), (delta, angle, n)
 
 
 @pytest.mark.parametrize("which", ["gauss", "shifted"])
-def test_pole_within_the_margin_gets_a_chord_disk_past_it(monkeypatch, request, which):
-    # a pole within row_margin of the rows' circle, on either side, gets
-    # a grid centred on it whose rays end that far past it; one inside
-    # the disk by more keeps the rows' disk, and one beyond the margin
-    # takes the weight's own grid
-    spec = request.getfixturevalue(which)
+def test_derivative_rows_by_parts_are_series_of_higher_degree(which):
+    # dw/dzbar = -scale zeta w on a gaussian, so the order-t row of pi_n is
+    # (-scale)^t times the row of zeta^t pi_n = pi_(n+t): the series
+    # h_(n+t) at ebar - conj(c).  Orders 1-5, poles from the effective
+    # support to 1.2 times the table's radius.  Worst error seen 0.66 of
+    # the estimate
+    spec = gaussian_weight() if which == "gauss" \
+        else shifted_gaussian_weight(0.47 + 1.257j, 0.82)
+    scale = spec.parameters[-1]
+    reference, shift = gaussian_weight(scale), np.conj(spec.centre)
     sys_ = ortho_system(spec, 8)
-    c, edge = spec.centre, row_radius(spec, 8)
-    margin = row_margin(spec, edge)
-    assert margin == ROW_SHELL * edge > 0
-    reach = []
+    support, edge = spec.effective_support_radius, table_radius(spec, 8)
+    ev = cauchy_evaluator(sys_, "quadrature")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for order in range(1, 6):
+            for r in np.linspace(support, 1.2 * edge, 12):
+                for angle in (0.3, 2.0, 4.0):
+                    eps = shift + r * np.exp(1j * angle)
+                    if abs(eps) <= support:
+                        continue
+                    for n, res in enumerate(cauchy_row(ev, range(9), eps, order)):
+                        exact = (-scale) ** order * series_transform(reference, n + order,
+                                                                     eps - shift)
+                        assert abs(res.value - exact) <= res.error, (order, eps, n)
 
-    def recorded(*args, _build=cauchy_module.cauchy_kernel_grid, **kwargs):
-        grid = _build(*args, **kwargs)
-        reach.append(float(np.max(np.abs(grid.nodes - c))))
-        return grid
 
-    monkeypatch.setattr(cauchy_module, "cauchy_kernel_grid", recorded)
-    for f, centred in ((0.98, True), (0.995, True), (1.0, True), (1.005, True),
-                       (1.02, False)):
-        rho = f * edge
-        ev = cauchy_evaluator(sys_, "quadrature")
-        reach.clear()
-        cauchy_row(ev, range(9), np.conj(c) + rho * np.exp(-0.9j))
-        assert bool(reach) == centred and bool(ev._levels.far) != centred, f
-        if centred:
-            assert max(reach) == pytest.approx(max(edge, rho + margin), rel=1e-3), f
+def test_derivative_row_past_the_table_depth_is_refused(gauss_sys):
+    # inside the disk an order-t row needs degree max_degree + t, which a
+    # depth-8 table holds up to t = 8; past the disk any order is defined
+    ev = cauchy_evaluator(gauss_sys, "quadrature")
+    with pytest.raises(ConstraintError, match="harmonic table holds 16"):
+        cauchy_row(ev, range(3), 5.0 + 1.0j, 9)
+    far = cauchy_row(ev, range(3), 30.0, 9)
+    for n, res in enumerate(far):
+        assert res.value == pytest.approx(series_transform(gaussian_weight(), n, 30.0, 9),
+                                          rel=1e-12)
 
 
 def test_row_fills_memo_with_single_entry_bits(gauss_sys):
@@ -608,13 +561,12 @@ def test_convergence_error_lists_refinement_history():
         "768x1024: 3.840e+02" in str(info.value)
 
 
-def test_failing_row_entry_names_its_degree():
-    # at this tolerance (z - 1)^3 converges and (z - 1)^1 does not
-    polys = (CUSP_POLYS[3], CUSP_POLYS[1])
-    cauchy_quadrature(CUSP, polys[0], 0.5 + 0.5j, 1e-7)
-    with pytest.raises(ConvergenceError, match="degree 1 at") as info:
-        loose_row(CUSP, polys, 0.5 + 0.5j, 1e-7)
-    for level in ("192x256", "384x512", "768x1024"):
+def test_table_that_does_not_converge_names_its_weight():
+    # the cusp's harmonics decay too slowly for a table at 1e-7; its error
+    # names the table and lists the change at every doubling
+    with pytest.raises(ConvergenceError, match="harmonic table of custom") as info:
+        cauchy_quadrature(CUSP, MonicPoly((-1.0, 1.0)), 0.5 + 0.5j, 1e-7)
+    for level in ("96x128", "192x256", "384x512", "768x1024"):
         assert level in str(info.value)
 
 
@@ -623,9 +575,10 @@ ANISO = custom_weight(lambda z: np.exp(-(np.real(z) ** 2 + 2.0 * np.imag(z) ** 2
                       full_plane_domain(7.0))
 
 # (degrees, eps, order) rows for one evaluator, interleaving far poles at
-# orders 0 and 1, two rows at one centred pole, a new centred pole, and a
-# return to earlier poles with other degrees; only the shifted gaussian
-# has centred poles outside its effective support, where order 1 is defined
+# orders 0 and 1, two rows at one pole inside the table's disk, a new
+# such pole, and a return to earlier poles with other degrees; only the
+# shifted gaussian has poles inside its table's disk outside its
+# effective support, where order 1 is defined
 INTERLEAVED_ROWS = {
     "shifted": [((0, 1, 2), 14.0 + 2.0j, 0), ((0, 1, 2), -13.0 + 5.0j, 1),
                 ((0, 1, 2, 3), 5.0 + 1.0j, 0), ((0, 1, 2, 3), 5.0 + 1.0j, 1),
@@ -642,29 +595,24 @@ INTERLEAVED_ROWS = {
 }
 
 
-def _untabled_transform(spec, poly, eps, tol, order, radius) -> tuple[complex, float]:
-    """Value and error of one quadrature transform on the disk of
-    ``radius`` about the weight's centre, each level built from scratch:
-    the algorithm of a quadrature row written out with the same
-    operation order, and nothing kept between levels."""
+def _chord_grid_transform(spec, poly, eps, order, radius) -> tuple[complex, float]:
+    """An independent reference on the disk of ``radius`` about the
+    weight's centre: a pole inside it takes a grid centred on the pole
+    whose rays end on the circle (``cauchy_kernel_grid``), with the kernel
+    in its weights; a pole outside it the polar grid about the centre,
+    with the kernel in the integrand.  Returns the value and the L1 norm
+    of the integrand on the probe grid."""
     u = complex(eps)
     pole, c = np.conj(u), spec.centre
-    margin = row_margin(spec, radius)
 
     def level(n_r, n_t):
-        if abs(pole - c) <= radius + margin:
-            chord = max(radius, abs(pole - c) + margin)
-            grid = cauchy_kernel_grid(pole, disk_chord_lengths(pole - c, chord),
+        if abs(pole - c) < radius:
+            grid = cauchy_kernel_grid(pole, disk_chord_lengths(pole - c, radius),
                                       n_r, n_t, order=order)
             return grid.nodes, spec.evaluate(grid.nodes) * grid.weights
         grid = star_grid(c, radius, n_r, n_t)
-        g = spec.evaluate(grid.nodes) * grid.weights
-        shift = np.conj(grid.nodes - c if c else grid.nodes)
-        shift -= u - np.conj(c) if c else u
-        if order:
-            g *= math.factorial(order)
-            shift **= order + 1
-        return grid.nodes, g / shift
+        kernel = math.factorial(order) / (np.conj(grid.nodes) - u) ** (order + 1)
+        return grid.nodes, spec.evaluate(grid.nodes) * grid.weights * kernel
 
     def integrate(n_r, n_t):
         nodes, g = level(n_r, n_t)
@@ -672,83 +620,69 @@ def _untabled_transform(spec, poly, eps, tol, order, radius) -> tuple[complex, f
 
     nodes, g = level(*PROBE)
     l1 = float(np.dot(np.abs(eval_poly(poly, nodes)), np.abs(g))) / (2 * math.pi)
-    return adaptive_integral(integrate, tol, scale=1e-6 * max(l1, 1e-300))
+    value, _ = adaptive_integral(integrate, 1e-11, scale=1e-3 * l1)
+    return value, l1
 
 
 @pytest.mark.parametrize("which", sorted(INTERLEAVED_ROWS))
 def test_evaluator_rows_equal_fresh_rows_whatever_came_before(request, which):
+    # a row's bits are those of the same row on a fresh system, whatever
+    # rows its evaluator computed before; its values are those of the
+    # chord-grid reference to 1e-10 of their L1 norm
     spec = ANISO if which == "aniso" else request.getfixturevalue(which)
     sys_ = ortho_system(spec, 6)
     ev = cauchy_evaluator(sys_, method="quadrature")
-    radius = row_radius(spec, sys_.max_degree)
+    radius = table_radius(spec, sys_.max_degree)
     for degrees, eps, order in INTERLEAVED_ROWS[which]:
         row = cauchy_row(ev, degrees, eps, order)
-        polys = [sys_.poly(d) for d in degrees]
-        fresh = fresh_row(sys_, degrees, eps, ev.tolerance, order)
+        fresh = fresh_row(ortho_system(spec, 6), degrees, eps, ev.tolerance, order)
         assert repr(row) == repr(fresh), (degrees, eps, order)
-        for poly, res in zip(polys, row):
-            assert repr((res.value, res.error)) == repr(_untabled_transform(
-                spec, poly, eps, ev.tolerance, order, radius)), (poly.degree, eps, order)
+        for d, res in zip(degrees, row):
+            value, l1 = _chord_grid_transform(spec, sys_.poly(d), eps, order, radius)
+            assert abs(res.value - value) <= 1e-10 * l1, (d, eps, order)
 
 
-def test_far_levels_are_built_once_per_evaluator(monkeypatch, shifted):
+def test_table_resolves_the_harmonics_its_rows_see(monkeypatch):
+    # exp(-(x'^2 + 2.2 y'^2)) in axes turned by 0.5: its harmonics up to
+    # |m| = 36 carry 1e-8 to 3e-10 of the degree-8 L1 moment, beyond the
+    # probe's 64 angles.  The moments at the panel edges damp them, the
+    # plain panel moments do not, so the table refines to 256 angles, and
+    # rows split mid-panel match the chord-grid reference
+    aniso = custom_weight(lambda z: np.exp(-(np.real(z * np.exp(-0.5j)) ** 2
+                                             + 2.2 * np.imag(z * np.exp(-0.5j)) ** 2)),
+                          full_plane_domain(8.0))
+    sys_ = ortho_system(aniso, 8)
+    built = _table_sizes(monkeypatch)
+    ev = cauchy_evaluator(sys_, "quadrature")
+    for eps in (4.2 * np.exp(0.3j), 3.9 * np.exp(2.1j), 1.7 - 0.4j):
+        row = cauchy_row(ev, range(9), eps)
+        for d, res in enumerate(row):
+            value, l1 = _chord_grid_transform(aniso, sys_.poly(d), eps, 0, 8.0)
+            assert abs(res.value - value) <= 1e-10 * l1, (eps, d)
+    assert built == [(8, 64), (16, 128), (32, 256)]
+
+
+def test_table_does_not_grow_with_the_number_of_poles(shifted):
     sys_ = ortho_system(shifted, 4)
     ev = cauchy_evaluator(sys_, method="quadrature")
-    built = _grid_counter(monkeypatch)
-    cauchy_row(ev, range(3), 14.0 + 2.0j)
-    first = len(built)
-    cauchy_row(ev, range(3), -13.0 + 5.0j, 1)
-    cauchy_row(ev, range(3), 11.0 - 6.0j)
-    assert first == len(ev._levels.far) and len(built) == first
-
-
-def test_poles_outside_the_rows_disk_share_the_far_levels(monkeypatch, shifted):
-    # a depth-8 system's rows integrate on the cutoff of order 4 about c,
-    # inside the domain's of order 16: poles between the two circles,
-    # past the rows' margin, take the weight's own grid, which a first
-    # far row has built already
-    sys_ = ortho_system(shifted, 8)
-    c, edge = shifted.centre, row_radius(shifted, 8)
-    domain = truncation_radius(shifted, 0)
-    assert edge < 0.85 * domain
-    ev = cauchy_evaluator(sys_, method="quadrature")
-    built = _grid_counter(monkeypatch)
-    cauchy_row(ev, range(9), np.conj(c) + 1.2 * domain)
-    first = len(built)
-    assert first == len(ev._levels.far) > 0
-    assert 1.02 * edge > edge + row_margin(shifted, edge)
-    for k, f in enumerate((1.02, 1.05, 1.1, 1.15)):
-        cauchy_row(ev, range(9), np.conj(c) + f * edge * np.exp(1.3j * k))
-    assert f * edge < domain
-    assert ev._levels.centred_pole is None and not ev._levels.centred
-    assert len(built) == first == len(ev._levels.far)
-
-
-def test_level_table_stays_bounded_over_long_scans(shifted):
-    ev = cauchy_evaluator(ortho_system(shifted, 4), method="quadrature")
     boundary = shifted.domain.quad_radius
+    fresh_row(sys_, range(3), 1.0)
+    (table,) = sys_._cauchy_tables.values()
     memo_sizes = []
     for k in range(60):
         phase = np.exp(2j * np.pi * k / 60)
         cauchy_row(ev, range(3), (boundary + 1.0 + k / 10) * phase)
         cauchy_row(ev, range(3), (0.5 + k / 20) * phase)
         memo_sizes.append(len(ev._memo))
-    # 3,000 further scan points on the far grid, whose levels exist already
     for k in range(3000):
         cauchy_row(ev, range(3), (boundary + 1.0 + k / 1000) * np.exp(2j * np.pi * k / 3000))
         memo_sizes.append(len(ev._memo))
-    # the memo keeps the transforms of max_degree + 1 = 5 poles
+    # the memo keeps the transforms of max_degree + 1 = 5 poles, and the
+    # system the one table its first row built
     assert max(memo_sizes) == 5
     assert all(len(entries) == 3 for entries in ev._memo.values())
-    table = ev._levels
-    # every level adaptive_integral can visit, the probe first
-    visitable = 1 + MAX_DOUBLINGS
-    assert visitable == 5
-    assert 0 < len(table.far) <= visitable
-    assert 0 < len(table.centred) <= visitable
-    assert table.centred_pole == (0.5 + 59 / 20) * np.exp(2j * np.pi * 59 / 60)
-    levels = [*table.far.values(), *table.centred.values()]
-    assert all(len(lv.poly_values) <= 3 for lv in levels)
+    assert list(sys_._cauchy_tables.values()) == [table]
+    assert table.moments.shape == (17, 9, 1)
 
 
 def test_memo_evicts_the_least_recently_requested_pole(gauss_sys):
@@ -763,39 +697,41 @@ def test_memo_evicts_the_least_recently_requested_pole(gauss_sys):
 
 
 def test_no_other_module_reads_the_evaluators_memo():
-    # the memo's layout (pole, then degree and order) and the level table
-    # are known to cauchy.py alone: deformed.determinant_rows takes each
-    # h row, and its error, through cauchy_row, so a second reading of the
-    # rows from the memo would be a second copy of that layout
+    # the memo's layout (pole, then degree and order) and the system's
+    # harmonic tables are known to cauchy.py alone: deformed.determinant_rows
+    # takes each h row, and its error, through cauchy_row, so a second
+    # reading of the rows from the memo would be a second copy of that layout
     found = []
     for path in sorted(Path(detratio.__file__).parent.glob("*.py")):
         if path.name == "cauchy.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Attribute) and node.attr in ("_memo", "_levels"):
+            if isinstance(node, ast.Attribute) and node.attr in ("_memo", "_cauchy_tables"):
                 found.append(f"{path.name}:{node.lineno}: {node.attr}")
     assert not found
 
 
 def _pole_classes(system) -> dict:
-    """Per class, the origin its pole radii are measured from and the
-    radii: inside the effective support, between it and the truncation
-    radius, and beyond that radius, from the origin; and on either side
-    of the rows' disk edge, from the weight's centre.  A disk has no
-    middle class, and no edge class: its rows' disk is the disk itself.
-    A pole within ``row_radius`` of the weight's centre, plus its
-    ``row_margin``, gets the pole-centred grid, and every other pole the
-    weight's own grid."""
+    """Per class, the origin its pole radii are measured from, the radii
+    and the orders: inside the effective support, between it and the
+    truncation radius, and beyond that radius, from the origin; on either
+    side of the table's circle, from the weight's centre; and on a disk,
+    just outside its edge.  A disk has no middle class, and no edge
+    class: its table's disk is the disk itself.  A pole within the
+    table's radius of the weight's centre splits the table, and every
+    other pole takes the far expansion."""
     spec = system.weight
     support, boundary = spec.effective_support_radius, spec.domain.quad_radius
-    edge = row_radius(spec, system.max_degree)
+    edge = table_radius(spec, system.max_degree)
     full_plane = boundary > support
-    return {"inner": (0j, (0.1 * support, 0.5 * support, 0.95 * support)),
+    return {"inner": (0j, (0.1 * support, 0.5 * support, 0.95 * support), (0,)),
             "mid": (0j, (1.05 * support, (support + boundary) / 2, 0.98 * boundary)
-                    if full_plane else ()),
+                    if full_plane else (), (0,)),
             "edge": (np.conj(spec.centre), tuple(f * edge for f in (0.99, 1.001, 1.01, 1.1))
-                     if full_plane else ()),
-            "far": (0j, (1.02 * boundary, 1.5 * boundary, 4 * boundary))}
+                     if full_plane else (), (0,)),
+            "near": (0j, () if full_plane else
+                     tuple(f * boundary for f in (1.0005, 1.005, 1.02, 1.05)), (0, 1, 3)),
+            "far": (0j, (1.02 * boundary, 1.5 * boundary, 4 * boundary), (0, 1))}
 
 
 @pytest.mark.parametrize("which", ["gauss", "disk", "shifted"])
@@ -807,34 +743,24 @@ def test_quadrature_rows_match_exact_series_over_pole_classes(request, gauss,
     # truncation radius: on a full-plane weight the conventions differ
     # in between by about the weight at the pole (see the module
     # docstring of detratio.cauchy), and a disk has no such poles.
+    # Orders 1 and 3 also just outside a disk, where the weight drops to 0
     spec = request.getfixturevalue(which)
     sys_ = ortho_system(spec, 8)
     polys = sys_.polys
     reference = gauss if which == "shifted" else spec
     shift = np.conj(spec.centre)
     tol = 1e-9
-    failed = []
-    for cls, (origin, radii) in _pole_classes(sys_).items():
-        orders = (0, 1) if cls == "far" else (0,)
+    for cls, (origin, radii, orders) in _pole_classes(sys_).items():
         for r in radii:
             for angle in (0.3, 2.0, 4.0):
                 eps = origin + r * np.exp(1j * angle)
                 for order in orders:
-                    try:
-                        row = fresh_row(sys_, range(len(polys)), eps, tol, order)
-                    except ConvergenceError:
-                        failed.append((cls, r, order))
-                        continue
+                    row = fresh_row(sys_, range(len(polys)), eps, tol, order)
                     for n, res in enumerate(row):
                         exact = series_transform(reference, n, eps - shift, order)
-                        # worst error / (tol |exact|) over this sweep: 0.35
-                        # up to degree 5; 320 at degrees 6-8, whose values
-                        # fall up to nine orders below their L1 scale, so
-                        # the 1e-6 L1 floor decides where they stop
+                        # tol |exact| up to degree 5, 2e3 tol |exact| at
+                        # degrees 6-8, whose values fall up to nine orders
+                        # below their L1 scale
                         bound = 1.0 if n <= 5 else 2e3
                         assert abs(res.value - exact) <= bound * tol * abs(exact), \
                             (cls, eps, order, n)
-    # the origin-centred grid does not resolve a pole 2% outside the unit
-    # disk at this tolerance, and says so
-    near_disk = [("far", 1.02, order) for order in (0, 1) for _ in range(3)]
-    assert sorted(failed) == (sorted(near_disk) if which == "disk" else [])

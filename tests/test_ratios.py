@@ -458,11 +458,9 @@ def test_zero_pi_row_is_refused_by_both_paths():
                                           (21, 14 + 3j), (21, 25 + 1j)])
 def test_error_estimates_read_the_transforms_own_errors(n_ev, epsbar):
     # the shifted gaussian's ratio at ebar is the gaussian's at
-    # ebar - conj(c), exactly.  Far-pole entries far below their row's L1
-    # scale converge only relative to that scale, and their own error
-    # estimates say so; an estimate of M times the quadrature tolerance
-    # alone would report 1e-9 on every case, at observed errors up to
-    # order 1
+    # ebar - conj(c), exactly.  Past the table's disk a row is the far
+    # expansion with the orthogonality zeros, which does not cancel, so
+    # even the depth-21 cases come within 1e-12
     c = 0.7 + 0.4j
     shifted_sys = ortho_system(shifted_gaussian_weight(c), n_ev)
     gauss_sys = ortho_system(gaussian_weight(), n_ev)
@@ -475,18 +473,18 @@ def test_error_estimates_read_the_transforms_own_errors(n_ev, epsbar):
                    expectation_inverses(q, shifted_sys, cev)):
         observed = abs(result.value - exact)
         assert result.abs_error_estimate >= observed / 20, (observed, result)
+        if n_ev == 21:
+            assert observed <= 1e-12 * abs(exact), (observed, result)
 
 
 @pytest.mark.parametrize("which", ["shifted", "gauss"])
 def test_determinant_rows_return_the_h_rows_error(which):
     # per h row, its largest transform error over its largest |h|; the
     # worst row, floored at the evaluator's relative error, which binds
-    # on the series backend
+    # on both backends, since the far rows do not cancel
     weight = shifted_gaussian_weight(0.7 + 0.4j) if which == "shifted" else gaussian_weight()
     sys_ = ortho_system(weight, 12)
     cev = cauchy_evaluator(sys_)
-    # at 15+3i the shifted gaussian's degree-10 and 11 transforms carry
-    # 1.5e-9 of their row's largest |h|, above the evaluator's 1e-9
     epsbars, degrees = (15 + 3j, -9 + 2j), range(10, 12)
     matrix, _, h_error = determinant_rows(sys_, cev, epsbars, (1, 1), (), (), degrees)
     rows = [cauchy_row(cev, degrees, eps) for eps in epsbars]
@@ -494,7 +492,7 @@ def test_determinant_rows_return_the_h_rows_error(which):
     worst = max(max(res.error for res in row) / max(abs(res.value) for res in row)
                 for row in rows)
     assert h_error == max(worst, cev.relative_error)
-    assert (h_error > cev.relative_error) == (which == "shifted")
+    assert h_error == cev.relative_error
     assert determinant_rows(sys_, None, (), (), (1.5,), (1,), degrees)[2] == 0.0
 
 

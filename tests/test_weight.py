@@ -15,9 +15,9 @@ from detratio import (MONTE_CARLO, ConstraintError, NumericalError,
                       ortho_system, shifted_gaussian_weight)
 from detratio.oracle import _ratio_factor
 from detratio.quadrature import adaptive_integral, star_grid
-from detratio.weight import (CUSTOM, CUTOFF_ORDER, FAMILIES, MOMENT_TOL, ROW_SHELL, _polar_point,
+from detratio.weight import (CUSTOM, CUTOFF_ORDER, FAMILIES, MOMENT_TOL, _polar_point,
                              closed_moments, gaussian_cutoff, planar_moments,
-                             regularized_gamma_p, row_margin, row_radius, truncation_radius,
+                             regularized_gamma_p, row_radius, truncation_radius,
                              weighted_grid)
 
 from conftest import family_weight
@@ -304,19 +304,15 @@ def test_row_radius_grows_with_the_depth_and_meets_the_domain_at_32(spec):
     # the domain adds |c| to the cutoff and takes it off again
     assert radii[32] == pytest.approx(domain, rel=4 * np.finfo(float).eps)
     assert max(radii[:31]) < domain < min(radii[33:])
-    # a pole keeps ROW_SHELL of the radius from the rows' circle, where
-    # the weight is below 1e-16 of its peak
+    # on the rows' circle the weight is below 1e-16 of its peak
     for radius in radii:
-        assert row_margin(spec, radius) == ROW_SHELL * radius
         assert spec.evaluate(spec.centre + radius) < 1e-16 * spec.evaluate(spec.centre)
 
 
 def test_row_radius_of_a_disk_or_custom_weight_is_its_domain():
-    # with no margin: the circle is the domain's own edge
     custom = custom_weight(lambda z: np.exp(-np.abs(z - 1.0)), full_plane_domain(40.0))
     for spec in (disk_flat_weight(1.5), custom):
         assert {row_radius(spec, d) for d in range(41)} == {truncation_radius(spec, 0)}
-        assert row_margin(spec, truncation_radius(spec, 0)) == 0.0
 
 
 def test_rotation_invariance_comes_from_the_family():
@@ -442,17 +438,24 @@ def test_no_other_module_names_a_weight_kind():
 def test_origin_grids_are_built_in_one_place():
     # every planar integral over a weight's own disk takes its nodes and
     # weighted values from weight.weighted_grid; a star_grid call anywhere
-    # else is a second copy of that builder
-    callers = []
+    # else is a second copy of that builder.  Cauchy rows read the
+    # harmonic table that weight.py builds, so cauchy.py builds no grid
+    callers, cauchy_grids = [], []
+    builders = ("star_grid", "weighted_grid", "cauchy_kernel_grid")
     for path in sorted(Path(detratio.__file__).parent.glob("*.py")):
         if path.name == "quadrature.py":
             continue
         for top in ast.parse(path.read_text(), filename=str(path)).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and "star_grid" in (
-                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                if not isinstance(node, ast.Call):
+                    continue
+                called = (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                if "star_grid" in called:
                     callers.append((path.name, getattr(top, "name", None), node.lineno))
+                if path.name == "cauchy.py" and set(called) & set(builders):
+                    cauchy_grids.append((getattr(top, "name", None), node.lineno))
     assert [caller[:2] for caller in callers] == [("weight.py", "weighted_grid")], callers
+    assert not cauchy_grids
 
 
 def test_one_disk_per_weight():
