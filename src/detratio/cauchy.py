@@ -38,9 +38,13 @@ Two backends:
   power exceeds 1.  R = ``row_radius(spec, depth)`` holds every row of
   the system.  One table per system and tolerance, built by the first
   quadrature row and kept with the system, holds those integrals up to
-  each edge of fixed radial panels (``weight.harmonic_moments``); a row
-  reads the panels below and above s from it and integrates the panel
-  holding s, split there, on rings of its own.  Past the disk (s >= R)
+  each edge of fixed radial panels, and the harmonics w_m at the panels'
+  Gauss-Legendre nodes (``weight.harmonic_moments``); a row reads the
+  panels below and above s from it and integrates the panel holding s,
+  split there, with w_m interpolated at the nodes of its two halves from
+  the panel's own (barycentric Lagrange interpolation, Berrut &
+  Trefethen, SIAM Rev. 46 (2004) 501), so it evaluates no weight and
+  takes no FFT.  Past the disk (s >= R)
   a row is the far expansion h_n = i sum_k P_k / b^(k+1), where
   orthogonality sets P_k = 0 for k < n and P_n = r_n / 2 pi exactly, so
   deep far rows do not cancel.  An entry's error estimate is the table's
@@ -75,14 +79,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import Polynomial
 
 from .errors import ConstraintError, NumericalError
 from .orthopoly import MonicPoly, OrthoSystem
 from .quadrature import PROBE, adaptive_integral, require_certifiable
-from .weight import (DISK, WeightSpec, conj_derivative_factor, harmonic_moments,
-                     panel_nodes, radial_mass, ring_harmonics, row_radius)
+from .weight import (DISK, PANEL_NODES, WeightSpec, conj_derivative_factor,
+                     harmonic_moments, panel_interpolation, radial_mass, row_radius,
+                     split_panel)
 
 ROTINV_SERIES = "rotinv-series"
 QUADRATURE = "quadrature"
@@ -99,14 +103,26 @@ class CauchyResult:
 @dataclass(frozen=True, eq=False)
 class _HarmonicTable:
     """``weight.harmonic_moments`` on the disk of ``radius`` from ``n_t`` angles,
-    its relative doubling ``change``, and its rows' coefficients in zeta and far."""
+    the finest table's alone: the partial ``moments`` and the ``harmonics``
+    w_m, m >= 0, at the panels' nodes; its relative doubling ``change``;
+    its rows' coefficients in zeta and ``far``.
+
+    The last three fields serve every split row, whatever its pole: the
+    ``powers`` p = m + j + 1, from -band + 1 to band + depth + 1; the
+    ``window`` that indexes them per (j, m); and the ``sides``, 1 where a
+    node of the split panel (its half below s, then above) lies on the
+    side of s its power's terms take (p >= 1 below, p <= 0 above), else 0."""
 
     radius: float
     n_t: int
     moments: np.ndarray
+    harmonics: np.ndarray
     change: float
     coeffs: np.ndarray
     far: np.ndarray
+    powers: np.ndarray
+    window: np.ndarray
+    sides: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +138,8 @@ class CauchyEvaluator:
     table at the evaluator's tolerance, which the first quadrature row of
     any evaluator of the system builds into its ``_cauchy_tables``: one
     table however many poles a scan visits, and none while an evaluator
-    is set up.
+    is set up.  A row reads that table alone: no weight evaluation and no
+    FFT, whether its pole lies past the table's disk or inside it.
     """
 
     system: OrthoSystem
@@ -204,11 +221,13 @@ def _harmonic_table(spec: WeightSpec, polys, depth: int, tolerance: float,
     the moments at the probe's panel edges and the plain moments of its
     panels, each over its degree's L1 moment integral_0^R rho^j w_0 and
     summed over the m of each residue modulo 63, so that a harmonic one
-    table lacks still counts; the finer table is kept."""
-    radius, built, fold = row_radius(spec, depth), {}, PROBE[1] - 1
+    table lacks still counts; the finer table is kept, and only it."""
+    radius, fold, finest = row_radius(spec, depth), PROBE[1] - 1, []
 
     def evaluate(n_r: int, n_t: int) -> np.ndarray:
-        moments, plain = built[n_t] = harmonic_moments(spec, radius, depth, n_r // 6, n_t)
+        finest.clear()      # the coarser table is compared, no longer held
+        moments, plain, harmonics = harmonic_moments(spec, radius, depth, n_r // 6, n_t)
+        finest.extend((n_t, moments, harmonics))
         step, band = n_r // PROBE[0], (moments.shape[2] - 1) // 2
         both = np.concatenate([moments[step::step],
                                plain.reshape(-1, step, *plain.shape[1:]).sum(axis=1)])
@@ -217,8 +236,8 @@ def _harmonic_table(spec: WeightSpec, polys, depth: int, tolerance: float,
 
     compared, err = adaptive_integral(
         evaluate, tolerance, what=f"harmonic table of {spec.label()} to degree {depth}")
-    n_t = max(built)
-    moments, width = built[n_t][0], built[n_t][0].shape[2]       # width 2 band + 1
+    n_t, moments, harmonics = finest
+    width = moments.shape[2]       # 2 band + 1
     coeffs = np.zeros((len(polys), depth + 1), dtype=complex)
     for row, poly in zip(coeffs, polys):
         row[:poly.degree + 1] = poly.coeffs if poly.centre == spec.centre else \
@@ -232,34 +251,40 @@ def _harmonic_table(spec: WeightSpec, polys, depth: int, tolerance: float,
     for d, norm in enumerate(norms or ()):
         far[d, :d] = 0.0
         far[d, d] = norm / (2 * math.pi * radius ** (d + 1))
-    return _HarmonicTable(radius, n_t, moments, err / float(np.max(np.abs(compared))),
-                          coeffs[:, :max(p.degree for p in polys) + 1], far)
+    powers = np.arange(depth + width) - width // 2 + 1
+    below = np.arange(2 * PANEL_NODES) < PANEL_NODES
+    return _HarmonicTable(radius, n_t, moments, harmonics,
+                          err / float(np.max(np.abs(compared))),
+                          coeffs[:, :max(p.degree for p in polys) + 1], far, powers,
+                          np.arange(depth + 1)[:, None] + np.arange(width),
+                          (below[:, None] == (powers >= 1)).astype(float))
 
 
-def _split_sums(spec: WeightSpec, table: _HarmonicTable, b: complex) -> tuple:
+def _split_sums(table: _HarmonicTable, b: complex) -> tuple:
     """u_j = i sum_m of the terms of zeta^j at b inside the disk, j <= depth,
     and the L1 norm of those terms: the panels below the one holding
     s = |b| from the table's prefix, those above from its suffix, and that
-    panel split at s on rings of its own."""
-    radius, (panels, depth, width), s = table.radius, table.moments.shape, abs(b)
-    panels, depth, band = panels - 1, depth - 1, width // 2
+    panel split at s, on the nodes of its two halves, with the harmonics
+    interpolated there from the table's at the panel's own nodes."""
+    radius, (panels, degrees, _), s = table.radius, table.moments.shape, abs(b)
+    p, window, panels = table.powers, table.window, panels - 1
     a = min(int(s / radius * panels), panels - 1)
     low, high = radius * a / panels, radius * (a + 1) / panels
-    p = np.arange(-band + 1, band + depth + 2)       # p = m + j + 1 along the window
     inner = p >= 1
     # (rho/b)^p = (rho/s)^p (b/s)^-p, outer terms negated
     phase = np.exp(-1j * math.atan2(b.imag, b.real) * p) * np.where(inner, 1.0, -1.0)
-    factor = np.where(inner, low / s if s else 0.0, s / high) ** np.abs(p) * phase
-    terms = sliding_window_view(factor, 2 * band + 1) * np.where(
-        sliding_window_view(inner, 2 * band + 1), table.moments[a], table.moments[a + 1])
-    rho, weights = panel_nodes(np.array([low, s, high]))
-    below = np.arange(rho.size) < rho.size // 2
-    ratio = np.divide(np.minimum(rho, s), np.maximum(rho, s), out=np.zeros_like(rho),
-                      where=rho + s > 0)      # rho/s below s, s/rho above
-    ring = np.where(below[:, None] == inner, ratio[:, None] ** np.abs(p), 0.0) * phase
-    terms += np.einsum("jr,rm,rjm->jm", rho ** np.arange(depth + 1)[:, None],
-                       ring_harmonics(spec, rho, table.n_t, band),
-                       sliding_window_view(weights[:, None] * ring, 2 * band + 1, axis=1))
+    edge = np.where(inner, low / s if s else 0.0, s / high) ** np.abs(p)
+    unit, weights = split_panel((s - low) / (high - low))
+    rho, weights = low + (high - low) * unit, (high - low) * weights
+    half = panel_interpolation(unit) @ table.harmonics[a * PANEL_NODES:(a + 1) * PANEL_NODES]
+    # rho/s below s and s/rho above, each to the powers of its own side
+    ratio = np.concatenate([rho[:PANEL_NODES] / s if s else np.zeros(PANEL_NODES),
+                            s / rho[PANEL_NODES:]])
+    split = np.einsum("rj,rjm,rm->jm", weights[:, None] * rho[:, None] ** np.arange(degrees),
+                      (ratio[:, None] ** np.abs(p) * table.sides)[:, window],
+                      np.concatenate([half[:, :0:-1].conj(), half], axis=1))
+    terms = phase[window] * (edge[window] * np.where(inner[window], table.moments[a],
+                                                      table.moments[a + 1]) + split)
     return 1j * terms.sum(axis=1), np.abs(terms).sum(axis=1)
 
 
@@ -282,7 +307,7 @@ def _quadrature_row(spec: WeightSpec, table: _HarmonicTable, rows, u: complex,
         if width + order > depth + 1:
             raise ConstraintError(f"a derivative row of order {order} inside the disk needs "
                                   f"degree {width - 1 + order}; the harmonic table holds {depth}")
-        sums, l1 = _split_sums(spec, table, b)
+        sums, l1 = _split_sums(table, b)
         # summed per entry over the table's full width, so that an entry's
         # bits do not depend on the other degrees of its row
         values = a ** order * (coeffs * sums[order:order + width]).sum(axis=1)

@@ -56,6 +56,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -442,8 +443,48 @@ def panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (edges[:-1, None] + width * x).ravel(), (width * w_x).ravel()
 
 
+@lru_cache(maxsize=1)
+def _panel_rule() -> tuple:
+    """What splitting a panel and interpolating on it need, whatever the
+    cut c, built on first use: the unit rule's nodes x, their barycentric
+    weights 1 / prod_(l != k) (x_k - x_l), and the nodes and weights of the
+    split rule as (offset, slope) in c: nodes c x, then c + (1 - c) x,
+    weighted c w, then (1 - c) w."""
+    x, w_x = unit_radial_rule(PANEL_NODES)
+    gaps = x[:, None] - x
+    np.fill_diagonal(gaps, 1.0)
+    zero = np.zeros_like(x)
+    return (x, 1.0 / gaps.prod(axis=1), (np.concatenate([zero, x]), np.concatenate([x, 1.0 - x])),
+            (np.concatenate([zero, w_x]), np.concatenate([w_x, -w_x])))
+
+
+def split_panel(cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the unit panel [0, 1] split at ``cut``:
+    ``PANEL_NODES`` Gauss-Legendre nodes on [0, cut], then as many on [cut, 1]."""
+    _, _, (offset, slope), (w_offset, w_slope) = _panel_rule()
+    return offset + cut * slope, w_offset + cut * w_slope
+
+
+def panel_interpolation(unit: np.ndarray) -> np.ndarray:
+    """The matrix that takes values at a panel's ``PANEL_NODES`` Gauss-Legendre
+    nodes to their interpolating polynomial at the points ``unit``, given in
+    the panel's coordinate (0 at its lower edge, 1 at its upper): the
+    barycentric Lagrange formula (Berrut & Trefethen, SIAM Rev. 46 (2004)
+    501), whose rows sum to 1.  A point on a node takes that node's value
+    exactly."""
+    x, barycentric, _, _ = _panel_rule()
+    gaps = unit[:, None] - x
+    hits = gaps == 0.0
+    on_node = hits.any(axis=1)
+    gaps[on_node] = 1.0            # no division by 0: these rows are set below
+    matrix = barycentric / gaps
+    matrix /= matrix.sum(axis=1, keepdims=True)
+    matrix[on_node] = hits[on_node]
+    return matrix
+
+
 def harmonic_moments(spec: WeightSpec, radius: float, depth: int, panels: int,
-                     n_t: int) -> tuple[np.ndarray, np.ndarray]:
+                     n_t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partial moments of the angular harmonics of w about its centre, split
     at each panel edge rho_J = J radius / ``panels``: for j <= ``depth``,
     p = m + j + 1,
@@ -457,7 +498,9 @@ def harmonic_moments(spec: WeightSpec, radius: float, depth: int, panels: int,
     weight's own band (0 for a weight rotation invariant about c).
     Prefix sums over the panels give the first kind and suffix sums the
     second, each scaled from one edge to the next by (rho_J/rho_J+1)^|p|.
-    Returns T and the plain moments integral rho^j w_m drho of each panel."""
+    Returns T, the plain moments integral rho^j w_m drho of each panel, and
+    the kept harmonics at the panel nodes for m = 0..band, a row per node
+    (w_-m = conj(w_m), w real), a contiguous copy of their own."""
     edges = radius * np.arange(panels + 1) / panels
     rho, weights = panel_nodes(edges)
     half = n_t // 2 - 1
@@ -483,7 +526,7 @@ def harmonic_moments(spec: WeightSpec, radius: float, depth: int, panels: int,
     for J in range(panels - 1, -1, -1):
         table[J] = np.where(inner, table[J], step[J] * table[J + 1] + sums[J])
     return table, np.einsum("jpk,pkm->pjm", moment.reshape(depth + 1, panels, -1),
-                            harmonics.reshape(panels, PANEL_NODES, -1))
+                            harmonics.reshape(panels, PANEL_NODES, -1)), harmonics[:, band:].copy()
 
 
 def conj_derivative_factor(spec: WeightSpec) -> Optional[float]:

@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.integrate import quad
 from scipy.special import gammainc
 
 import detratio
 import detratio.cauchy as cauchy_module
 import detratio.weight as weight_module
 from detratio import (ConstraintError, ConvergenceError, MonicPoly, NumericalError, Poly,
-                      RatioQuery, cauchy_evaluator, cauchy_quadrature,
+                      RatioQuery, WeightSpec, cauchy_evaluator, cauchy_quadrature,
                       cauchy_row, cauchy_transform, cauchy_transform_full,
                       custom_weight, disk_flat_weight, expectation_ratio,
                       full_plane_domain, gaussian_weight, ortho_system,
@@ -642,22 +644,25 @@ def test_evaluator_rows_equal_fresh_rows_whatever_came_before(request, which):
             assert abs(res.value - value) <= 1e-10 * l1, (d, eps, order)
 
 
+# the benchmark's custom weight: exp(-(x'^2 + 2.2 y'^2)) in axes turned by 0.5
+TURNED = custom_weight(lambda z: np.exp(-(np.real(z * np.exp(-0.5j)) ** 2
+                                          + 2.2 * np.imag(z * np.exp(-0.5j)) ** 2)),
+                       full_plane_domain(8.0))
+
+
 def test_table_resolves_the_harmonics_its_rows_see(monkeypatch):
-    # exp(-(x'^2 + 2.2 y'^2)) in axes turned by 0.5: its harmonics up to
-    # |m| = 36 carry 1e-8 to 3e-10 of the degree-8 L1 moment, beyond the
-    # probe's 64 angles.  The moments at the panel edges damp them, the
-    # plain panel moments do not, so the table refines to 256 angles, and
-    # rows split mid-panel match the chord-grid reference
-    aniso = custom_weight(lambda z: np.exp(-(np.real(z * np.exp(-0.5j)) ** 2
-                                             + 2.2 * np.imag(z * np.exp(-0.5j)) ** 2)),
-                          full_plane_domain(8.0))
-    sys_ = ortho_system(aniso, 8)
+    # the turned weight's harmonics up to |m| = 36 carry 1e-8 to 3e-10 of
+    # the degree-8 L1 moment, beyond the probe's 64 angles.  The moments
+    # at the panel edges damp them, the plain panel moments do not, so the
+    # table refines to 256 angles, and rows split mid-panel match the
+    # chord-grid reference
+    sys_ = ortho_system(TURNED, 8)
     built = _table_sizes(monkeypatch)
     ev = cauchy_evaluator(sys_, "quadrature")
     for eps in (4.2 * np.exp(0.3j), 3.9 * np.exp(2.1j), 1.7 - 0.4j):
         row = cauchy_row(ev, range(9), eps)
         for d, res in enumerate(row):
-            value, l1 = _chord_grid_transform(aniso, sys_.poly(d), eps, 0, 8.0)
+            value, l1 = _chord_grid_transform(TURNED, sys_.poly(d), eps, 0, 8.0)
             assert abs(res.value - value) <= 1e-10 * l1, (eps, d)
     assert built == [(8, 64), (16, 128), (32, 256)]
 
@@ -764,3 +769,126 @@ def test_quadrature_rows_match_exact_series_over_pole_classes(request, gauss,
                         bound = 1.0 if n <= 5 else 2e3
                         assert abs(res.value - exact) <= bound * tol * abs(exact), \
                             (cls, eps, order, n)
+
+
+def _fresh_ring_split_sums(spec, table, b):
+    """``cauchy._split_sums`` as first written, the reference of the
+    interpolated split: the panel holding s = |b| split at s on rings of
+    its own, the weight evaluated on each and one FFT per ring
+    (``weight.ring_harmonics``), and the (j, m) windows as strided views."""
+    radius, (panels, depth, width), s = table.radius, table.moments.shape, abs(b)
+    panels, depth, band = panels - 1, depth - 1, width // 2
+    a = min(int(s / radius * panels), panels - 1)
+    low, high = radius * a / panels, radius * (a + 1) / panels
+    p = np.arange(-band + 1, band + depth + 2)
+    inner = p >= 1
+    phase = np.exp(-1j * math.atan2(b.imag, b.real) * p) * np.where(inner, 1.0, -1.0)
+    factor = np.where(inner, low / s if s else 0.0, s / high) ** np.abs(p) * phase
+    terms = sliding_window_view(factor, 2 * band + 1) * np.where(
+        sliding_window_view(inner, 2 * band + 1), table.moments[a], table.moments[a + 1])
+    rho, weights = weight_module.panel_nodes(np.array([low, s, high]))
+    below = np.arange(rho.size) < rho.size // 2
+    ratio = np.divide(np.minimum(rho, s), np.maximum(rho, s), out=np.zeros_like(rho),
+                      where=rho + s > 0)
+    ring = np.where(below[:, None] == inner, ratio[:, None] ** np.abs(p), 0.0) * phase
+    terms += np.einsum("jr,rm,rjm->jm", rho ** np.arange(depth + 1)[:, None],
+                       weight_module.ring_harmonics(spec, rho, table.n_t, band),
+                       sliding_window_view(weights[:, None] * ring, 2 * band + 1, axis=1))
+    return 1j * terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
+def _split_radii(table) -> dict:
+    """s = |b| at the centre, on a panel edge, on a node of the panel
+    above it, and just inside the table's radius."""
+    panels = table.moments.shape[0] - 1
+    edges = table.radius * np.arange(panels + 1) / panels
+    return {"centre": 0.0, "edge": edges[panels // 2],
+            "node": weight_module.panel_nodes(edges[panels // 2:panels // 2 + 2])[0][5],
+            "inside": np.nextafter(table.radius, 0.0)}
+
+
+@pytest.mark.parametrize("which", ["shifted", "turned", "disk"])
+def test_split_rows_match_the_fresh_ring_split(request, monkeypatch, which):
+    # every entry within 1e-14 of its L1 norm: the sums u_j at radii that
+    # meet the panel's edges and nodes exactly, and the rows built on them
+    # at orders 0-3 where the pole admits them (a gaussian's by parts)
+    spec = TURNED if which == "turned" else request.getfixturevalue(which)
+    sys_ = ortho_system(spec, 4)
+    fresh_row(sys_, range(5), 30.0)
+    table = sys_._cauchy_tables[1e-9]
+    for name, s in _split_radii(table).items():
+        for b in (complex(s), complex(0.0, s), -complex(s), s * cmath.exp(2.4j)):
+            sums, l1 = cauchy_module._split_sums(table, b)
+            reference, reference_l1 = _fresh_ring_split_sums(spec, table, b)
+            assert np.all(np.abs(sums - reference) <= 1e-14 * reference_l1), (name, b)
+            assert np.all(np.abs(l1 - reference_l1) <= 1e-14 * reference_l1), (name, b)
+    rows = range(5)
+    for s in _split_radii(table).values():
+        for angle in (0.3, 2.4):
+            u = np.conj(spec.centre) + s * cmath.exp(1j * angle)
+            by_parts = weight_module.conj_derivative_factor(spec) is not None
+            orders = (0, 1, 2, 3) if by_parts and abs(u) > spec.effective_support_radius \
+                else (0,)
+            for order in orders:
+                new = cauchy_module._quadrature_row(spec, table, rows, u, order)
+                with monkeypatch.context() as patch:
+                    patch.setattr(cauchy_module, "_split_sums",
+                                  lambda table, b: _fresh_ring_split_sums(spec, table, b))
+                    old = cauchy_module._quadrature_row(spec, table, rows, u, order)
+                for n, (res, ref) in enumerate(zip(new, old)):
+                    assert abs(res.value - ref.value) <= 1e-14 * ref.error / table.change, \
+                        (u, order, n)
+                    assert res.error == pytest.approx(ref.error, rel=1e-13)
+
+
+def test_kinked_weight_costs_the_split_no_accuracy():
+    # exp(-|z|^2 - 0.05 ||z| - 1.3|^3) has a jump in its third derivative
+    # at |z| = 1.3, inside one panel: the split interpolates its harmonics
+    # from the table's nodes there, and the rows err no more than the
+    # table does (1.9e-11), against the radial integral on each side of
+    # the kink
+    def radial(r):
+        return math.exp(-r * r - 0.05 * abs(r - 1.3) ** 3)
+
+    spec = custom_weight(lambda z: np.exp(-np.abs(z) ** 2 - 0.05 * np.abs(np.abs(z) - 1.3) ** 3),
+                         full_plane_domain(7.0))
+    ev = cauchy_evaluator(ortho_system(spec, 4), "quadrature")
+    worst = 0.0
+    for t in (0.3, 0.8, 1.0, 1.25, 1.3, 1.35, 1.7, 2.5):
+        for angle in (0.4, 2.2, 4.1):
+            u = t * cmath.exp(1j * angle)
+            for n, res in enumerate(cauchy_row(ev, range(5), u)):
+                mass = quad(lambda r: r ** (2 * n + 1) * radial(r), 0.0, t,
+                            points=[1.3] if t > 1.3 else None, epsabs=0.0, epsrel=1.2e-14,
+                            limit=200)[0]
+                exact = 1j * mass / u ** (n + 1)
+                worst = max(worst, abs(res.value - exact) / abs(exact))
+    assert worst <= 1.9e-11
+
+
+@pytest.mark.parametrize("which", ["shifted", "turned"])
+def test_split_rows_read_the_table_alone(request, monkeypatch, which):
+    # once the system's table exists, rows at poles inside its disk
+    # evaluate no weight and take no FFT
+    spec = TURNED if which == "turned" else request.getfixturevalue(which)
+    sys_ = ortho_system(spec, 6)
+    ev = cauchy_evaluator(sys_, "quadrature")
+    cauchy_row(ev, range(7), 30.0)
+    radius = sys_._cauchy_tables[ev.tolerance].radius
+    calls = []
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(WeightSpec, "evaluate", counted("evaluate", WeightSpec.evaluate))
+    monkeypatch.setattr(weight_module, "ring_harmonics",
+                        counted("ring_harmonics", weight_module.ring_harmonics))
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    for k in range(40):
+        u = np.conj(spec.centre) + 0.98 * radius * (k + 0.5) / 40 * cmath.exp(0.7j * k)
+        cauchy_row(ev, range(7), u)
+    assert len(ev._memo) == sys_.max_degree + 1 and calls == []

@@ -500,3 +500,20 @@ def test_inverse_path_without_ebars_needs_no_evaluator(gauss_sys):
     # as on the determinant path, a query with no ebars reads no transform
     res = expectation_inverses(RatioQuery(N=2), gauss_sys, None)
     assert res.value == 1.0 and res.abs_error_estimate == math.ulp(1.0)
+
+
+@pytest.mark.parametrize("n_ev", [150, 160, 170])
+def test_large_n_estimate_covers_the_rounding_of_the_exponent(n_ev):
+    # M = 1 on the gaussian is P(N, |ebar|^2) / ebar^N.  The value is
+    # mant * exp(sum of logarithms), and at N = 150-170 the log norm
+    # product alone is 600-700, whose rounding errs 2e-14 to 9e-14
+    mpmath = pytest.importorskip("mpmath")
+    sys_ = ortho_system(gaussian_weight(), n_ev)
+    ebar = 0.8 * math.sqrt(n_ev) + 0.3j
+    res = expectation_ratio(RatioQuery(N=n_ev, epsbars=(ebar,)), sys_, cauchy_evaluator(sys_))
+    with mpmath.workdps(40):
+        e = mpmath.mpc(ebar)
+        exact = mpmath.gammainc(n_ev, 0, abs(e) ** 2, regularized=True) / e ** n_ev
+        observed = float(abs(mpmath.mpc(res.value) - exact))
+    assert observed > 1e-14 * abs(res.value)
+    assert observed <= res.abs_error_estimate, (observed, res.abs_error_estimate)

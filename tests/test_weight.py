@@ -1,6 +1,9 @@
 import ast
 import inspect
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +18,11 @@ from detratio import (MONTE_CARLO, ConstraintError, NumericalError,
                       ortho_system, shifted_gaussian_weight)
 from detratio.oracle import _ratio_factor
 from detratio.quadrature import adaptive_integral, star_grid
-from detratio.weight import (CUSTOM, CUTOFF_ORDER, FAMILIES, MOMENT_TOL, _polar_point,
-                             closed_moments, gaussian_cutoff, planar_moments,
-                             regularized_gamma_p, row_radius, truncation_radius,
-                             weighted_grid)
+from detratio.weight import (CUSTOM, CUTOFF_ORDER, FAMILIES, MOMENT_TOL, PANEL_NODES,
+                             _polar_point, closed_moments, gaussian_cutoff,
+                             panel_interpolation, panel_nodes, planar_moments,
+                             regularized_gamma_p, row_radius, split_panel,
+                             truncation_radius, weighted_grid)
 
 from conftest import family_weight
 
@@ -439,7 +443,13 @@ def test_origin_grids_are_built_in_one_place():
     # every planar integral over a weight's own disk takes its nodes and
     # weighted values from weight.weighted_grid; a star_grid call anywhere
     # else is a second copy of that builder.  Cauchy rows read the
-    # harmonic table that weight.py builds, so cauchy.py builds no grid
+    # harmonic table that weight.py builds, so cauchy.py builds no grid,
+    # and a split row interpolates the table's harmonics: cauchy.py takes
+    # no rings of its own, nor the windows of the fresh-ring split
+    path = Path(detratio.__file__).parent / "cauchy.py"
+    imported = {alias.name for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not imported & {"ring_harmonics", "panel_nodes", "sliding_window_view"}
     callers, cauchy_grids = [], []
     builders = ("star_grid", "weighted_grid", "cauchy_kernel_grid")
     for path in sorted(Path(detratio.__file__).parent.glob("*.py")):
@@ -513,3 +523,52 @@ def test_planar_power_tables_are_summed_in_one_place():
                       and "vander" in (getattr(node.func, "id", None),
                                        getattr(node.func, "attr", None))]
     assert set(sites) <= {("weight.py", "planar_moments")}, sites
+
+
+def test_panel_interpolation_reproduces_polynomials_of_the_panel_degree():
+    # 16 nodes interpolate degree 15 exactly, up to rounding, anywhere in
+    # the panel: here on [1.3, 1.7], in the panel's coordinate
+    rng = np.random.default_rng(5)
+    poly = np.polynomial.Polynomial(rng.standard_normal(PANEL_NODES)
+                                    + 1j * rng.standard_normal(PANEL_NODES), domain=[1.3, 1.7])
+    assert poly.degree() == 15
+    nodes, _ = panel_nodes(np.array([1.3, 1.7]))
+    unit = np.concatenate([rng.random(200), [0.0, 1.0]])
+    exact = poly(1.3 + 0.4 * unit)
+    assert np.max(np.abs(panel_interpolation(unit) @ poly(nodes) - exact)) \
+        <= 1e-14 * np.max(np.abs(exact))
+
+
+def test_panel_interpolation_returns_a_nodes_value_on_the_node():
+    rng = np.random.default_rng(6)
+    values = rng.standard_normal((PANEL_NODES, 3)) + 1j * rng.standard_normal((PANEL_NODES, 3))
+    x = split_panel(0.0)[0][PANEL_NODES:]      # cut at 0: the nodes themselves
+    picks = [3, 0, 15, 7]
+    interpolated = panel_interpolation(np.concatenate([x[picks], [0.5, 0.123]])) @ values
+    assert interpolated[:4].tolist() == values[picks].tolist()
+    assert np.all(np.isfinite(interpolated))
+
+
+@pytest.mark.parametrize("cut", [0.0, 0.3, 1.0])
+def test_split_panel_holds_a_rule_on_each_side_of_the_cut(cut):
+    unit, weights = split_panel(cut)
+    assert np.all(unit[:PANEL_NODES] <= cut) and np.all(unit[PANEL_NODES:] >= cut)
+    for k in range(2 * PANEL_NODES):     # each side exact to degree 31
+        assert weights[:PANEL_NODES] @ unit[:PANEL_NODES] ** k \
+            == pytest.approx(cut ** (k + 1) / (k + 1), rel=1e-14, abs=1e-300)
+        assert weights @ unit ** k == pytest.approx(1 / (k + 1), rel=1e-14)
+
+
+def test_importing_the_package_builds_no_gauss_legendre_rule():
+    # the panel rule and its barycentric weights are built by the first
+    # harmonic table, not on import
+    code = ("import numpy.polynomial.legendre as legendre\n"
+            "built, rule = [], legendre.leggauss\n"
+            "legendre.leggauss = lambda n: built.append(n) or rule(n)\n"
+            "import detratio, detratio.cli\n"
+            "from detratio.weight import _panel_rule\n"
+            "print(built, _panel_rule.cache_info().currsize)")
+    src = str(Path(__file__).parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["[]", "0"]
