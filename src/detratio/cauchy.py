@@ -68,6 +68,9 @@ series row is (i/2) (conj(b)/b) pi_n(conj(ebar)) w(conj(ebar)): on
 ``gaussian_weight()`` 1.7e-2, 3.1e-4, 2.3e-7 and 1.6e-11 relative at
 |ebar| = 3.2, 4, 5 and 6, which neither error estimate reports.
 
+A ``CauchyEvaluator`` memoizes whole rows, one per (ebar, order), each
+holding every degree of its system; ``cauchy_row`` slices them.
+
 The transform obtained by dividing by (z - eps) instead is intentionally
 not provided; it reduces to the lower-degree polynomials and h_0.
 """
@@ -129,11 +132,11 @@ class _HarmonicTable:
 class CauchyEvaluator:
     """Per-weight evaluator of h_n(ebar) for one orthogonal system.
 
-    ``_memo`` maps a pole eps to the transforms computed there, under
-    (degree, order).  It keeps at most ``max_degree + 1`` poles and
-    evicts the least recently requested first: a query has at most
-    N <= max_degree + 1 distinct eps, so its own poles stay while a long
-    scan moves on.
+    ``_memo`` maps a key (eps, order) to its whole row, one result per
+    degree 0..max_degree, which ``cauchy_row`` slices.  It keeps at most
+    ``max_degree + 1`` keys and evicts the least recently requested first:
+    a query needs at most M <= N <= max_degree + 1 keys, so its own rows
+    stay while a long scan moves on.
     On the quadrature backend every row reads the system's harmonic
     table at the evaluator's tolerance, which the first quadrature row of
     any evaluator of the system builds into its ``_cauchy_tables``: one
@@ -197,9 +200,9 @@ def series_transform(spec: WeightSpec, n: int, eps: complex, order: int = 0) -> 
     """Closed-form transform (and derivatives) for rotation-invariant weights."""
     u = complex(eps)
     _check_pole(spec, u, order)
-    if u == 0:
-        return 0j
     mass = radial_mass(spec, n, abs(u))
+    if mass == 0:   # 0 / u^(n+1), also where u^(n+1) underflowed: then so did the value
+        return 0j
     coeff = 1j * (-1) ** order * math.factorial(order) * math.comb(n + order, order)
     k = n + order + 1
     try:
@@ -288,32 +291,30 @@ def _split_sums(table: _HarmonicTable, b: complex) -> tuple:
     return 1j * terms.sum(axis=1), np.abs(terms).sum(axis=1)
 
 
-def _quadrature_row(spec: WeightSpec, table: _HarmonicTable, rows, u: complex,
+def _quadrature_row(spec: WeightSpec, table: _HarmonicTable, u: complex,
                     order: int) -> tuple[CauchyResult, ...]:
-    """Transforms at the ebar ``u`` (pole z = conj(u)) of the ``rows`` of ``table``."""
+    """Transforms at the ebar ``u`` (pole z = conj(u)) of every row of ``table``."""
     warnings = _check_pole(spec, u, order)
     b = u - np.conj(spec.centre)
     if abs(b) >= table.radius:
         # the far expansion, differentiated term by term in b
         k = np.arange(table.far.shape[1])
         rising = np.prod(k[:, None] + np.arange(1.0, order + 1), axis=1)
-        terms = table.far[rows] * rising * (table.radius / b) ** (k + 1)
+        terms = table.far * rising * (table.radius / b) ** (k + 1)
         values = 1j * (-1 / b) ** order * terms.sum(axis=1)
         l1 = abs(1 / b) ** order * np.abs(terms).sum(axis=1)
     else:
         # by parts: the order-t row of pi_n is a^t times the row of zeta^t pi_n
-        a, coeffs = conj_derivative_factor(spec) if order else 1.0, table.coeffs[rows]
+        a, coeffs = conj_derivative_factor(spec) if order else 1.0, table.coeffs
         width, depth = coeffs.shape[1], table.moments.shape[1] - 1
         if width + order > depth + 1:
             raise ConstraintError(f"a derivative row of order {order} inside the disk needs "
                                   f"degree {width - 1 + order}; the harmonic table holds {depth}")
         sums, l1 = _split_sums(table, b)
-        # summed per entry over the table's full width, so that an entry's
-        # bits do not depend on the other degrees of its row
         values = a ** order * (coeffs * sums[order:order + width]).sum(axis=1)
         l1 = abs(a) ** order * (np.abs(coeffs) * l1[order:order + width]).sum(axis=1)
-    return tuple(CauchyResult(value=complex(v), error=float(table.change * e),
-                              warnings=warnings) for v, e in zip(values, l1))
+    return tuple(CauchyResult(v, e, warnings)
+                 for v, e in zip(values.tolist(), (table.change * l1).tolist()))
 
 
 def cauchy_quadrature(spec: WeightSpec, poly: MonicPoly, eps: complex,
@@ -321,47 +322,36 @@ def cauchy_quadrature(spec: WeightSpec, poly: MonicPoly, eps: complex,
     """Quadrature transform of one polynomial, on a harmonic table of its
     own to its degree (plus ``order`` on a gaussian), with no orthogonality."""
     depth = poly.degree + (order if conj_derivative_factor(spec) is not None else 0)
-    return _quadrature_row(spec, _harmonic_table(spec, (poly,), depth, tolerance), [0],
+    return _quadrature_row(spec, _harmonic_table(spec, (poly,), depth, tolerance),
                            complex(eps), order)[0]
 
 
 def cauchy_row(ev: CauchyEvaluator, degrees, eps: complex,
                order: int = 0) -> tuple[CauchyResult, ...]:
-    """Transforms h_d^(order)(eps) for each d in ``degrees``, memoized per
-    evaluator under eps and then (d, order).
-
-    The degrees missing from the memo are computed together; on the
-    quadrature backend that is one ``_quadrature_row`` on the system's
-    harmonic table.
-    """
-    degrees = tuple(degrees)
-    polys = {n: ev.system.poly(n) for n in degrees}
+    """Transforms h_d^(order)(eps) for each d in ``degrees``, sliced from the
+    evaluator's row at (eps, order): every degree 0..max_degree, computed
+    in one pass when the key is missing from ``ev._memo``."""
+    degrees, sys_, spec = tuple(degrees), ev.system, ev.weight
+    for n in degrees:
+        sys_.poly(n)    # refuses a degree outside 0..max_degree
     if order < 0:
         raise ConstraintError("derivative order must be non-negative")
-    u = complex(eps)
-    memo = ev._memo
-    entries = memo.get(u, {})
-    missing = [n for n in polys if (n, order) not in entries]
-    if missing:
-        if ev.method == ROTINV_SERIES:
-            warnings = _check_pole(ev.weight, u, order)
-            values = [series_transform(ev.weight, n, u, order) for n in missing]
-            computed = [CauchyResult(value=v, error=abs(v) * 1e-15, warnings=warnings)
-                        for v in values]
-        else:
-            sys_, tables = ev.system, ev.system._cauchy_tables
-            if ev.tolerance not in tables:   # the system's first row at this tolerance
-                depth = sys_.max_degree * (1 if conj_derivative_factor(ev.weight) is None else 2)
-                tables[ev.tolerance] = _harmonic_table(ev.weight, sys_.polys, depth,
-                                                       ev.tolerance, sys_.norms)
-            computed = _quadrature_row(ev.weight, tables[ev.tolerance], missing, u, order)
-        for n, result in zip(missing, computed):
-            entries[n, order] = result
-    memo.pop(u, None)
-    memo[u] = entries   # the most recently requested pole is the last
-    while len(memo) > ev.system.max_degree + 1:
+    key, memo = (complex(eps), order), ev._memo
+    row = memo.pop(key, None)
+    if row is None and ev.method == ROTINV_SERIES:
+        warnings = _check_pole(spec, key[0], order)
+        row = tuple(CauchyResult(value=v, error=abs(v) * 1e-15, warnings=warnings) for v in
+                    (series_transform(spec, n, key[0], order) for n in range(sys_.max_degree + 1)))
+    elif row is None:
+        tables, tol = sys_._cauchy_tables, ev.tolerance
+        if tol not in tables:   # the system's first row at this tolerance
+            depth = sys_.max_degree * (1 if conj_derivative_factor(spec) is None else 2)
+            tables[tol] = _harmonic_table(spec, sys_.polys, depth, tol, sys_.norms)
+        row = _quadrature_row(spec, tables[tol], key[0], order)
+    memo[key] = row     # the most recently requested key is the last
+    while len(memo) > sys_.max_degree + 1:
         del memo[next(iter(memo))]
-    return tuple(entries[n, order] for n in degrees)
+    return tuple(row[n] for n in degrees)
 
 
 def cauchy_transform_full(ev: CauchyEvaluator, n: int, eps: complex,

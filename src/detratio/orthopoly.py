@@ -68,17 +68,6 @@ def eval_poly(p: Poly | Sequence[complex], z):
     centre = p.centre if isinstance(p, Poly) else 0
     z = np.asarray(z, dtype=complex)
     z = z - centre if centre else z
-    if z.size > 1 and len(coeffs) > 1:
-        # out = out * z + c without a new array per step, to the same bits,
-        # starting from c_d * z + c_(d-1) rather than a filled array (with
-        # the scalar first, numpy rounds as for the filled array)
-        out = coeffs[-1] * z
-        out += coeffs[-2]
-        for c in reversed(coeffs[:-2]):
-            out *= z
-            out += c
-        return out
-    # numpy rounds a one-element product made in place differently
     out = np.full_like(z, coeffs[-1])
     for c in reversed(coeffs[:-1]):
         out = out * z + c

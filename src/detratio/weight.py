@@ -444,25 +444,19 @@ def panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=1)
-def _panel_rule() -> tuple:
-    """What splitting a panel and interpolating on it need, whatever the
-    cut c, built on first use: the unit rule's nodes x, their barycentric
-    weights 1 / prod_(l != k) (x_k - x_l), and the nodes and weights of the
-    split rule as (offset, slope) in c: nodes c x, then c + (1 - c) x,
-    weighted c w, then (1 - c) w."""
-    x, w_x = unit_radial_rule(PANEL_NODES)
+def _barycentric_weights() -> np.ndarray:
+    """1 / prod_(l != k) (x_k - x_l) over the panel rule's nodes x, built on first use."""
+    x = unit_radial_rule(PANEL_NODES)[0]
     gaps = x[:, None] - x
     np.fill_diagonal(gaps, 1.0)
-    zero = np.zeros_like(x)
-    return (x, 1.0 / gaps.prod(axis=1), (np.concatenate([zero, x]), np.concatenate([x, 1.0 - x])),
-            (np.concatenate([zero, w_x]), np.concatenate([w_x, -w_x])))
+    return 1.0 / gaps.prod(axis=1)
 
 
 def split_panel(cut: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the unit panel [0, 1] split at ``cut``:
     ``PANEL_NODES`` Gauss-Legendre nodes on [0, cut], then as many on [cut, 1]."""
-    _, _, (offset, slope), (w_offset, w_slope) = _panel_rule()
-    return offset + cut * slope, w_offset + cut * w_slope
+    x, w = unit_radial_rule(PANEL_NODES)
+    return np.concatenate([cut * x, x + cut * (1 - x)]), np.concatenate([cut * w, w - cut * w])
 
 
 def panel_interpolation(unit: np.ndarray) -> np.ndarray:
@@ -472,7 +466,7 @@ def panel_interpolation(unit: np.ndarray) -> np.ndarray:
     barycentric Lagrange formula (Berrut & Trefethen, SIAM Rev. 46 (2004)
     501), whose rows sum to 1.  A point on a node takes that node's value
     exactly."""
-    x, barycentric, _, _ = _panel_rule()
+    x, barycentric = unit_radial_rule(PANEL_NODES)[0], _barycentric_weights()
     gaps = unit[:, None] - x
     hits = gaps == 0.0
     on_node = hits.any(axis=1)
@@ -493,40 +487,50 @@ def harmonic_moments(spec: WeightSpec, radius: float, depth: int, panels: int,
         T[J, j, m] = integral_rho_J^R  rho^j (rho/rho_J)^p w_m(rho) drho   (p <= 0),
 
     so that no power exceeds 1.  The harmonics come from ``ring_harmonics``
-    on n_t angles; those adding less than HARMONIC_FLOOR of every degree's
-    L1 moment are dropped, so the last axis holds m = -band..band, the
-    weight's own band (0 for a weight rotation invariant about c).
+    on n_t angles, a panel's rings at a time, of which m >= 0 are kept
+    (w_-m = conj(w_m), w real) with their L1 moments; those adding less
+    than HARMONIC_FLOOR of every degree's L1 moment are dropped, so the
+    last axis holds m = -band..band, the weight's own band (0 for a weight
+    rotation invariant about c).  Each degree's panel sums are formed 2^17
+    terms at a time, so no array holds every ring's 2 band + 1 harmonics.
     Prefix sums over the panels give the first kind and suffix sums the
     second, each scaled from one edge to the next by (rho_J/rho_J+1)^|p|.
     Returns T, the plain moments integral rho^j w_m drho of each panel, and
-    the kept harmonics at the panel nodes for m = 0..band, a row per node
-    (w_-m = conj(w_m), w real), a contiguous copy of their own."""
+    the kept harmonics at the panel nodes for m = 0..band, a row per node."""
     edges = radius * np.arange(panels + 1) / panels
     rho, weights = panel_nodes(edges)
     half = n_t // 2 - 1
-    # a panel's rings at a time, so that one panel's ring array is held
-    harmonics = np.concatenate([ring_harmonics(spec, r, n_t, half) for r in np.split(rho, panels)])
     moment = weights * rho ** np.arange(depth + 1)[:, None]        # [j, r]
-    l1 = moment @ np.abs(harmonics)
-    kept = np.max(l1 / l1[:, half:half + 1], axis=0) > HARMONIC_FLOOR
-    band = int(np.max(np.abs(np.flatnonzero(kept) - half)))
-    harmonics = harmonics[:, half - band:half + band + 1]
+    harmonics, l1 = np.empty((rho.size, half + 1), dtype=complex), np.zeros((depth + 1, half + 1))
+    for J in range(panels):
+        rings = slice(J * PANEL_NODES, (J + 1) * PANEL_NODES)
+        harmonics[rings] = ring_harmonics(spec, rho[rings], n_t, half)[:, half:]
+        l1 += moment[:, rings] @ np.abs(harmonics[rings])
+    band = int(np.max(np.flatnonzero(np.max(l1 / l1[:, :1], axis=0) > HARMONIC_FLOOR)))
+    harmonics, width = np.ascontiguousarray(harmonics[:, :band + 1]), 2 * band + 1
     p = np.arange(-band, band + 1) + np.arange(depth + 1)[:, None] + 1   # [j, m]
     inner = p >= 1
     # rho over its panel's upper edge (p >= 1), its lower edge over rho (p <= 0)
     upper = rho / np.repeat(edges[1:], PANEL_NODES)
     lower = np.repeat(edges[:-1], PANEL_NODES) / rho
-    sums = np.stack([(moment[j, :, None] * harmonics * np.where(
-        inner[j], upper[:, None], lower[:, None]) ** np.abs(p[j])).reshape(
-            panels, PANEL_NODES, -1).sum(axis=1) for j in range(depth + 1)], axis=1)
+    sums, plain = (np.empty((panels, depth + 1, width), dtype=complex) for _ in range(2))
+    block = max(1, 2 ** 17 // (PANEL_NODES * width))
+    for first in range(0, panels, block):
+        rings = slice(first * PANEL_NODES, (first + block) * PANEL_NODES)
+        ring = np.concatenate([harmonics[rings, :0:-1].conj(), harmonics[rings]], axis=1)
+        for j in range(depth + 1):
+            ratio = np.where(inner[j], upper[rings, None], lower[rings, None]) ** np.abs(p[j])
+            sums[first:first + block, j] = (moment[j, rings, None] * ring * ratio).reshape(
+                -1, PANEL_NODES, width).sum(axis=1)
+        plain[first:first + block] = np.einsum("jpk,pkm->pjm", moment[:, rings].reshape(
+            depth + 1, -1, PANEL_NODES), ring.reshape(-1, PANEL_NODES, width))
     step = (edges[:-1] / edges[1:])[:, None, None] ** np.abs(p)    # rho_J -> rho_J+1
-    table = np.zeros((panels + 1, depth + 1, 2 * band + 1), dtype=complex)
+    table = np.zeros((panels + 1, depth + 1, width), dtype=complex)
     for J in range(panels):
         table[J + 1] = np.where(inner, step[J] * table[J] + sums[J], 0)
     for J in range(panels - 1, -1, -1):
         table[J] = np.where(inner, table[J], step[J] * table[J + 1] + sums[J])
-    return table, np.einsum("jpk,pkm->pjm", moment.reshape(depth + 1, panels, -1),
-                            harmonics.reshape(panels, PANEL_NODES, -1)), harmonics[:, band:].copy()
+    return table, plain, harmonics
 
 
 def conj_derivative_factor(spec: WeightSpec) -> Optional[float]:

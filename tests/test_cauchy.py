@@ -2,6 +2,7 @@ import ast
 import cmath
 import functools
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -225,6 +226,20 @@ def test_eps_inside_disk_finite_and_flagged(disk, disk_sys, disk_ev_quad):
 def test_eps_at_origin_is_zero(disk_ev, gauss_ev):
     assert cauchy_transform(disk_ev, 2, 0.0) == 0
     assert cauchy_transform(gauss_ev, 0, 0.0) == 0
+
+
+@pytest.mark.parametrize("which", ["gauss_sys", "disk_sys"])
+def test_near_origin_series_rows_are_finite(request, which):
+    # the mass scales as |u|^(2n+2) and the power it is divided by as
+    # |u|^(n+1): where the power underflows to 0, the mass and the value
+    # have too
+    sys_ = request.getfixturevalue(which)
+    for u in (1e-60, 1e-100j, -1e-150, 1e-200 * cmath.exp(0.7j)):
+        row = cauchy_row(cauchy_evaluator(sys_, "rotinv-series"), range(sys_.max_degree + 1), u)
+        assert all(cmath.isfinite(res.value) and math.isfinite(res.error) for res in row)
+        assert row[-1].value == 0
+        if abs(u) >= 1e-150:   # i (|u|^2 / 2) / u, while |u|^2 is a normal double
+            assert row[0].value == pytest.approx(0.5j * u.conjugate(), rel=1e-12, abs=0)
 
 
 def test_eps_on_disk_boundary_treated_as_inside(disk, disk_sys):
@@ -556,6 +571,29 @@ def test_row_fills_memo_with_single_entry_bits(gauss_sys):
                 assert cauchy_transform_full(row_ev, d, eps, order) == single
 
 
+@pytest.mark.parametrize("method, computes", [("rotinv-series", "series_transform"),
+                                               ("quadrature", "_quadrature_row")])
+def test_each_pole_and_order_is_computed_once_per_evaluator(gauss_sys, monkeypatch,
+                                                            method, computes):
+    # a key's first request computes its whole row, every degree; other
+    # degrees at that key, and a return to it, are read from the memo
+    calls = []
+    compute = getattr(cauchy_module, computes)
+    monkeypatch.setattr(cauchy_module, computes,
+                        lambda *args: calls.append(args) or compute(*args))
+    per_row = gauss_sys.max_degree + 1 if method == "rotinv-series" else 1
+    ev, eps = cauchy_evaluator(gauss_sys, method), 4.6 + 0.5j
+    first = cauchy_row(ev, (0, 1), eps)
+    assert len(calls) == per_row
+    cauchy_row(ev, (2, 3), eps)
+    assert len(calls) == per_row
+    cauchy_row(ev, (0, 1), eps, 1)
+    assert len(calls) == 2 * per_row
+    again = cauchy_row(ev, (0, 1), eps)
+    assert len(calls) == 2 * per_row and all(a is b for a, b in zip(first, again))
+    assert list(ev._memo) == [(eps, 1), (eps, 0)]
+
+
 def test_convergence_error_lists_refinement_history():
     with pytest.raises(ConvergenceError) as info:
         adaptive_integral(lambda n_r, n_t: complex(n_r), 1e-9)
@@ -565,11 +603,19 @@ def test_convergence_error_lists_refinement_history():
 
 def test_table_that_does_not_converge_names_its_weight():
     # the cusp's harmonics decay too slowly for a table at 1e-7; its error
-    # names the table and lists the change at every doubling
-    with pytest.raises(ConvergenceError, match="harmonic table of custom") as info:
-        cauchy_quadrature(CUSP, MonicPoly((-1.0, 1.0)), 0.5 + 0.5j, 1e-7)
+    # names the table and lists the change at every doubling.  Up to the
+    # last, 128 panels of 16 rings and 1,024 angles, no array of every
+    # ring's 1,023 harmonics is held
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError, match="harmonic table of custom") as info:
+            cauchy_quadrature(CUSP, MonicPoly((-1.0, 1.0)), 0.5 + 0.5j, 1e-7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     for level in ("96x128", "192x256", "384x512", "768x1024"):
         assert level in str(info.value)
+    assert peak <= 50e6
 
 
 # anisotropic, so its transforms take the quadrature backend
@@ -682,27 +728,28 @@ def test_table_does_not_grow_with_the_number_of_poles(shifted):
     for k in range(3000):
         cauchy_row(ev, range(3), (boundary + 1.0 + k / 1000) * np.exp(2j * np.pi * k / 3000))
         memo_sizes.append(len(ev._memo))
-    # the memo keeps the transforms of max_degree + 1 = 5 poles, and the
-    # system the one table its first row built
+    # the memo keeps the whole rows of max_degree + 1 = 5 (pole, order)
+    # keys, and the system the one table its first row built
     assert max(memo_sizes) == 5
-    assert all(len(entries) == 3 for entries in ev._memo.values())
+    assert all(len(row) == sys_.max_degree + 1 for row in ev._memo.values())
     assert list(sys_._cauchy_tables.values()) == [table]
     assert table.moments.shape == (17, 9, 1)
 
 
 def test_memo_evicts_the_least_recently_requested_pole(gauss_sys):
     ev = cauchy_evaluator(gauss_sys)
-    poles = [4.0 + 0.5j * k for k in range(gauss_sys.max_degree + 2)]
-    for eps in poles[:-1]:
-        cauchy_row(ev, (0, 1), eps)
-    first = cauchy_row(ev, (0, 1), poles[0])   # a hit, now the most recent
-    cauchy_row(ev, (0, 1), poles[-1])          # evicts poles[1]
-    assert list(ev._memo) == poles[2:-1] + [poles[0], poles[-1]]
-    assert all(a is b for a, b in zip(first, cauchy_row(ev, (0, 1), poles[0])))
+    # keys are (pole, order): the two orders at one pole are two keys
+    keys = [(4.0 + 0.5j * (k // 2), k % 2) for k in range(gauss_sys.max_degree + 2)]
+    for eps, order in keys[:-1]:
+        cauchy_row(ev, (0, 1), eps, order)
+    first = cauchy_row(ev, (0, 1), *keys[0])   # a hit, now the most recent
+    cauchy_row(ev, (0, 1), *keys[-1])          # evicts keys[1]
+    assert list(ev._memo) == keys[2:-1] + [keys[0], keys[-1]]
+    assert all(a is b for a, b in zip(first, cauchy_row(ev, (0, 1), *keys[0])))
 
 
 def test_no_other_module_reads_the_evaluators_memo():
-    # the memo's layout (pole, then degree and order) and the system's
+    # the memo's layout ((pole, order), then the whole row) and the system's
     # harmonic tables are known to cauchy.py alone: deformed.determinant_rows
     # takes each h row, and its error, through cauchy_row, so a second
     # reading of the rows from the memo would be a second copy of that layout
@@ -822,7 +869,6 @@ def test_split_rows_match_the_fresh_ring_split(request, monkeypatch, which):
             reference, reference_l1 = _fresh_ring_split_sums(spec, table, b)
             assert np.all(np.abs(sums - reference) <= 1e-14 * reference_l1), (name, b)
             assert np.all(np.abs(l1 - reference_l1) <= 1e-14 * reference_l1), (name, b)
-    rows = range(5)
     for s in _split_radii(table).values():
         for angle in (0.3, 2.4):
             u = np.conj(spec.centre) + s * cmath.exp(1j * angle)
@@ -830,11 +876,11 @@ def test_split_rows_match_the_fresh_ring_split(request, monkeypatch, which):
             orders = (0, 1, 2, 3) if by_parts and abs(u) > spec.effective_support_radius \
                 else (0,)
             for order in orders:
-                new = cauchy_module._quadrature_row(spec, table, rows, u, order)
+                new = cauchy_module._quadrature_row(spec, table, u, order)
                 with monkeypatch.context() as patch:
                     patch.setattr(cauchy_module, "_split_sums",
                                   lambda table, b: _fresh_ring_split_sums(spec, table, b))
-                    old = cauchy_module._quadrature_row(spec, table, rows, u, order)
+                    old = cauchy_module._quadrature_row(spec, table, u, order)
                 for n, (res, ref) in enumerate(zip(new, old)):
                     assert abs(res.value - ref.value) <= 1e-14 * ref.error / table.change, \
                         (u, order, n)

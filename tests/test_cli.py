@@ -128,6 +128,16 @@ def test_far_pole_on_the_series_backend(tmp_path, capsys):
     assert "error estimate nan" in capsys.readouterr().err
 
 
+def test_eval_at_a_near_origin_ebar_exits_3(tmp_path, capsys):
+    # every h entry of degree >= 1 underflows to 0 at ebar = 1e-60, so the
+    # expectation vanishes and is refused like any non-finite result
+    cfg = write_config(tmp_path, base_config(
+        weight={"kind": "gaussian", "scale": 1.0}, system={"max_degree": 8},
+        query={"N": 7, "mus": [], "epsbars": [[1e-60, 0.0]]}))
+    assert run(["eval", "--config", cfg]) == 3
+    assert "non-finite evaluation result" in capsys.readouterr().err
+
+
 def test_eval_m_exceeds_n_exits_4(tmp_path, capsys):
     cfg = write_config(tmp_path, base_config(
         query={"N": 1, "mus": [], "epsbars": [[2.0, 0.0], [3.0, 0.0]]}))

@@ -566,8 +566,8 @@ def test_importing_the_package_builds_no_gauss_legendre_rule():
             "built, rule = [], legendre.leggauss\n"
             "legendre.leggauss = lambda n: built.append(n) or rule(n)\n"
             "import detratio, detratio.cli\n"
-            "from detratio.weight import _panel_rule\n"
-            "print(built, _panel_rule.cache_info().currsize)")
+            "from detratio.weight import _barycentric_weights\n"
+            "print(built, _barycentric_weights.cache_info().currsize)")
     src = str(Path(__file__).parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
