@@ -68,8 +68,8 @@ series row is (i/2) (conj(b)/b) pi_n(conj(ebar)) w(conj(ebar)): on
 ``gaussian_weight()`` 1.7e-2, 3.1e-4, 2.3e-7 and 1.6e-11 relative at
 |ebar| = 3.2, 4, 5 and 6, which neither error estimate reports.
 
-A ``CauchyEvaluator`` memoizes whole rows, one per (ebar, order), each
-holding every degree of its system; ``cauchy_row`` slices them.
+A ``CauchyEvaluator`` memoizes a row per (ebar, order): whole from one
+quadrature pass, a requested degree at a time from the series.
 
 The transform obtained by dividing by (z - eps) instead is intentionally
 not provided; it reduces to the lower-degree polynomials and h_0.
@@ -87,7 +87,7 @@ from numpy.polynomial import Polynomial
 from .errors import ConstraintError, NumericalError
 from .orthopoly import MonicPoly, OrthoSystem
 from .quadrature import PROBE, adaptive_integral, require_certifiable
-from .weight import (DISK, PANEL_NODES, WeightSpec, conj_derivative_factor,
+from .weight import (DISK, PANEL_NODES, WeightSpec, both_signs, conj_derivative_factor,
                      harmonic_moments, panel_interpolation, radial_mass, row_radius,
                      split_panel)
 
@@ -132,11 +132,13 @@ class _HarmonicTable:
 class CauchyEvaluator:
     """Per-weight evaluator of h_n(ebar) for one orthogonal system.
 
-    ``_memo`` maps a key (eps, order) to its whole row, one result per
-    degree 0..max_degree, which ``cauchy_row`` slices.  It keeps at most
-    ``max_degree + 1`` keys and evicts the least recently requested first:
-    a query needs at most M <= N <= max_degree + 1 keys, so its own rows
-    stay while a long scan moves on.
+    ``_memo`` maps a key (eps, order) to its row, a slot per degree
+    0..max_degree: all filled on the quadrature backend, the degrees
+    requested so far on the series backend, whose closed forms share no
+    work across degrees.  It keeps at most ``max_degree + 1`` keys and
+    evicts the least recently requested first: a query needs at most
+    M <= N <= max_degree + 1 keys, so its own rows stay while a long scan
+    moves on.
     On the quadrature backend every row reads the system's harmonic
     table at the evaluator's tolerance, which the first quadrature row of
     any evaluator of the system builds into its ``_cauchy_tables``: one
@@ -182,7 +184,7 @@ def _check_pole(spec: WeightSpec, eps: complex, order: int) -> tuple:
 
     A pole on or inside the effective support (on a disk, the disk) is
     flagged at order 0 and refused with NumericalError at order >= 1.
-    Each backend calls this once per row before computing it;
+    Each backend calls this once before computing entries of a row;
     ``series_transform``, callable alone, checks its own entry too.
     """
     if abs(eps) <= spec.effective_support_radius:
@@ -285,7 +287,7 @@ def _split_sums(table: _HarmonicTable, b: complex) -> tuple:
                             s / rho[PANEL_NODES:]])
     split = np.einsum("rj,rjm,rm->jm", weights[:, None] * rho[:, None] ** np.arange(degrees),
                       (ratio[:, None] ** np.abs(p) * table.sides)[:, window],
-                      np.concatenate([half[:, :0:-1].conj(), half], axis=1))
+                      both_signs(half))
     terms = phase[window] * (edge[window] * np.where(inner[window], table.moments[a],
                                                       table.moments[a + 1]) + split)
     return 1j * terms.sum(axis=1), np.abs(terms).sum(axis=1)
@@ -329,8 +331,8 @@ def cauchy_quadrature(spec: WeightSpec, poly: MonicPoly, eps: complex,
 def cauchy_row(ev: CauchyEvaluator, degrees, eps: complex,
                order: int = 0) -> tuple[CauchyResult, ...]:
     """Transforms h_d^(order)(eps) for each d in ``degrees``, sliced from the
-    evaluator's row at (eps, order): every degree 0..max_degree, computed
-    in one pass when the key is missing from ``ev._memo``."""
+    evaluator's row at (eps, order): on a miss, every degree of a quadrature
+    row in one pass; on the series backend, the requested degrees missing."""
     degrees, sys_, spec = tuple(degrees), ev.system, ev.weight
     for n in degrees:
         sys_.poly(n)    # refuses a degree outside 0..max_degree
@@ -338,10 +340,13 @@ def cauchy_row(ev: CauchyEvaluator, degrees, eps: complex,
         raise ConstraintError("derivative order must be non-negative")
     key, memo = (complex(eps), order), ev._memo
     row = memo.pop(key, None)
-    if row is None and ev.method == ROTINV_SERIES:
-        warnings = _check_pole(spec, key[0], order)
-        row = tuple(CauchyResult(value=v, error=abs(v) * 1e-15, warnings=warnings) for v in
-                    (series_transform(spec, n, key[0], order) for n in range(sys_.max_degree + 1)))
+    if ev.method == ROTINV_SERIES:
+        row = row or [None] * (sys_.max_degree + 1)
+        missing = {n for n in degrees if row[n] is None}
+        warnings = _check_pole(spec, key[0], order) if missing else ()
+        for n in missing:
+            v = series_transform(spec, n, key[0], order)
+            row[n] = CauchyResult(value=v, error=abs(v) * 1e-15, warnings=warnings)
     elif row is None:
         tables, tol = sys_._cauchy_tables, ev.tolerance
         if tol not in tables:   # the system's first row at this tolerance

@@ -94,8 +94,8 @@ def determinant_rows(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, eps_mults,
 
     One row h_d^(t)(ebar)/t! for each ebar and each t below its
     multiplicity, then one row pi_d^(t)(mu)/t! for each mu and t.  Each h
-    row is one ``cauchy_row`` request, sliced from the evaluator's whole
-    row at (ebar, t).  Returns the matrix, the transform warnings,
+    row is one ``cauchy_row`` request, sliced from the evaluator's row at
+    (ebar, t).  Returns the matrix, the transform warnings,
     each listed once, and the h rows' relative error: per row, the
     largest error estimate of its transforms over their largest
     magnitude, the worst row floored at ``cev.relative_error``; 0 with

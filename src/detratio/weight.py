@@ -430,10 +430,14 @@ def planar_moments(spec: WeightSpec, radius: float, n_r: int, n_t: int,
 
 def ring_harmonics(spec: WeightSpec, rho: np.ndarray, n_t: int, band: int) -> np.ndarray:
     """Angular harmonics w_m(rho) of w about its centre, one FFT of n_t angles
-    per ring: a row per radius in ``rho``, columns m = -band..band."""
+    per ring: a row per radius in ``rho``, columns m = 0..band."""
     values = spec.evaluate(spec.centre + rho[:, None] * np.exp(1j * angular_rule(n_t)[0]))
-    upper = np.fft.rfft(values, axis=1)[:, :band + 1] / n_t     # w_-m = conj(w_m), w real
-    return np.concatenate([upper[:, :0:-1].conj(), upper], axis=1)
+    return np.fft.rfft(values, axis=1)[:, :band + 1] / n_t
+
+
+def both_signs(harmonics: np.ndarray) -> np.ndarray:
+    """Harmonics m = 0..band on the last axis widened to -band..band: w_-m = conj(w_m), w real."""
+    return np.concatenate([harmonics[..., :0:-1].conj(), harmonics], axis=-1)
 
 
 def panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -504,7 +508,7 @@ def harmonic_moments(spec: WeightSpec, radius: float, depth: int, panels: int,
     harmonics, l1 = np.empty((rho.size, half + 1), dtype=complex), np.zeros((depth + 1, half + 1))
     for J in range(panels):
         rings = slice(J * PANEL_NODES, (J + 1) * PANEL_NODES)
-        harmonics[rings] = ring_harmonics(spec, rho[rings], n_t, half)[:, half:]
+        harmonics[rings] = ring_harmonics(spec, rho[rings], n_t, half)
         l1 += moment[:, rings] @ np.abs(harmonics[rings])
     band = int(np.max(np.flatnonzero(np.max(l1 / l1[:, :1], axis=0) > HARMONIC_FLOOR)))
     harmonics, width = np.ascontiguousarray(harmonics[:, :band + 1]), 2 * band + 1
@@ -517,7 +521,7 @@ def harmonic_moments(spec: WeightSpec, radius: float, depth: int, panels: int,
     block = max(1, 2 ** 17 // (PANEL_NODES * width))
     for first in range(0, panels, block):
         rings = slice(first * PANEL_NODES, (first + block) * PANEL_NODES)
-        ring = np.concatenate([harmonics[rings, :0:-1].conj(), harmonics[rings]], axis=1)
+        ring = both_signs(harmonics[rings])
         for j in range(depth + 1):
             ratio = np.where(inner[j], upper[rings, None], lower[rings, None]) ** np.abs(p[j])
             sums[first:first + block, j] = (moment[j, rings, None] * ring * ratio).reshape(

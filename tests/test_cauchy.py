@@ -575,23 +575,27 @@ def test_row_fills_memo_with_single_entry_bits(gauss_sys):
                                                ("quadrature", "_quadrature_row")])
 def test_each_pole_and_order_is_computed_once_per_evaluator(gauss_sys, monkeypatch,
                                                             method, computes):
-    # a key's first request computes its whole row, every degree; other
-    # degrees at that key, and a return to it, are read from the memo
+    # a quadrature key's first request computes its whole row in one pass;
+    # a series key computes each requested degree once, since its closed
+    # forms share no work.  Other degrees at a quadrature key, and a return
+    # to any key, are read from the memo
     calls = []
     compute = getattr(cauchy_module, computes)
     monkeypatch.setattr(cauchy_module, computes,
                         lambda *args: calls.append(args) or compute(*args))
-    per_row = gauss_sys.max_degree + 1 if method == "rotinv-series" else 1
+    counts = iter([1, 1, 2, 2] if method == "quadrature" else [2, 4, 6, 6])
     ev, eps = cauchy_evaluator(gauss_sys, method), 4.6 + 0.5j
     first = cauchy_row(ev, (0, 1), eps)
-    assert len(calls) == per_row
+    assert len(calls) == next(counts)
     cauchy_row(ev, (2, 3), eps)
-    assert len(calls) == per_row
+    assert len(calls) == next(counts)
     cauchy_row(ev, (0, 1), eps, 1)
-    assert len(calls) == 2 * per_row
+    assert len(calls) == next(counts)
     again = cauchy_row(ev, (0, 1), eps)
-    assert len(calls) == 2 * per_row and all(a is b for a, b in zip(first, again))
+    cauchy_row(ev, (1, 2), eps)
+    assert len(calls) == next(counts) and all(a is b for a, b in zip(first, again))
     assert list(ev._memo) == [(eps, 1), (eps, 0)]
+    assert all(len(row) == gauss_sys.max_degree + 1 for row in ev._memo.values())
 
 
 def test_convergence_error_lists_refinement_history():
@@ -749,7 +753,7 @@ def test_memo_evicts_the_least_recently_requested_pole(gauss_sys):
 
 
 def test_no_other_module_reads_the_evaluators_memo():
-    # the memo's layout ((pole, order), then the whole row) and the system's
+    # the memo's layout ((pole, order), then its row) and the system's
     # harmonic tables are known to cauchy.py alone: deformed.determinant_rows
     # takes each h row, and its error, through cauchy_row, so a second
     # reading of the rows from the memo would be a second copy of that layout
@@ -839,7 +843,8 @@ def _fresh_ring_split_sums(spec, table, b):
                       where=rho + s > 0)
     ring = np.where(below[:, None] == inner, ratio[:, None] ** np.abs(p), 0.0) * phase
     terms += np.einsum("jr,rm,rjm->jm", rho ** np.arange(depth + 1)[:, None],
-                       weight_module.ring_harmonics(spec, rho, table.n_t, band),
+                       weight_module.both_signs(
+                           weight_module.ring_harmonics(spec, rho, table.n_t, band)),
                        sliding_window_view(weights[:, None] * ring, 2 * band + 1, axis=1))
     return 1j * terms.sum(axis=1), np.abs(terms).sum(axis=1)
 
