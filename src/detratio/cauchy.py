@@ -24,6 +24,8 @@ Two backends:
 
       h_n^(k)(u) = i (-1)^k k! binom(n+k, k) I_n(|u|) / u^(n+k+1).
 
+  An entry carries ``SERIES_ROUNDING`` (n + k + 1) times its modulus.
+
 * ``quadrature``: the same expansion about the weight's centre c, for
   any weight (the split of Daripa's fast Cauchy transform, SIAM J. Sci.
   Stat. Comput. 13 (1992) 1418).  With zeta = z - c = rho e^{i phi},
@@ -79,7 +81,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -93,9 +95,10 @@ from .weight import (DISK, PANEL_NODES, WeightSpec, both_signs, conj_derivative_
 
 ROTINV_SERIES = "rotinv-series"
 QUADRATURE = "quadrature"
+SERIES_ROUNDING = 4 * 2.0 ** -52   # per n + k + 1: up to 2.3 eps seen against mpmath
 
-@dataclass(frozen=True)
-class CauchyResult:
+
+class CauchyResult(NamedTuple):
     """Value with an error estimate and accuracy warnings."""
 
     value: complex
@@ -346,7 +349,7 @@ def cauchy_row(ev: CauchyEvaluator, degrees, eps: complex,
         warnings = _check_pole(spec, key[0], order) if missing else ()
         for n in missing:
             v = series_transform(spec, n, key[0], order)
-            row[n] = CauchyResult(value=v, error=abs(v) * 1e-15, warnings=warnings)
+            row[n] = CauchyResult(v, SERIES_ROUNDING * (n + order + 1) * abs(v), warnings)
     elif row is None:
         tables, tol = sys_._cauchy_tables, ev.tolerance
         if tol not in tables:   # the system's first row at this tolerance

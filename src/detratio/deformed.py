@@ -14,7 +14,7 @@ with them, the one place it is formed.  A deformed quantity is the
 determinant of such rows bordered by one last row, divided by its
 top-left minor (the same rows without the last column), both from
 ``scaled_lu_det``, as a ratio of mantissas times 2 to the difference of
-the exponents:
+the exponents, brought back to a number by ``determinants.reassemble``:
 
 * multiplication only (Christoffel): pi rows at the mu's bordered by the
   pi row at z, divided by prod_j (z - mu_j)^(m_j); repeated mu's give
@@ -41,9 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy import CauchyEvaluator, cauchy_row
-from .determinants import scaled_lu_det
-from .errors import (ConstraintError, DegenerateVariablesError, NumericalError,
-                     SingularMatrixError, is_integer)
+from .determinants import reassemble, scaled_lu_det
+from .errors import (ConstraintError, DegenerateVariablesError, SingularMatrixError,
+                     is_integer)
 from .orthopoly import OrthoSystem, eval_poly, poly_derivative
 
 NEAR_DEGENERACY_RTOL = 1e-8
@@ -139,15 +139,6 @@ def determinant_rows(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, eps_mults,
     return matrix, tuple(warnings), h_error
 
 
-def _ldexp(mantissa: complex, exponent: int, what: str) -> complex:
-    """mantissa * 2**exponent, refused where it leaves the double range."""
-    try:
-        return complex(math.ldexp(mantissa.real, exponent),
-                       math.ldexp(mantissa.imag, exponent))
-    except OverflowError:
-        raise NumericalError(f"{what} overflows: {mantissa!r} * 2**{exponent}") from None
-
-
 def _bordered_ratio(matrix: np.ndarray, what: str) -> tuple[complex, float]:
     """det(matrix) over its top-left minor ``what``, which must be
     nonsingular, and the worse of the two pivot ratios; neither
@@ -159,7 +150,7 @@ def _bordered_ratio(matrix: np.ndarray, what: str) -> tuple[complex, float]:
     if not math.isfinite(cond_den):
         raise SingularMatrixError(
             f"{what} is numerically singular (conditioning {cond_den:.3e})")
-    ratio = _ldexp(num / den, e_num - e_den, f"the ratio over the {what}")
+    ratio = reassemble(num / den, e_num - e_den, f"the ratio over the {what}")
     return ratio, max(cond_num, cond_den)
 
 
@@ -207,9 +198,8 @@ def christoffel_q(sys: OrthoSystem, mus, n: int, z: complex) -> complex:
     """Raw bordered determinant for the multiplied measure; vanishes at each mu."""
     mus, mults = canonical_variables(mus, "mus")
     what = "christoffel determinant"
-    mantissa, exponent, _ = scaled_lu_det(
-        _bordered_matrix(sys, None, (), mus, mults, n, what, z=z))
-    return _ldexp(mantissa, exponent, what)
+    matrix = _bordered_matrix(sys, None, (), mus, mults, n, what, z=z)
+    return reassemble(*scaled_lu_det(matrix)[:2], what)
 
 
 def christoffel_poly(sys: OrthoSystem, mus, n: int, z: complex,
@@ -226,9 +216,8 @@ def uvarov_q(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, n: int,
     """Raw bordered determinant for the divided measure."""
     epsbars, _ = canonical_variables(epsbars, "epsbars")
     what = "uvarov determinant"
-    mantissa, exponent, _ = scaled_lu_det(
-        _bordered_matrix(sys, cev, epsbars, (), (), n, what, z=z))
-    return _ldexp(mantissa, exponent, what)
+    matrix = _bordered_matrix(sys, cev, epsbars, (), (), n, what, z=z)
+    return reassemble(*scaled_lu_det(matrix)[:2], what)
 
 
 def uvarov_poly(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, n: int,

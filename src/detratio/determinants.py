@@ -1,4 +1,5 @@
-"""Dense complex determinants with conditioning diagnostics.
+"""Dense complex determinants with conditioning diagnostics, and the one
+format for numbers past the double range: a mantissa and a power of two.
 
 Determinants are evaluated by LU factorization with partial pivoting,
 written as plain Python elimination over complex scalars (numpy and the
@@ -7,11 +8,10 @@ LAPACK's getf2 rule, so the pivot sequence is LAPACK's; the conditioning
 indicator is the ratio of the largest to the smallest pivot magnitude,
 and an exactly singular matrix gives det 0 and conditioning inf.
 ``scaled_lu_det`` is the one entry: it scales each row by a power of two
-and returns the determinant as a mantissa and a binary exponent, so
-products of large or tiny determinants and factorials can be reassembled
-in log-polar form, or as a ratio of mantissas.  Vandermonde factors come
-only in that form, from ``confluent_vandermonde_logpolar``; the plain
-product is its case with every multiplicity 1.
+and returns the determinant as a mantissa and a binary exponent.
+Products come in that form from ``scaled_product``, Vandermonde factors
+from ``confluent_vandermonde`` (the plain product is its case with every
+multiplicity 1), and ``reassemble`` is the one way back to a number.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import NumericalError
 
 
 def lu_det(matrix) -> tuple[complex, float]:
@@ -82,20 +84,37 @@ def scaled_lu_det(matrix) -> tuple[complex, int, float]:
     return mantissa, exponent, cond
 
 
-def confluent_vandermonde_logpolar(values, multiplicities) -> tuple[float, float]:
-    """Log-polar prod over distinct pairs (x_i - x_j)^(m_i m_j).
+def scaled_product(factors) -> tuple[complex, int]:
+    """(mantissa, exponent) with prod(factors) = mantissa * 2**exponent.
 
-    This is the Vandermonde limit matching derivative rows normalized by
-    1/t!; no extra factorial product appears in that convention.
+    Each finite factor is scaled into [0.5, 1) by the power of two of its
+    modulus, taken as two halves so that neither overflows, before it
+    multiplies, and the product, in [0.25, 1), is doubled back into
+    [0.5, 1): no partial product leaves the double range or turns
+    subnormal, and only the multiplications round.
     """
-    log_mod, phase = 0.0, 0.0
-    xs = [complex(v) for v in values]
-    for i in range(len(xs)):
-        for j in range(i):
-            d = xs[i] - xs[j]
-            if d == 0:
-                return float("-inf"), 0.0
-            power = multiplicities[i] * multiplicities[j]
-            log_mod += power * math.log(abs(d))
-            phase += power * math.atan2(d.imag, d.real)
-    return log_mod, phase
+    mantissa, exponent = 1.0 + 0j, 0
+    for x in factors:
+        e = math.frexp(abs(x))[1]
+        mantissa *= x * math.ldexp(1.0, -(e // 2)) * math.ldexp(1.0, e // 2 - e)
+        if abs(mantissa) < 0.5:
+            mantissa, e = 2 * mantissa, e - 1
+        exponent += e
+    return mantissa, exponent
+
+
+def reassemble(mantissa: complex, exponent: int, what: str) -> complex:
+    """mantissa * 2**exponent, refused where it leaves the double range."""
+    try:
+        return complex(math.ldexp(mantissa.real, exponent),
+                       math.ldexp(mantissa.imag, exponent))
+    except OverflowError:
+        raise NumericalError(f"{what} overflows: {mantissa!r} * 2**{exponent}") from None
+
+
+def confluent_vandermonde(values, multiplicities) -> tuple[complex, int]:
+    """(mantissa, exponent) of prod over pairs i > j of (x_i - x_j)^(m_i m_j),
+    the Vandermonde limit matching derivative rows normalized by 1/t!; no
+    extra factorial product appears in that convention."""
+    return scaled_product([values[i] - values[j] for i in range(len(values)) for j in range(i)
+                           for _ in range(multiplicities[i] * multiplicities[j])])

@@ -22,12 +22,12 @@ Christoffel-Darboux identity is assumed anywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from .determinants import reassemble, scaled_product
 from .errors import ConstraintError, NumericalError, is_integer
 from .weight import (MomentMatrix, WeightSpec, moment_matrix, truncation_radius,
                      weighted_grid)
@@ -185,16 +185,15 @@ def require_eigenvalue_count(n) -> None:
 
 
 def partition_function(sys: OrthoSystem, n_eigenvalues: int) -> float:
-    """Normalization integral of the n-eigenvalue measure: N! prod r_j."""
+    """Normalization integral of the n-eigenvalue measure: N! prod r_j,
+    refused with NumericalError past the double range."""
     require_eigenvalue_count(n_eigenvalues)
     if n_eigenvalues > sys.max_degree + 1:
         raise ConstraintError(
             f"partition function for N={n_eigenvalues} needs norms up to "
             f"r_{n_eigenvalues - 1}; system depth is {sys.max_degree}")
-    value = float(math.factorial(n_eigenvalues))
-    for r in sys.norms[:n_eigenvalues]:
-        value *= r
-    return value
+    factors = [*range(1, n_eigenvalues + 1), *sys.norms[:n_eigenvalues]]
+    return reassemble(*scaled_product(factors), "the partition function").real
 
 
 def orthogonality_residual_matrix(sys: OrthoSystem) -> np.ndarray:

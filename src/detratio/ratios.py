@@ -23,17 +23,14 @@ estimates add M times that error to the rounding of the determinant,
 and nothing here reads the Cauchy evaluator but its method.
 
 The prefactor 2 pi/(i r_j) is evaluated as -2 pi i / r_j exactly, and
-determinants, norm products and Vandermonde factors are combined in
-log-polar form so that large N + L assemblies cannot overflow.  The
-exponential of that sum of logarithms carries the rounding of its
-argument, machine epsilon times the sum of their magnitudes, which the
-determinant's estimate adds: at N = 160 on the gaussian the log norm
-product alone is about 650.
+the determinant, the norms and the Vandermonde factors are combined as
+mantissas and powers of two (``determinants.scaled_product``), so that
+large N + L assemblies cannot overflow and the value carries only the
+rounding of its few multiplications.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -43,13 +40,9 @@ from numpy.polynomial import polynomial as npoly
 from .cauchy import CauchyEvaluator
 from .deformed import (canonical_variables, christoffel_poly, deformed_cauchy,
                        determinant_rows)
-from .determinants import confluent_vandermonde_logpolar, scaled_lu_det
+from .determinants import confluent_vandermonde, reassemble, scaled_lu_det, scaled_product
 from .errors import ConstraintError, NumericalError
 from .orthopoly import OrthoSystem, Poly, require_eigenvalue_count
-
-LOG_TWO = math.log(2.0)
-EPS = float(np.finfo(float).eps)
-LOG_TWO_PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -153,17 +146,13 @@ def expectation_ratio(q: RatioQuery, sys: OrthoSystem,
         sys, cev, q.epsbars, q.eps_multiplicities, q.mus, q.mu_multiplicities,
         degrees)
     mant, exponent, cond = scaled_lu_det(matrix)
-    log_mu, phase_mu = confluent_vandermonde_logpolar(q.mus, q.mu_multiplicities)
-    log_eps, phase_eps = confluent_vandermonde_logpolar(q.epsbars,
-                                                        q.eps_multiplicities)
-    log_pref = M * LOG_TWO_PI - sum(math.log(sys.norms[j])
-                                    for j in range(n_ev - M, n_ev))
-    phase_pref = -M * math.pi / 2 + math.pi * ((M * (M - 1) // 2) % 2)
-    logs = (log_pref, exponent * LOG_TWO, -log_mu, -log_eps)
-    value = mant * cmath.exp(complex(sum(logs), phase_pref - phase_mu - phase_eps))
-
-    # exp of the summed logarithms errs, relative, by the rounding of the sum
-    rel_err = cond * (M + L) * 1e-15 + M * h_error + EPS * sum(map(abs, logs))
+    v_mu, e_mu = confluent_vandermonde(q.mus, q.mu_multiplicities)
+    v_eps, e_eps = confluent_vandermonde(q.epsbars, q.eps_multiplicities)
+    num, e_num = scaled_product([(-1) ** (M * (M - 1) // 2) * mant] + [-2j * math.pi] * M)
+    den, e_den = scaled_product(sys.norms[n_ev - M:n_ev])
+    value = reassemble(num / (den * v_mu * v_eps), exponent + e_num - e_den - e_mu - e_eps,
+                       "the ratio")
+    rel_err = cond * (M + L) * 1e-15 + M * h_error
     backend = cev.method if M > 0 else "polynomial"
     return _result(value, rel_err, Diagnostics(cond, backend, warnings))
 

@@ -1,11 +1,17 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from detratio.determinants import (confluent_vandermonde_logpolar, lu_det,
-                                   scaled_lu_det)
+import detratio
+from detratio.determinants import (confluent_vandermonde, lu_det, reassemble,
+                                   scaled_lu_det, scaled_product)
+from detratio.errors import NumericalError
+
+EPS = 2.0 ** -52
 
 
 def test_lu_det_matches_numpy():
@@ -70,32 +76,55 @@ def direct_vandermonde(xs):
 
 def test_vandermonde_conventions():
     # empty and singleton products are 1
-    assert confluent_vandermonde_logpolar([], ()) == (0.0, 0.0)
-    assert confluent_vandermonde_logpolar([3.7], (1,)) == (0.0, 0.0)
-    # prod_{i>j}(x_i - x_j) = 3 - 1
-    assert confluent_vandermonde_logpolar([1.0, 3.0], (1, 1)) == (math.log(2.0), 0.0)
+    assert confluent_vandermonde([], ()) == (1.0 + 0j, 0)
+    assert confluent_vandermonde([3.7], (1,)) == (1.0 + 0j, 0)
+    # prod_{i>j}(x_i - x_j) = 3 - 1 = 0.5 * 2**2
+    assert confluent_vandermonde([1.0, 3.0], (1, 1)) == (0.5 + 0j, 2)
     xs = [0.5, 1.5 + 1j, -2.0]
-    log_mod, phase = confluent_vandermonde_logpolar(xs, (1, 1, 1))
-    assert np.exp(log_mod + 1j * phase) == pytest.approx(direct_vandermonde(xs),
-                                                        rel=1e-13)
+    mantissa, exponent = confluent_vandermonde(xs, (1, 1, 1))
+    assert 0.5 <= abs(mantissa) < 1.0
+    assert reassemble(mantissa, exponent, "vandermonde") == pytest.approx(
+        direct_vandermonde(xs), rel=4 * EPS)
 
 
 def test_confluent_vandermonde_reduces_to_plain():
     xs = [0.5, 1.5 + 1j, -2.0]
-    log_mod, phase = confluent_vandermonde_logpolar(xs, (1, 1, 1))
-    direct = direct_vandermonde(xs)
-    assert log_mod == pytest.approx(math.log(abs(direct)), rel=1e-13)
-    assert np.exp(1j * phase) == pytest.approx(direct / abs(direct), rel=1e-13)
-    # multiplicity powers
-    log_mod, _ = confluent_vandermonde_logpolar([0.0, 2.0], (2, 3))
-    assert log_mod == pytest.approx(6 * np.log(2.0))
+    assert reassemble(*confluent_vandermonde(xs, (1, 1, 1)), "vandermonde") == \
+        pytest.approx(direct_vandermonde(xs), rel=4 * EPS)
+    # multiplicity powers: each difference once per pair of repeats
+    mantissa, exponent = confluent_vandermonde(xs, (1, 2, 3))
+    d10, d20, d21 = xs[1] - xs[0], xs[2] - xs[0], xs[2] - xs[1]
+    assert reassemble(mantissa, exponent, "vandermonde") == pytest.approx(
+        d10 ** 2 * d20 ** 3 * d21 ** 6, rel=1e-14)
+    assert confluent_vandermonde([0.0, 2.0], (2, 3)) == (0.5 + 0j, 7)
 
 
-def test_vandermonde_phase_underflows_to_zero():
-    # the difference 2 + 5e-324j has a phase below the smallest double;
-    # cmath.phase raises OverflowError there, atan2 returns 0
-    assert confluent_vandermonde_logpolar([0j, 2 + 5e-324j], (1, 1)) == (
-        math.log(2.0), 0.0)
+def test_vandermonde_difference_keeps_its_bits():
+    # a lone difference is split by powers of two only, so it comes back
+    # bit for bit, subnormal parts included; 2 + 5e-324j keeps its real
+    # part, its imaginary part being 2^-1076 of its modulus, below the
+    # last place of any mantissa in [0.5, 1)
+    for x in (3 - 4j, 5e-324, 2 + 2.0 ** -50 * 1j, -1e300j, 3e-320 + 1e-321j):
+        assert reassemble(*confluent_vandermonde([0j, x], (1, 1)), "difference") == x
+    assert reassemble(*confluent_vandermonde([0j, 2 + 5e-324j], (1, 1)),
+                      "difference") == 2
+
+
+def test_scaled_product_keeps_a_product_past_the_double_range():
+    # 400 factors of modulus 1e10: the plain product overflows, while the
+    # mantissa and exponent carry the rounding of 400 multiplications
+    mpmath = pytest.importorskip("mpmath")
+    factors = [1e10 * complex(math.cos(0.37 * k), math.sin(0.37 * k)) for k in range(400)]
+    assert not math.isfinite(abs(math.prod(factors)))
+    mantissa, exponent = scaled_product(factors)
+    assert 0.5 <= abs(mantissa) < 1.0
+    with mpmath.workdps(40):
+        exact = mpmath.fprod(mpmath.mpc(x) for x in factors)
+        got = mpmath.mpc(mantissa) * mpmath.mpf(2) ** exponent
+        assert float(abs(got - exact) / abs(exact)) <= 400 * 3 * EPS
+    with pytest.raises(NumericalError):
+        reassemble(mantissa, exponent, "the product")
+    assert scaled_product([]) == (1.0 + 0j, 0)
 
 
 def _scipy_lu_det(a):
@@ -133,3 +162,26 @@ def test_exactly_singular_matrix_gives_zero_and_infinite_conditioning(a):
 
 def test_row_swap_flips_the_sign():
     assert lu_det(np.array([[0, 1], [1, 0]], dtype=complex)) == (-1 + 0j, 1.0)
+
+
+def test_the_wide_range_format_has_one_owner():
+    # mantissas and powers of two are split and joined in determinants.py
+    # alone (frexp, ldexp, from math or numpy), and ratios.py assembles its
+    # value in that format: a logarithm or exponential there, from math
+    # or cmath, is a second format whose rounding grows with N
+    found = []
+    for path in sorted(Path(detratio.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                module = getattr(getattr(func, "value", None), "id", None)
+                if name in ("frexp", "ldexp") and path.name != "determinants.py":
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+                if path.name == "ratios.py" and module in ("math", "cmath") \
+                        and name.startswith(("exp", "log")):
+                    found.append(f"{path.name}:{node.lineno}: {module}.{name}")
+            elif isinstance(node, ast.ImportFrom) and path.name == "ratios.py" \
+                    and node.module in ("math", "cmath"):
+                found.append(f"{path.name}:{node.lineno}: from {node.module} import")
+    assert not found

@@ -106,6 +106,17 @@ def test_partition_function(gauss_sys, disk_sys):
         partition_function(gauss_sys, 100)
 
 
+def test_partition_function_past_the_double_range_is_refused():
+    # N! prod r_j is formed as a mantissa and a power of two: N = 20 keeps
+    # its value, while N = 60 (past 1e308) and N = 171 (171! alone is) are
+    # refused as numerical failures, not returned as inf or raised bare
+    sys_ = ortho_system(gaussian_weight(), 170)
+    assert partition_function(sys_, 20) == pytest.approx(1.1176611079636922e+166, rel=1e-15)
+    for n in (60, 171):
+        with pytest.raises(NumericalError, match="partition function"):
+            partition_function(sys_, n)
+
+
 def test_orthogonality_residuals_below_1e8(gauss_sys, disk_sys):
     for sys_ in (gauss_sys, disk_sys):
         res = orthogonality_residual_matrix(sys_)
