@@ -2,8 +2,8 @@
 complex-eigenvalue ensembles, with brute-force verification oracles."""
 
 from .cauchy import (CauchyEvaluator, CauchyResult, cauchy_evaluator,
-                     cauchy_quadrature, cauchy_row, cauchy_transform,
-                     cauchy_transform_full, series_transform)
+                     cauchy_quadrature, cauchy_row, cauchy_transform_full,
+                     series_transform)
 from .deformed import (christoffel_poly, christoffel_q, combined_poly,
                        deformed_cauchy, uvarov_poly, uvarov_q)
 from .errors import (ConfigError, ConstraintError, ConvergenceError,

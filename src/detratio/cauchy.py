@@ -111,7 +111,7 @@ class _HarmonicTable:
     """``weight.harmonic_moments`` on the disk of ``radius`` from ``n_t`` angles,
     the finest table's alone: the partial ``moments`` and the ``harmonics``
     w_m, m >= 0, at the panels' nodes; its relative doubling ``change``;
-    its rows' coefficients in zeta and ``far``.
+    the coefficient matrix of its rows, in zeta, and ``far``.
 
     The last three fields serve every split row, whatever its pole: the
     ``powers`` p = m + j + 1, from -band + 1 to band + depth + 1; the
@@ -216,12 +216,12 @@ def series_transform(spec: WeightSpec, n: int, eps: complex, order: int = 0) -> 
         return coeff * mass * (1 / u) ** k
 
 
-def _harmonic_table(spec: WeightSpec, polys, depth: int, tolerance: float,
+def _harmonic_table(spec: WeightSpec, coeffs: np.ndarray, depth: int, tolerance: float,
                     norms=None) -> _HarmonicTable:
     """The harmonic table of degrees up to ``depth`` on the disk of
-    ``row_radius(spec, depth)``, for the rows of ``polys``; with their
-    ``norms``, orthogonality sets P_k = 0 below each degree n and
-    P_n = r_n / 2 pi.
+    ``row_radius(spec, depth)``, for the rows of ``coeffs`` (in zeta, at
+    most depth + 1 wide); with their ``norms``, orthogonality sets P_k = 0
+    below each degree n and P_n = r_n / 2 pi.
 
     ``adaptive_integral``'s sizes (n_r, n_t) stand for n_r / 6 panels and
     n_t angles: its 48x64 probe is the table of 8 panels and 64 angles,
@@ -246,14 +246,10 @@ def _harmonic_table(spec: WeightSpec, polys, depth: int, tolerance: float,
         evaluate, tolerance, what=f"harmonic table of {spec.label()} to degree {depth}")
     n_t, moments, harmonics = finest
     width = moments.shape[2]       # 2 band + 1
-    coeffs = np.zeros((len(polys), depth + 1), dtype=complex)
-    for row, poly in zip(coeffs, polys):
-        row[:poly.degree + 1] = poly.coeffs if poly.centre == spec.centre else \
-            Polynomial(poly.coeffs)(Polynomial([spec.centre - poly.centre, 1.0])).coef
     # G[n, k] = P_k / R^(k+1) on the whole disk, k = m + j, so that a far
     # row is i sum_k (R/b)^(k+1) G[n, k]; the suffix part is 0 at R
-    far = np.zeros((len(polys), depth + width), dtype=complex)
-    for j in range(depth + 1):
+    far = np.zeros((len(coeffs), depth + width), dtype=complex)
+    for j in range(coeffs.shape[1]):
         far[:, j:j + width] += coeffs[:, j, None] * moments[-1, j]
     far = far[:, width // 2:]
     for d, norm in enumerate(norms or ()):
@@ -262,8 +258,7 @@ def _harmonic_table(spec: WeightSpec, polys, depth: int, tolerance: float,
     powers = np.arange(depth + width) - width // 2 + 1
     below = np.arange(2 * PANEL_NODES) < PANEL_NODES
     return _HarmonicTable(radius, n_t, moments, harmonics,
-                          err / float(np.max(np.abs(compared))),
-                          coeffs[:, :max(p.degree for p in polys) + 1], far, powers,
+                          err / float(np.max(np.abs(compared))), coeffs, far, powers,
                           np.arange(depth + 1)[:, None] + np.arange(width),
                           (below[:, None] == (powers >= 1)).astype(float))
 
@@ -324,11 +319,13 @@ def _quadrature_row(spec: WeightSpec, table: _HarmonicTable, u: complex,
 
 def cauchy_quadrature(spec: WeightSpec, poly: MonicPoly, eps: complex,
                       tolerance: float = 1e-9, order: int = 0) -> CauchyResult:
-    """Quadrature transform of one polynomial, on a harmonic table of its
-    own to its degree (plus ``order`` on a gaussian), with no orthogonality."""
+    """Quadrature transform of one polynomial, re-expanded about the weight's
+    centre, on a harmonic table of its own to its degree (plus ``order`` on
+    a gaussian), with no orthogonality."""
     depth = poly.degree + (order if conj_derivative_factor(spec) is not None else 0)
-    return _quadrature_row(spec, _harmonic_table(spec, (poly,), depth, tolerance),
-                           complex(eps), order)[0]
+    coeffs = Polynomial(poly.coeffs)(Polynomial([spec.centre - poly.centre, 1.0])).coef
+    return _quadrature_row(spec, _harmonic_table(spec, coeffs.astype(complex)[None], depth,
+                                                 tolerance), complex(eps), order)[0]
 
 
 def cauchy_row(ev: CauchyEvaluator, degrees, eps: complex,
@@ -337,8 +334,7 @@ def cauchy_row(ev: CauchyEvaluator, degrees, eps: complex,
     evaluator's row at (eps, order): on a miss, every degree of a quadrature
     row in one pass; on the series backend, the requested degrees missing."""
     degrees, sys_, spec = tuple(degrees), ev.system, ev.weight
-    for n in degrees:
-        sys_.poly(n)    # refuses a degree outside 0..max_degree
+    sys_.check_degrees(degrees)
     if order < 0:
         raise ConstraintError("derivative order must be non-negative")
     key, memo = (complex(eps), order), ev._memo
@@ -354,7 +350,7 @@ def cauchy_row(ev: CauchyEvaluator, degrees, eps: complex,
         tables, tol = sys_._cauchy_tables, ev.tolerance
         if tol not in tables:   # the system's first row at this tolerance
             depth = sys_.max_degree * (1 if conj_derivative_factor(spec) is None else 2)
-            tables[tol] = _harmonic_table(spec, sys_.polys, depth, tol, sys_.norms)
+            tables[tol] = _harmonic_table(spec, sys_.coeffs, depth, tol, sys_.norms)
         row = _quadrature_row(spec, tables[tol], key[0], order)
     memo[key] = row     # the most recently requested key is the last
     while len(memo) > sys_.max_degree + 1:
@@ -366,8 +362,3 @@ def cauchy_transform_full(ev: CauchyEvaluator, n: int, eps: complex,
                           order: int = 0) -> CauchyResult:
     """Transform with diagnostics; a row of one degree."""
     return cauchy_row(ev, (n,), eps, order)[0]
-
-
-def cauchy_transform(ev: CauchyEvaluator, n: int, eps: complex) -> complex:
-    """h_n(ebar) for the evaluator's weight and system."""
-    return cauchy_transform_full(ev, n, eps).value

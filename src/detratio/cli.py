@@ -90,15 +90,15 @@ def _build(rc: RunConfig):
 
 
 def cmd_ortho(rc: RunConfig) -> int:
-    _, system, _ = _build(rc)
+    system = ortho_system(build_weight(rc), rc.max_degree)
     residuals = orthogonality_residual_matrix(system)
     _emit(rc, {
         "command": "ortho",
         "weight": {"kind": rc.weight_kind},
         "max_degree": rc.max_degree,
         "norms": list(system.norms),
-        "polynomials": [[list(complex_out(c)) for c in p.coeffs]
-                        for p in system.polys],
+        "polynomials": [[list(complex_out(c)) for c in row[:d + 1]]
+                        for d, row in enumerate(system.coeffs)],
         "conditioning": system.conditioning,
         "orthogonality_residual_matrix": residuals.tolist(),
         "orthogonality_residual_max": float(residuals.max()),
@@ -263,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default=None,
                        help="override the output format")
         p.add_argument("--tolerance", type=_positive_float, default=None,
-                       help="override the comparison tolerance")
+                       help="override verify.tolerance for verify, the top-level "
+                            "Cauchy-transform tolerance for the other commands")
         p.set_defaults(handler=fn, csv_ok=csv_ok)
     return parser
 

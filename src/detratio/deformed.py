@@ -95,11 +95,12 @@ def determinant_rows(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, eps_mults,
     One row h_d^(t)(ebar)/t! for each ebar and each t below its
     multiplicity, then one row pi_d^(t)(mu)/t! for each mu and t.  Each h
     row is one ``cauchy_row`` request, sliced from the evaluator's row at
-    (ebar, t).  Returns the matrix, the transform warnings,
-    each listed once, and the h rows' relative error: per row, the
-    largest error estimate of its transforms over their largest
-    magnitude, the worst row floored at ``cev.relative_error``; 0 with
-    no ebars.  An entry far below its row's L1 scale carries that
+    (ebar, t), and each pi row one evaluation of the system's coefficient
+    rows; a degree outside 0..max_degree is refused.  Returns the matrix,
+    the transform warnings, each listed once, and the h rows' relative
+    error: per row, the largest error estimate of its transforms over
+    their largest magnitude, the worst row floored at
+    ``cev.relative_error``; 0 with no ebars.  An entry far below its row's L1 scale carries that
     scale's error, so the tolerance alone can understate the row's.
 
     ``cev`` may be None only when there are no ebars; an evaluator built
@@ -115,6 +116,7 @@ def determinant_rows(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, eps_mults,
             f"({cev.weight.label()} to degree {cev.system.max_degree}), not for "
             f"{sys.weight.label()} to degree {sys.max_degree}")
     degrees = tuple(degrees)
+    sys.check_degrees(degrees)
     rows, warnings, h_error = [], [], 0.0
     for eps, mult in zip(epsbars, eps_mults):
         for t in range(mult):
@@ -130,11 +132,11 @@ def determinant_rows(sys: OrthoSystem, cev: CauchyEvaluator, epsbars, eps_mults,
                 h_error = max(h_error, max(res.error for res in results) / magnitude)
     if epsbars:
         h_error = max(cev.relative_error, h_error)
+    block = sys.coeffs[np.asarray(degrees, dtype=int), :max(degrees, default=0) + 1]
     for mu, mult in zip(mus, mu_mults):
         for t in range(mult):
             scale = 1.0 / math.factorial(t)
-            rows.append([eval_poly(poly_derivative(sys.poly(d), t), mu) * scale
-                         for d in degrees])
+            rows.append(eval_poly(poly_derivative(block, t), mu - sys.weight.centre) * scale)
     matrix = np.array(rows, dtype=complex).reshape(len(rows), len(degrees))
     return matrix, tuple(warnings), h_error
 

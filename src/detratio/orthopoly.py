@@ -6,11 +6,12 @@ unique family of monic polynomials pi_k = zeta^k + ... with
 
     integral_D  pi_k(z) conj(pi_j(z)) dw = delta_kj r_k,    r_k > 0.
 
-A ``Poly`` holds its coefficients in powers of zeta with its ``centre``,
-which ``eval_poly`` and ``poly_derivative`` honour.  Construction is by
-Cholesky factorization of the moment matrix: with M = L L^H the
-coefficient rows are diag(L) L^(-1) (unit diagonal, hence monic) and the
-squared norms are the squared Cholesky pivots.  This is numerically
+An ``OrthoSystem`` keeps pi_0..pi_n as one coefficient matrix in powers
+of zeta, row k pi_k, which ``eval_poly`` and ``poly_derivative`` take a
+block of rows of at once.  Construction is by Cholesky factorization of
+the moment matrix: with M = L L^H the coefficient rows are
+diag(L) L^(-1) (unit diagonal, hence monic) and the squared norms are
+the squared Cholesky pivots.  This is numerically
 stabler than naive Gram-Schmidt and fails cleanly when the matrix is not
 positive definite.  An independent construction through bordered
 determinants of moment minors is provided for cross-checking.
@@ -29,8 +30,8 @@ import numpy as np
 
 from .determinants import reassemble, scaled_product
 from .errors import ConstraintError, NumericalError, is_integer
-from .weight import (MomentMatrix, WeightSpec, moment_matrix, truncation_radius,
-                     weighted_grid)
+from .weight import (MomentMatrix, WeightSpec, moment_matrix, planar_moments,
+                     truncation_radius)
 
 CONDITION_LIMIT = 1e12
 
@@ -61,57 +62,63 @@ class MonicPoly(Poly):
             raise ConstraintError("monic polynomial must have leading coefficient 1")
 
 
-def eval_poly(p: Poly | Sequence[complex], z):
+def eval_poly(p: Poly | Sequence[complex] | np.ndarray, z):
     """Horner evaluation in z - ``p.centre``, vectorized over z; a bare
-    coefficient sequence is taken about 0.  ``z`` is never modified."""
-    coeffs = p.coeffs if isinstance(p, Poly) else tuple(p)
+    coefficient array, one polynomial per row, is taken about 0, its rows
+    broadcast against z.  ``z`` is never modified."""
+    coeffs = np.asarray(p.coeffs if isinstance(p, Poly) else p, dtype=complex)
     centre = p.centre if isinstance(p, Poly) else 0
     z = np.asarray(z, dtype=complex)
     z = z - centre if centre else z
-    out = np.full_like(z, coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        out = out * z + c
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    out = np.full(np.broadcast_shapes(coeffs.shape[:-1], z.shape), coeffs[..., -1])
+    for j in range(coeffs.shape[-1] - 2, -1, -1):
+        out = out * z + coeffs[..., j]
+    return complex(out) if out.ndim == 0 else out
 
 
-def poly_derivative(p: Poly, order: int = 1) -> Poly:
-    """Exact coefficient-wise derivative of the given order (d/dzeta = d/dz)."""
+def poly_derivative(p: Poly | np.ndarray, order: int = 1) -> Poly | np.ndarray:
+    """Exact coefficient-wise derivative of the given order (d/dzeta = d/dz),
+    of a ``Poly`` or of each row of a coefficient array."""
     if order < 0:
         raise ConstraintError("derivative order must be non-negative")
-    coeffs = np.asarray(p.coeffs, dtype=complex)
+    coeffs = np.asarray(p.coeffs if isinstance(p, Poly) else p, dtype=complex)
     for _ in range(order):
-        if len(coeffs) == 1:
-            coeffs = np.array([0j])
-            break
-        coeffs = coeffs[1:] * np.arange(1, len(coeffs))
-    return Poly(tuple(coeffs), p.centre)
+        width = coeffs.shape[-1]
+        coeffs = coeffs[..., 1:] * np.arange(1, width) if width > 1 else np.zeros_like(coeffs)
+    return Poly(tuple(coeffs), p.centre) if isinstance(p, Poly) else coeffs
 
 
 @dataclass(frozen=True, eq=False)
 class OrthoSystem:
-    """Monic orthogonal polynomials pi_0..pi_n with norms r_0..r_n, and the
-    quadrature Cauchy rows' harmonic table per tolerance (``cauchy``)."""
+    """Monic orthogonal polynomials pi_0..pi_n as rows of the read-only
+    ``coeffs``, in powers of z - ``weight.centre``, with norms r_0..r_n,
+    and the quadrature Cauchy rows' harmonic table per tolerance."""
 
     weight: WeightSpec
     max_degree: int
-    polys: tuple
+    coeffs: np.ndarray
     norms: tuple
     conditioning: float = 1.0
     _cauchy_tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.polys) != self.max_degree + 1 or len(self.norms) != self.max_degree + 1:
+        if self.coeffs.shape + (len(self.norms),) != (self.max_degree + 1,) * 3:
             raise ConstraintError("system depth does not match max_degree")
         if any(r <= 0 for r in self.norms):
             raise NumericalError("orthogonal-polynomial norms must be positive")
+        self.coeffs.flags.writeable = False
+
+    def check_degrees(self, degrees) -> None:
+        """Refuse with ConstraintError a degree outside 0..max_degree."""
+        for k in degrees:
+            if not 0 <= k <= self.max_degree:
+                raise ConstraintError(
+                    f"polynomial degree {k} is outside 0..{self.max_degree}")
 
     def poly(self, k: int) -> MonicPoly:
-        if not 0 <= k <= self.max_degree:
-            raise ConstraintError(
-                f"polynomial degree {k} is outside 0..{self.max_degree}")
-        return self.polys[k]
+        """pi_k as a ``MonicPoly``, for callers outside the library."""
+        self.check_degrees((k,))
+        return MonicPoly(tuple(self.coeffs[k, :k + 1]), self.weight.centre)
 
 
 def lower_inverse(lower: np.ndarray) -> np.ndarray:
@@ -140,14 +147,10 @@ def build_ortho_system(m: MomentMatrix, weight: WeightSpec) -> OrthoSystem:
     lower = m.cholesky()
     pivots = lower.diagonal().real
     inv = lower_inverse(lower)
-    coeff_rows = pivots[:, None] * inv
-    polys = []
-    for k in range(m.order + 1):
-        coeffs = coeff_rows[k, :k + 1].copy()
-        coeffs[-1] = 1.0 + 0j
-        polys.append(MonicPoly(tuple(coeffs), weight.centre))
+    coeffs = pivots[:, None] * inv
+    np.fill_diagonal(coeffs, 1.0)
     norms = tuple(float(p * p) for p in pivots)
-    return OrthoSystem(weight=weight, max_degree=m.order, polys=tuple(polys),
+    return OrthoSystem(weight=weight, max_degree=m.order, coeffs=coeffs,
                        norms=norms, conditioning=cond)
 
 
@@ -199,11 +202,10 @@ def partition_function(sys: OrthoSystem, n_eigenvalues: int) -> float:
 def orthogonality_residual_matrix(sys: OrthoSystem) -> np.ndarray:
     """Normalized Gram residuals |<pi_j, pi_k> - delta r_k| / sqrt(r_j r_k)
     measured by quadrature on the 192x256 grid, whose disk holds moments
-    of order 2 max_degree."""
-    radius = truncation_radius(sys.weight, 2 * sys.max_degree)
-    nodes, wvals = weighted_grid(sys.weight, radius, 192, 256)
-    values = np.vstack([eval_poly(p, nodes) for p in sys.polys])
-    gram = (values * wvals) @ values.conj().T
+    of order 2 max_degree, as C S C^H from the grid's ``planar_moments`` S."""
+    radius, depth = truncation_radius(sys.weight, 2 * sys.max_degree), sys.max_degree + 1
+    moments = planar_moments(sys.weight, radius, 192, 256, depth, depth)
+    gram = sys.coeffs @ moments @ sys.coeffs.conj().T
     expected = np.diag(np.asarray(sys.norms))
     scale = np.sqrt(np.outer(sys.norms, sys.norms))
     return np.abs(gram - expected) / scale

@@ -338,6 +338,19 @@ def test_tolerance_flag_sets_the_cauchy_tolerance_of_eval(tmp_path, capsys):
     assert "below the rounding floor" in capsys.readouterr().err
 
 
+def test_ortho_builds_no_cauchy_evaluator(tmp_path):
+    # ortho computes no transform, so a Cauchy tolerance below the rounding
+    # floor, from the flag or the config, changes nothing in its report
+    reports = []
+    for name, flags, top in (("plain", [], {}), ("flag", ["--tolerance", "1e-20"], {}),
+                             ("config", [], {"tolerance": 1e-20})):
+        cfg = write_config(tmp_path, base_config(**top), f"{name}.json")
+        out = tmp_path / f"ortho_{name}.json"
+        assert run(["ortho", "--config", cfg, "--out", str(out), *flags]) == 0
+        reports.append(out.read_text())
+    assert reports[1] == reports[2] == reports[0]
+
+
 def test_tolerance_flag_sets_the_pass_tolerance_of_verify(tmp_path):
     cfg = write_config(tmp_path, base_config(
         verify={"Ns": [1], "Ls": [0], "Ms": [1], "tolerance": 1e-6,

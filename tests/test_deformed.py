@@ -6,9 +6,12 @@ import pytest
 
 from detratio import (ConstraintError, DegenerateVariablesError, RatioQuery,
                       SingularMatrixError, christoffel_poly, christoffel_q,
-                      combined_poly, deformed_cauchy, deformed_integral,
-                      eval_poly, expectation_products, oracle_deformed_op,
-                      uvarov_poly, uvarov_q)
+                      combined_poly, custom_weight, deformed_cauchy, deformed_integral,
+                      eval_poly, expectation_products, full_plane_domain,
+                      oracle_deformed_op, ortho_system, poly_derivative, uvarov_poly,
+                      uvarov_q)
+from detratio.deformed import determinant_rows
+from detratio.weight import CUTOFF_ORDER, gaussian_cutoff
 
 from conftest import (EPS_DISK, EPS_GAUSS, MUS_DISK, MUS_GAUSS,
                       poly_values_on_circle)
@@ -17,7 +20,7 @@ from conftest import (EPS_DISK, EPS_GAUSS, MUS_DISK, MUS_GAUSS,
 def test_christoffel_empty_deformation_is_base_poly(gauss_sys):
     z = 0.7 - 0.3j
     res = christoffel_poly(gauss_sys, (), 3, z)
-    assert res.value == eval_poly(gauss_sys.polys[3], z)
+    assert res.value == eval_poly(gauss_sys.poly(3), z)
 
 
 def test_christoffel_gaussian_single_mu(gauss_sys, gauss):
@@ -56,7 +59,7 @@ def test_christoffel_at_mu_rejected(disk_sys):
 def test_uvarov_empty_deformation(disk_sys, disk_ev):
     z = 0.2 + 0.1j
     res = uvarov_poly(disk_sys, disk_ev, (), 2, z)
-    assert res.value == eval_poly(disk_sys.polys[2], z)
+    assert res.value == eval_poly(disk_sys.poly(2), z)
 
 
 def test_uvarov_disk_closed_form(disk_sys, disk_ev, disk):
@@ -110,9 +113,9 @@ def test_combined_matches_oracle_solve(gauss, gauss_sys, gauss_ev):
 
 
 def test_deformed_cauchy_empty(disk_sys, disk_ev):
-    from detratio import cauchy_transform
+    from detratio import cauchy_transform_full
     assert deformed_cauchy(disk_sys, disk_ev, (), 2, 3.0) == \
-        cauchy_transform(disk_ev, 2, 3.0)
+        cauchy_transform_full(disk_ev, 2, 3.0).value
 
 
 def test_deformed_cauchy_disk_closed_form(disk, disk_sys, disk_ev):
@@ -224,3 +227,40 @@ def test_depth_and_order_validation(disk_sys, disk_ev):
         christoffel_poly(disk_sys, MUS_DISK, 7, 0.1)  # 7 + 3 > 8
     with pytest.raises(ConstraintError):
         uvarov_poly(disk_sys, disk_ev, EPS_DISK, 1, 0.1)  # m=2 > n=1
+
+
+# the shifted gaussian written as a custom weight about 0: every entry of
+# its coefficient matrix below the diagonal is nonzero
+DENSE = custom_weight(lambda z: np.exp(-np.abs(z - (0.4 + 0.3j)) ** 2),
+                      full_plane_domain(gaussian_cutoff(1.0, CUTOFF_ORDER) + 0.5))
+
+
+@pytest.mark.parametrize("which", ["gauss", "shifted", "disk", "dense"])
+def test_pi_rows_equal_the_per_degree_evaluation(which, request):
+    # one evaluation of a block of coefficient rows per (mu, t) gives, for
+    # each degree, pi_d^(t)(mu) / t! as the polynomial pi_d alone gives it
+    spec = DENSE if which == "dense" else request.getfixturevalue(which)
+    sys_ = ortho_system(spec, 8)
+    if which == "dense":
+        assert np.all(np.tril(sys_.coeffs, -1)[np.tril_indices(9, -1)] != 0)
+    for degrees in (range(0, 1), range(0, 4), range(3, 9), range(8, 9), range(0, 9)):
+        for mu in (1.3 + 0.8j, -0.7 + 1.1j, 0.2 - 2.1j):
+            matrix, warnings, h_error = determinant_rows(sys_, None, (), (), (mu,), (4,),
+                                                         degrees)
+            assert matrix.shape == (4, len(degrees)) and warnings == () and h_error == 0
+            for t, row in enumerate(matrix):
+                ref = np.array([eval_poly(poly_derivative(sys_.poly(d), t), mu)
+                                / math.factorial(t) for d in degrees])
+                assert np.max(np.abs(row - ref)) <= 1e-14 * max(np.sum(np.abs(ref)), 1e-300)
+
+
+def test_pi_rows_refuse_a_window_past_the_system(gauss_sys, gauss_ev):
+    # the block of rows is sliced from the coefficient matrix, which must
+    # not truncate a window reaching past max_degree, nor wrap one below 0
+    for degrees, bad in ((range(5, 10), 9), (range(-1, 3), -1)):
+        with pytest.raises(ConstraintError, match=f"degree {bad} is outside 0..8$"):
+            determinant_rows(gauss_sys, None, (), (), (1.3 + 0.8j,), (1,), degrees)
+        with pytest.raises(ConstraintError, match=f"degree {bad} is outside 0..8$"):
+            determinant_rows(gauss_sys, gauss_ev, EPS_GAUSS[:1], (1,), (), (), degrees)
+        with pytest.raises(ConstraintError, match=f"degree {bad} is outside 0..8$"):
+            gauss_sys.poly(bad)

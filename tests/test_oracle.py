@@ -243,7 +243,7 @@ def test_mc_pole_distance_policy(gauss):
 
 def test_deformed_op_reduces_to_base(disk, disk_sys):
     pol = oracle_deformed_op(disk, (), (), 2)
-    assert np.allclose(pol.coeffs, disk_sys.polys[2].coeffs, atol=1e-10)
+    assert np.allclose(pol.coeffs, disk_sys.poly(2).coeffs, atol=1e-10)
 
 
 def test_deformed_op_disk_inverse_factor(disk):

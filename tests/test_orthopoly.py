@@ -1,24 +1,29 @@
+import ast
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import detratio
 from detratio import (ConstraintError, MomentMatrix, MonicPoly, NumericalError,
-                      Poly, bordered_coefficients, build_ortho_system,
+                      OrthoSystem, Poly, bordered_coefficients, build_ortho_system,
                       custom_weight, disk_flat_weight, eval_poly,
                       full_plane_domain, gaussian_weight, moment_matrix,
                       ortho_system, orthogonality_residual_matrix,
                       partition_function, poly_derivative,
                       shifted_gaussian_weight)
 from detratio.orthopoly import lower_inverse
-from detratio.weight import CUTOFF_ORDER, gaussian_cutoff
+from detratio.weight import (CUTOFF_ORDER, gaussian_cutoff, truncation_radius,
+                             weighted_grid)
 
 PI = math.pi
 
 
 def test_gaussian_monomials_and_norms(gauss_sys):
     for k in range(4):
-        coeffs = np.array(gauss_sys.polys[k].coeffs)
+        coeffs = np.array(gauss_sys.poly(k).coeffs)
         assert abs(coeffs[-1] - 1) == 0
         assert np.max(np.abs(coeffs[:-1])) < 1e-12 if k else True
         assert gauss_sys.norms[k] == pytest.approx(PI * math.factorial(k), rel=1e-12)
@@ -26,7 +31,7 @@ def test_gaussian_monomials_and_norms(gauss_sys):
 
 def test_disk_monomials_and_norms(disk_sys):
     for k in range(3):
-        coeffs = np.array(disk_sys.polys[k].coeffs)
+        coeffs = np.array(disk_sys.poly(k).coeffs)
         assert np.max(np.abs(coeffs[:-1])) < 1e-12 if k else True
         assert disk_sys.norms[k] == pytest.approx(PI / (k + 1), rel=1e-12)
 
@@ -34,7 +39,7 @@ def test_disk_monomials_and_norms(disk_sys):
 def test_rescaled_weight_same_polys_doubled_norms(gauss, gauss_sys):
     doubled = ortho_system(gaussian_weight(amplitude=2.0), 4)
     for k in range(5):
-        assert np.allclose(doubled.polys[k].coeffs, gauss_sys.polys[k].coeffs)
+        assert np.allclose(doubled.poly(k).coeffs, gauss_sys.poly(k).coeffs)
         assert doubled.norms[k] == pytest.approx(2.0 * gauss_sys.norms[k], rel=1e-14)
 
 
@@ -98,6 +103,81 @@ def test_poly_derivative():
     assert poly_derivative(sq, 3).coeffs == (0j,)
 
 
+def test_stacks_equal_row_by_row_calls(shifted):
+    # a coefficient array holds one polynomial per row; the derivative of a
+    # stack is each row's, and its values are each row's at the same point
+    rng = np.random.default_rng(11)
+    stack = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
+    z = 1.5 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
+    for order in range(8):
+        deriv = poly_derivative(stack, order)
+        assert deriv.shape == (5, max(6 - order, 1))
+        for row, got in zip(stack, deriv):
+            assert np.array_equal(got, poly_derivative(row, order))
+            assert got.tolist() == list(poly_derivative(Poly(tuple(row)), order).coeffs)
+        values = eval_poly(deriv[:, None, :], z)
+        assert values.shape == (5, 40)
+        for row, got in zip(deriv, values):
+            assert np.array_equal(got, eval_poly(row, z))
+        at_point = eval_poly(deriv, z[0])
+        ref = np.array([eval_poly(row, complex(z[0])) for row in deriv])
+        bound = 4e-16 * (np.abs(deriv) @ abs(z[0]) ** np.arange(deriv.shape[1]))
+        assert np.all(np.abs(at_point - ref) <= bound)
+    # the system's matrix: row k is pi_k, zero past its degree, in powers of z - c
+    sys_ = ortho_system(shifted, 6)
+    assert not sys_.coeffs.flags.writeable
+    for k in range(7):
+        assert np.array_equal(sys_.coeffs[k, :k + 1], sys_.poly(k).coeffs)
+        assert np.all(sys_.coeffs[k, k + 1:] == 0)
+    z = 1.3 - 0.2j
+    assert np.allclose(eval_poly(sys_.coeffs, z - shifted.centre),
+                       [eval_poly(sys_.poly(k), z) for k in range(7)], rtol=1e-15, atol=0)
+
+
+def test_systems_keep_one_coefficient_matrix():
+    # pi_0..pi_n live in the system's coefficient matrix alone: no field
+    # holds them one polynomial at a time, and no module of the library
+    # reads them through ``OrthoSystem.poly``, which serves callers outside
+    # it, nor through a per-degree ``polys``
+    assert "polys" not in {f.name for f in dataclasses.fields(OrthoSystem)}
+    assert not hasattr(ortho_system(gaussian_weight(), 2), "polys")
+    readers = []
+    for path in sorted(Path(detratio.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "polys":
+                readers.append((path.name, node.lineno))
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "poly":
+                readers.append((path.name, node.lineno))
+    assert not readers, readers
+
+
+def _direct_residual(sys_):
+    """The Gram residual evaluated node by node on the same grid."""
+    radius = truncation_radius(sys_.weight, 2 * sys_.max_degree)
+    nodes, wvals = weighted_grid(sys_.weight, radius, 192, 256)
+    values = np.vstack([eval_poly(sys_.poly(k), nodes) for k in range(sys_.max_degree + 1)])
+    gram = (values * wvals) @ values.conj().T
+    scale = np.sqrt(np.outer(sys_.norms, sys_.norms))
+    return np.abs(gram - np.diag(sys_.norms)) / scale
+
+
+def test_residual_is_the_per_node_gram_regrouped(shifted):
+    # C S C^H is the per-node sum regrouped: on systems whose residual is
+    # rounding (gaussian at depth 31, a dense custom weight) and on one
+    # whose polynomials belong to another weight, where it is of order 1
+    dense = custom_weight(lambda z: np.exp(-np.abs(z - shifted.centre) ** 2),
+                          full_plane_domain(gaussian_cutoff(1.0, CUTOFF_ORDER) + 0.5))
+    for sys_ in (ortho_system(gaussian_weight(), 31), ortho_system(dense, 8)):
+        got, ref = orthogonality_residual_matrix(sys_), _direct_residual(sys_)
+        assert got.max() < 1e-12 and ref.max() < 1e-12
+        assert np.max(np.abs(got - ref)) < 1e-13
+    foreign = ortho_system(dense, 8)
+    mixed = OrthoSystem(gaussian_weight(0.7), 8, foreign.coeffs, foreign.norms)
+    got, ref = orthogonality_residual_matrix(mixed), _direct_residual(mixed)
+    assert ref.max() > 0.1
+    assert np.max(np.abs(got - ref)) <= 1e-13 * ref.max()
+
+
 def test_partition_function(gauss_sys, disk_sys):
     assert partition_function(gauss_sys, 1) == pytest.approx(PI, rel=1e-12)
     assert partition_function(gauss_sys, 2) == pytest.approx(2 * PI ** 2, rel=1e-12)
@@ -130,7 +210,7 @@ def test_construction_uniqueness_cholesky_vs_bordered(gauss, disk, shifted):
         sys_ = build_ortho_system(m, spec)
         for k in range(deg + 1):
             alt = bordered_coefficients(m, k)
-            ref = np.array(sys_.polys[k].coeffs)
+            ref = np.array(sys_.poly(k).coeffs)
             scale = max(np.max(np.abs(ref)), 1.0)
             assert np.max(np.abs(alt - ref)) / scale < 1e-8
 
@@ -154,12 +234,13 @@ def test_shifted_gaussian_polys_are_shifted_monomials(shifted):
         sys_ = ortho_system(spec, 40)
         scale, amp = spec.parameters[-1], spec.amplitude
         assert sys_.norms == ortho_system(gaussian_weight(scale, amp), 40).norms
-        for k, poly in enumerate(sys_.polys):
+        for k in range(sys_.max_degree + 1):
+            poly = sys_.poly(k)
             assert poly.coeffs == (0,) * k + (1,) and poly.centre == c
             assert sys_.norms[k] == pytest.approx(
                 amp * PI * math.factorial(k) / scale ** (k + 1), rel=1e-15)
         z = 1.3 - 0.2j
-        assert eval_poly(sys_.polys[5], z) == (z - c) ** 5
+        assert eval_poly(sys_.poly(5), z) == (z - c) ** 5
 
 
 def test_dense_moments_give_the_shifted_monomials_in_z():
@@ -173,7 +254,8 @@ def test_dense_moments_give_the_shifted_monomials_in_z():
     m = moment_matrix(spec, 8)
     assert abs(m.entries[2, 1]) > 0.1   # genuinely non-diagonal
     sys_ = build_ortho_system(m, spec)
-    for k, poly in enumerate(sys_.polys):
+    for k in range(sys_.max_degree + 1):
+        poly = sys_.poly(k)
         assert poly.centre == 0
         expect = npoly.polyfromroots([c] * k)
         assert np.max(np.abs(np.array(poly.coeffs) - expect)) <= 1e-12
@@ -203,7 +285,7 @@ def test_non_positive_definite_reports_minor():
 
 def test_degenerate_max_degree_zero(disk):
     sys_ = ortho_system(disk, 0)
-    assert sys_.polys[0].coeffs == (1.0,)
+    assert sys_.poly(0).coeffs == (1.0,)
     assert sys_.norms[0] == pytest.approx(PI)
 
 
