@@ -30,8 +30,8 @@ import numpy as np
 
 from .determinants import reassemble, scaled_product
 from .errors import ConstraintError, NumericalError, is_integer
-from .weight import (MomentMatrix, WeightSpec, moment_matrix, planar_moments,
-                     truncation_radius)
+from .weight import (MomentMatrix, WeightSpec, moment_matrix, truncation_radius,
+                     weighted_grid)
 
 CONDITION_LIMIT = 1e12
 
@@ -102,11 +102,14 @@ class OrthoSystem:
     _cauchy_tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.coeffs.shape + (len(self.norms),) != (self.max_degree + 1,) * 3:
-            raise ConstraintError("system depth does not match max_degree")
+        coeffs = np.array(self.coeffs, dtype=complex)    # the caller's array stays writeable
+        if coeffs.shape + (len(self.norms),) != (self.max_degree + 1,) * 3 \
+                or np.any(np.triu(coeffs, 1)) or np.any(coeffs.diagonal() != 1):
+            raise ConstraintError("not a unit lower triangular system of depth max_degree")
         if any(r <= 0 for r in self.norms):
             raise NumericalError("orthogonal-polynomial norms must be positive")
-        self.coeffs.flags.writeable = False
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
 
     def check_degrees(self, degrees) -> None:
         """Refuse with ConstraintError a degree outside 0..max_degree."""
@@ -200,12 +203,12 @@ def partition_function(sys: OrthoSystem, n_eigenvalues: int) -> float:
 
 
 def orthogonality_residual_matrix(sys: OrthoSystem) -> np.ndarray:
-    """Normalized Gram residuals |<pi_j, pi_k> - delta r_k| / sqrt(r_j r_k)
-    measured by quadrature on the 192x256 grid, whose disk holds moments
-    of order 2 max_degree, as C S C^H from the grid's ``planar_moments`` S."""
-    radius, depth = truncation_radius(sys.weight, 2 * sys.max_degree), sys.max_degree + 1
-    moments = planar_moments(sys.weight, radius, 192, 256, depth, depth)
-    gram = sys.coeffs @ moments @ sys.coeffs.conj().T
-    expected = np.diag(np.asarray(sys.norms))
-    scale = np.sqrt(np.outer(sys.norms, sys.norms))
-    return np.abs(gram - expected) / scale
+    """Normalized Gram residuals |<pi_j, pi_k> - delta r_k| / sqrt(r_j r_k): the Gram
+    matrix of pi_k / sqrt(r_k), each to its degree, at the nodes of the 192x256 grid
+    whose disk holds moments of order 2 max_degree; no zeta^(2 max_degree) or r_k^2."""
+    nodes, wvals = weighted_grid(sys.weight, truncation_radius(sys.weight, 2 * sys.max_degree),
+                                 192, 256)
+    zeta = nodes - sys.weight.centre
+    values = np.vstack([eval_poly(row[:k + 1], zeta) / np.sqrt(r)
+                        for k, (row, r) in enumerate(zip(sys.coeffs, sys.norms))])
+    return np.abs((values * wvals) @ values.conj().T - np.eye(sys.max_degree + 1))

@@ -157,14 +157,14 @@ def _direct_residual(sys_):
     nodes, wvals = weighted_grid(sys_.weight, radius, 192, 256)
     values = np.vstack([eval_poly(sys_.poly(k), nodes) for k in range(sys_.max_degree + 1)])
     gram = (values * wvals) @ values.conj().T
-    scale = np.sqrt(np.outer(sys_.norms, sys_.norms))
-    return np.abs(gram - np.diag(sys_.norms)) / scale
+    root = np.sqrt(sys_.norms)
+    return np.abs(gram - np.diag(sys_.norms)) / np.outer(root, root)
 
 
-def test_residual_is_the_per_node_gram_regrouped(shifted):
-    # C S C^H is the per-node sum regrouped: on systems whose residual is
-    # rounding (gaussian at depth 31, a dense custom weight) and on one
-    # whose polynomials belong to another weight, where it is of order 1
+def test_residual_is_the_per_node_gram(shifted):
+    # the matrix rows give the Gram of the per-degree polynomials: on systems
+    # whose residual is rounding (gaussian at depth 31, a dense custom weight)
+    # and on one whose polynomials belong to another weight, where it is of order 1
     dense = custom_weight(lambda z: np.exp(-np.abs(z - shifted.centre) ** 2),
                           full_plane_domain(gaussian_cutoff(1.0, CUTOFF_ORDER) + 0.5))
     for sys_ in (ortho_system(gaussian_weight(), 31), ortho_system(dense, 8)):
@@ -176,6 +176,33 @@ def test_residual_is_the_per_node_gram_regrouped(shifted):
     got, ref = orthogonality_residual_matrix(mixed), _direct_residual(mixed)
     assert ref.max() > 0.1
     assert np.max(np.abs(got - ref)) <= 1e-13 * ref.max()
+
+
+def test_residual_stays_finite_where_node_powers_overflow():
+    # at depth 130 the residual disk of the gaussian has radius about 20,
+    # so a moment sum's zeta^260 on it is past the double range, while
+    # pi_130 there is about 1e169 and its Gram terms are finite
+    sys_ = ortho_system(gaussian_weight(), 130)
+    assert 260 * math.log10(truncation_radius(sys_.weight, 260)) > 309
+    got, ref = orthogonality_residual_matrix(sys_), _direct_residual(sys_)
+    assert np.all(np.isfinite(got)) and got.max() < 1e-12
+    assert np.max(np.abs(got - ref)) < 1e-13
+
+
+def test_system_takes_a_copy_of_a_unit_lower_triangular_matrix():
+    # the system freezes its own copy, not the caller's array, and refuses
+    # a matrix that is not unit lower triangular or not of its depth
+    built = ortho_system(gaussian_weight(0.7), 3)
+    coeffs = np.array(built.coeffs)
+    sys_ = OrthoSystem(built.weight, 3, coeffs, built.norms)
+    assert coeffs.flags.writeable and not sys_.coeffs.flags.writeable
+    coeffs[2, 0] = 5.0
+    assert sys_.coeffs[2, 0] == 0
+    above, diagonal = np.array(coeffs), np.array(coeffs)
+    above[1, 2], diagonal[3, 3] = 1e-300, 2.0
+    for bad, depth in ((above, 3), (diagonal, 3), (coeffs, 4), (coeffs[:, :3], 3)):
+        with pytest.raises(ConstraintError, match="unit lower triangular"):
+            OrthoSystem(built.weight, depth, bad, built.norms)
 
 
 def test_partition_function(gauss_sys, disk_sys):
