@@ -1,8 +1,7 @@
 """Determinant formulas for characteristic-polynomial ratios in
 complex-eigenvalue ensembles, with brute-force verification oracles."""
 
-from .cauchy import (CauchyEvaluator, CauchyResult, cauchy_evaluator,
-                     cauchy_quadrature, cauchy_row, cauchy_transform_full,
+from .cauchy import (CauchyEvaluator, CauchyResult, cauchy_evaluator, cauchy_row,
                      series_transform)
 from .deformed import (christoffel_poly, christoffel_q, combined_poly,
                        deformed_cauchy, uvarov_poly, uvarov_q)

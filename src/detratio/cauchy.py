@@ -24,7 +24,10 @@ Two backends:
 
       h_n^(k)(u) = i (-1)^k k! binom(n+k, k) I_n(|u|) / u^(n+k+1).
 
-  An entry carries ``SERIES_ROUNDING`` (n + k + 1) times its modulus.
+  Inside a disk, and on a gaussian below scale |u|^2 = n + 1, I_n = |u|^(2n+2) J_n
+  (``weight.scaled_radial_mass``) and an entry is formed from conj(u)^(n+1) J_n / u^k,
+  which underflows only with its value; elsewhere I_n / u^(n+k+1) is formed before
+  the coefficient multiplies.  An entry carries ``SERIES_ROUNDING`` (n + k + 1) |h|.
 
 * ``quadrature``: the same expansion about the weight's centre c, for
   any weight (the split of Daripa's fast Cauchy transform, SIAM J. Sci.
@@ -84,18 +87,17 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .errors import ConstraintError, NumericalError
-from .orthopoly import MonicPoly, OrthoSystem
+from .orthopoly import OrthoSystem
 from .quadrature import PROBE, adaptive_integral, require_certifiable
 from .weight import (DISK, PANEL_NODES, WeightSpec, both_signs, conj_derivative_factor,
                      harmonic_moments, panel_interpolation, radial_mass, row_radius,
-                     split_panel)
+                     scaled_radial_mass, split_panel)
 
 ROTINV_SERIES = "rotinv-series"
 QUADRATURE = "quadrature"
-SERIES_ROUNDING = 4 * 2.0 ** -52   # per n + k + 1: up to 2.3 eps seen against mpmath
+SERIES_ROUNDING = 4 * 2.0 ** -52   # per n + k + 1: up to 2.8 eps seen against mpmath
 
 
 class CauchyResult(NamedTuple):
@@ -205,15 +207,15 @@ def series_transform(spec: WeightSpec, n: int, eps: complex, order: int = 0) -> 
     """Closed-form transform (and derivatives) for rotation-invariant weights."""
     u = complex(eps)
     _check_pole(spec, u, order)
-    mass = radial_mass(spec, n, abs(u))
-    if mass == 0:   # 0 / u^(n+1), also where u^(n+1) underflowed: then so did the value
-        return 0j
     coeff = 1j * (-1) ** order * math.factorial(order) * math.comb(n + order, order)
-    k = n + order + 1
-    try:
-        return coeff * mass / u ** k
+    scaled = scaled_radial_mass(spec, n, abs(u))
+    if scaled is not None:   # the mass is |u|^(2n+2) J_n, and |u|^2 / u = conj(u)
+        return coeff * (u.conjugate() ** (n + 1) * scaled / u ** order)
+    mass, k = radial_mass(spec, n, abs(u)), n + order + 1
+    try:   # divided first, as coeff times the mass may overflow; a mass of 0 gives 0
+        return coeff * (mass / u ** k) if mass else 0j
     except OverflowError:  # a far pole: the power overflows, its inverse need not
-        return coeff * mass * (1 / u) ** k
+        return coeff * (mass * (1 / u) ** k)
 
 
 def _harmonic_table(spec: WeightSpec, coeffs: np.ndarray, depth: int, tolerance: float,
@@ -317,15 +319,15 @@ def _quadrature_row(spec: WeightSpec, table: _HarmonicTable, u: complex,
                  for v, e in zip(values.tolist(), (table.change * l1).tolist()))
 
 
-def cauchy_quadrature(spec: WeightSpec, poly: MonicPoly, eps: complex,
+def cauchy_quadrature(spec: WeightSpec, coeffs, eps: complex,
                       tolerance: float = 1e-9, order: int = 0) -> CauchyResult:
-    """Quadrature transform of one polynomial, re-expanded about the weight's
-    centre, on a harmonic table of its own to its degree (plus ``order`` on
-    a gaussian), with no orthogonality."""
-    depth = poly.degree + (order if conj_derivative_factor(spec) is not None else 0)
-    coeffs = Polynomial(poly.coeffs)(Polynomial([spec.centre - poly.centre, 1.0])).coef
-    return _quadrature_row(spec, _harmonic_table(spec, coeffs.astype(complex)[None], depth,
-                                                 tolerance), complex(eps), order)[0]
+    """Quadrature transform of the polynomial with ``coeffs`` in powers of
+    zeta = z - c, c the weight's centre, on a harmonic table of its own to
+    its degree (plus ``order`` on a gaussian), with no orthogonality: the
+    tests' reference, kept for them and bench/tracer.py (ROADMAP item 5)."""
+    depth = len(coeffs) - 1 + (order if conj_derivative_factor(spec) is not None else 0)
+    table = _harmonic_table(spec, np.asarray(coeffs, dtype=complex)[None], depth, tolerance)
+    return _quadrature_row(spec, table, complex(eps), order)[0]
 
 
 def cauchy_row(ev: CauchyEvaluator, degrees, eps: complex,
@@ -360,5 +362,5 @@ def cauchy_row(ev: CauchyEvaluator, degrees, eps: complex,
 
 def cauchy_transform_full(ev: CauchyEvaluator, n: int, eps: complex,
                           order: int = 0) -> CauchyResult:
-    """Transform with diagnostics; a row of one degree."""
+    """A row of one degree, kept for bench/tracer.py's TRACED list (ROADMAP item 5)."""
     return cauchy_row(ev, (n,), eps, order)[0]

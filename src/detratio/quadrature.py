@@ -4,13 +4,12 @@ Every 2D integral in this package is taken over a disk or a radially
 truncated plane, in polar form: Gauss-Legendre nodes in the radial
 direction tensored with a uniform trapezoid rule in the angle (the
 trapezoid rule is spectrally accurate for periodic integrands).  Grids
-may be centered away from the origin; for a star-shaped region the
-radial extent of each ray varies with its angle.
+may be centered away from the origin.
 
 A grid is just a flat list of complex nodes with matching quadrature
 weights.  Weights are real for plain area integrals but may be complex:
-on ``cauchy_kernel_grid``, centred at c, the kernel k!/(zbar - cbar)^(k+1)
-is folded into them.
+the tests' ``cauchy_kernel_grid``, centred at c, folds the kernel
+k!/(zbar - cbar)^(k+1) into them, and its rays' lengths vary with the angle.
 """
 
 from __future__ import annotations
@@ -49,40 +48,24 @@ class PolarGrid:
         return self.nodes.size
 
 
-def _ray_lengths(rho_max, n_t: int) -> tuple[np.ndarray, np.ndarray, float]:
-    phis, w_phi = angular_rule(n_t)
-    if callable(rho_max):
-        lengths = np.asarray(rho_max(phis), dtype=float)
-    else:
-        lengths = np.full(n_t, float(rho_max))
-    return phis, lengths, w_phi
-
-
-def star_grid(center: complex, rho_max, n_r: int, n_t: int) -> PolarGrid:
-    """Area grid on the star-shaped region {center + rho e^{i phi} : rho < rho_max(phi)}.
-
-    ``rho_max`` is a constant or a callable of the angle array.
-    """
-    phis, lengths, w_phi = _ray_lengths(rho_max, n_t)
-    x, w_x = unit_radial_rule(n_r)
-    rho = lengths[:, None] * x[None, :]
-    nodes = center + rho * np.exp(1j * phis)[:, None]
-    weights = (lengths[:, None] * w_x[None, :]) * rho * w_phi
-    return PolarGrid(nodes=nodes.ravel(), weights=weights.ravel())
+def star_grid(center: complex, radius: float, n_r: int, n_t: int) -> PolarGrid:
+    """Area grid on the disk {center + rho e^{i phi} : rho < radius}."""
+    (phis, w_phi), (x, w_x) = angular_rule(n_t), unit_radial_rule(n_r)
+    nodes = center + radius * x * np.exp(1j * phis)[:, None]
+    weights = np.tile(radius * w_x * (radius * x) * w_phi, n_t)
+    return PolarGrid(nodes=nodes.ravel(), weights=weights)
 
 
 def cauchy_kernel_grid(center: complex, rho_max, n_r: int, n_t: int,
                        order: int = 0) -> PolarGrid:
-    """Grid whose weights absorb the kernel order!/(zbar - conj(center))^(order+1).
-
-    Summing F(nodes) * weights evaluates the area integral of
-    F(z) * order!/(zbar - conj(center))^(order+1) over the star-shaped
-    region: with z = center + rho e^{i phi} the kernel times the area
-    element equals order! e^{i(order+1)phi} rho^(-order) drho dphi.  No
-    Cauchy row uses this grid: it is the tests' independent reference for
-    the rows of the harmonic table.
-    """
-    phis, lengths, w_phi = _ray_lengths(rho_max, n_t)
+    """Grid on {center + rho e^{i phi} : rho < rho_max(phi)}, ``rho_max`` a
+    constant or a callable of the angle array, whose weights absorb the
+    kernel order!/(zbar - conj(center))^(order+1): with z = center + rho e^{i phi}
+    the kernel times the area element is order! e^{i(order+1)phi} rho^(-order)
+    drho dphi.  The tests' reference for the harmonic table's rows, kept for
+    them and for bench/tracer.py; ROADMAP item 5 moves it into the tests."""
+    phis, w_phi = angular_rule(n_t)
+    lengths = np.asarray(rho_max(phis) if callable(rho_max) else np.full(n_t, rho_max), float)
     x, w_x = unit_radial_rule(n_r)
     nodes = center + (lengths * np.exp(1j * phis))[:, None] * x[None, :]
     # a zero-length ray (a centre on the chord circle) covers no area

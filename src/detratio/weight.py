@@ -322,6 +322,17 @@ def _log_poisson(k: int, x: float) -> float:
             - (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * k * k)) / (k * k)) / k)
 
 
+def _lower_gamma_series(a: int, x: float) -> float:
+    """S = sum_k x^k / ((a+1)...(a+k)), so that P(a, x) = x^a e^-x / a! * S;
+    the terms fall geometrically once a + k > x."""
+    term = total = 1.0
+    while term > total * 1e-17:
+        a += 1
+        term *= x / a
+        total += term
+    return total
+
+
 def regularized_gamma_p(a: int, x: float) -> float:
     """Regularised lower incomplete gamma P(a, x) for an integer a >= 1."""
     if x <= 0.0:
@@ -329,14 +340,7 @@ def regularized_gamma_p(a: int, x: float) -> float:
     if x == math.inf:
         return 1.0
     if x < a + 1:
-        # x^a e^-x / a! * sum_k x^k / ((a+1)...(a+k)); the terms fall
-        # geometrically once a + k > x
-        term = total = 1.0
-        k = 1
-        while term > total * 1e-17:
-            term *= x / (a + k)
-            total += term
-            k += 1
+        total = _lower_gamma_series(a, x)
         if a <= 170 and a * math.log(x) < 700.0:
             return x ** a * math.exp(-x) / math.factorial(a) * total
         return math.exp(_log_poisson(a, x)) * total
@@ -371,6 +375,17 @@ def radial_mass(spec: WeightSpec, n: int, t: float) -> float:
         full = math.gamma(n + 1) / (2.0 * scale ** (n + 1))
         return amp * full * regularized_gamma_p(n + 1, scale * t * t)
     return amp * min(t, spec.parameters[0]) ** (2 * n + 2) / (2 * n + 2)  # the disk
+
+
+def scaled_radial_mass(spec: WeightSpec, n: int, t: float) -> Optional[float]:
+    """``radial_mass`` / t^(2n+2) inside a disk, amp / (2n + 2), and on a gaussian
+    below x = scale t^2 = n + 1, amp e^-x S / (2n + 2) with S the series of P(n + 1, x);
+    else None.  Unlike the mass, it stays a normal double where t^(2n+2) does not."""
+    if spec.kind == "disk-flat" and t <= spec.parameters[0]:
+        return spec.amplitude / (2 * n + 2)
+    if spec.kind == "gaussian" and (x := spec.parameters[0] * t * t) < n + 1:
+        return spec.amplitude * math.exp(-x) * _lower_gamma_series(n + 1, x) / (2 * n + 2)
+    return None
 
 
 def closed_moments(spec: WeightSpec, n: int):

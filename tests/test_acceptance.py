@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from detratio import (OracleConfig, RatioQuery, cauchy_evaluator,
-                      cauchy_transform_full, christoffel_poly, combined_poly,
+                      cauchy_row, christoffel_poly, combined_poly,
                       expectation_inverses, expectation_products,
                       expectation_ratio, eval_poly,
                       gaussian_weight, oracle_deformed_op, oracle_expectation,
@@ -69,8 +69,8 @@ def test_criterion_2_cauchy_closed_forms(gauss_sys, disk_sys):
         series = cauchy_evaluator(sys_)
         for n in range(6):
             for e in (1.5, 2.0, 5.0, 20.0):
-                a = cauchy_transform_full(series, n, e).value
-                b = cauchy_transform_full(quad, n, e).value
+                a = cauchy_row(series, (n,), e)[0].value
+                b = cauchy_row(quad, (n,), e)[0].value
                 worst = max(worst, abs(a - b) / abs(a))
     elapsed = time.time() - t0
     ok = worst < 1e-7 and elapsed < 10.0
@@ -147,7 +147,7 @@ def test_criterion_5_heine_identities(disk, gauss, disk_sys, disk_ev,
                                      QUAD_CFG).value
             z_ratio = (partition_function(sys_, n_ev - 1) if n_ev > 1 else 1.0) \
                 / partition_function(sys_, n_ev)
-            rhs = -2j * PI * n_ev * z_ratio * cauchy_transform_full(cev, n_ev - 1, eb).value
+            rhs = -2j * PI * n_ev * z_ratio * cauchy_row(cev, (n_ev - 1,), eb)[0].value
             worst = max(worst, abs(lhs - rhs) / abs(rhs))
     ok = worst < 1e-6
     report("criterion 5 (Heine identities vs oracle)", ok, f"worst rel {worst:.2e}")

@@ -113,9 +113,9 @@ def test_combined_matches_oracle_solve(gauss, gauss_sys, gauss_ev):
 
 
 def test_deformed_cauchy_empty(disk_sys, disk_ev):
-    from detratio import cauchy_transform_full
+    from detratio import cauchy_row
     assert deformed_cauchy(disk_sys, disk_ev, (), 2, 3.0) == \
-        cauchy_transform_full(disk_ev, 2, 3.0).value
+        cauchy_row(disk_ev, (2,), 3.0)[0].value
 
 
 def test_deformed_cauchy_disk_closed_form(disk, disk_sys, disk_ev):
